@@ -26,7 +26,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidModel, NonIntegrable, OutOfSupport
-from .quadrature import GridInverseCdf, log_integral, log_moment_integrals, mass_window
+from .quadrature import (GridInverseCdf, first_reach, log_integral, log_moment_integrals,
+                         mass_window)
 
 Array = np.ndarray
 
@@ -386,20 +387,10 @@ class Perturbation:
 def _solve_log_g_level(exponent: ExponentModel, level: float) -> float:
     """Smallest x beyond the increase threshold with log g(x) >= level."""
     lo = max(exponent.increase_threshold, 1e-6)
-    hi = max(2.0 * lo, 1.0)
-    for _ in range(200):
-        if float(exponent.log_g(np.array([hi]))[0]) >= level:
-            break
-        hi *= 2.0
-    else:
+    x = first_reach(exponent.log_g, lo, max(2.0 * lo, 1.0), level, 200)
+    if math.isinf(x):
         raise InvalidModel("log g never reaches the requested level")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if float(exponent.log_g(np.array([mid]))[0]) >= level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return x
 
 
 def sin_perturbation(exponent: ExponentModel, lam: float = 0.5) -> Perturbation:
@@ -535,18 +526,10 @@ class PerturbedDensity:
         mode_g = float(np.min(gvals))
         target = mode_g + SUPPORT_CAP_RISE
         hi = float(probe[-1])
-        while float(exp_model.g(np.array([hi]))[0]) < target:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NonIntegrable("exponent never rises enough to truncate the support")
-        lo = float(probe[np.argmin(gvals)])
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if float(exp_model.g(np.array([mid]))[0]) >= target:
-                hi = mid
-            else:
-                lo = mid
-        self.support_cap = hi
+        self.support_cap = first_reach(exp_model.g, float(probe[np.argmin(gvals)]), hi,
+                                       target, math.floor(math.log2(1e12 / hi)) + 1)
+        if math.isinf(self.support_cap):
+            raise NonIntegrable("exponent never rises enough to truncate the support")
 
         mass, mean, second = log_moment_integrals(self._log_kernel, 0.0, self.support_cap)
         self.log_c = -mass

@@ -1,34 +1,24 @@
-"""Shift-stabilised quadrature helpers for log-scale integrands.
+"""Vectorised log-space quadrature, the one integration engine of the package.
 
-Integrands here are of the form exp(ell(x)) where ell can reach +-1e4, so
-every routine works relative to the peak value: locate the maximiser,
-subtract it, integrate the rescaled function, then add the shift back in
-log space.
+Integrands are exp(ell(x)) with ell up to +-1e4, so each integral is taken
+relative to the largest sampled ell and the shift is added back in log
+space.  ``ell`` is only ever called on whole arrays: peaks, mass-window
+edges and level crossings are found by nested 65-point grids, and
+integrals by a locally adaptive composite 16-point Gauss-Legendre rule
+(Davis & Rabinowitz, *Methods of Numerical Integration*) whose every
+round yields the mass and the first two moments from one ``ell`` call.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import Divergent, NonIntegrable
-
-
-def _quiet_quad(f, lo, hi, **kw):
-    """scipy.integrate.quad with its roundoff chatter suppressed.
-
-    Shifted integrands that are numerically zero over most of the range
-    trigger IntegrationWarning even though the returned value is fine; the
-    callers here validate results by magnitude instead.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(f, lo, hi, **kw)
 
 Array = np.ndarray
 LogDensity = Callable[[Array], Array]
@@ -36,37 +26,76 @@ LogDensity = Callable[[Array], Array]
 # How far below the peak an integrand is treated as numerically zero.
 MASS_DROP = 60.0
 
+# Nested grids shrink their bracket 32-fold a level and stop at this share
+# of the searched range; the level cap only binds at float resolution.
+_GRID = 65
+_ZOOM_STOP = 1e-13
+_ZOOM_LEVELS = 16
 
-def _golden_max(ell: LogDensity, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximiser for a unimodal-enough log integrand."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(ell(np.array([c]))[0])
-    fd = float(ell(np.array([d]))[0])
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(ell(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(ell(np.array([d]))[0])
-    return 0.5 * (a + b)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_START_PANELS = 4
+# A panel settles when its one-panel and two-half estimates agree to _RTOL
+# of the total, or to the roundoff floor of exp(ell - shift): ell is only
+# accurate to about eps (1 + |shift|).  The panel cap stops an integrand
+# that never settles from doubling its panels every round.
+_RTOL = 1e-13
+_NOISE = 64.0 * np.finfo(float).eps
+_PANEL_CAP = 4096
 
 
-def find_peak(ell: LogDensity, lo: float, hi: float, probes: int = 2048) -> float:
-    """Locate the maximiser of ``ell`` on [lo, hi] by probe grid + golden polish."""
+def gauss_legendre(lo: Array, hi: Array) -> tuple[Array, Array]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on each panel
+    [lo[i], hi[i]], both of shape (panels, 16)."""
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
+
+
+def _zoom(ell: LogDensity, lo: float, hi: float, probes: int,
+          bracket: Callable[[Array], tuple[int, int]]) -> tuple[Array, Array, int, int]:
+    """Nested grids on [lo, hi]: ``bracket(vals)`` names the nodes (i, j)
+    whose span holds the target, and each level regrids that span.
+    Returns the last grid, its values and (i, j)."""
     xs = np.linspace(lo, hi, probes)
-    vals = ell(xs)
-    i = int(np.nanargmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, probes - 1)]
-    if a == b:
-        return float(xs[i])
-    return _golden_max(ell, float(a), float(b))
+    for _ in range(_ZOOM_LEVELS):
+        vals = np.asarray(ell(xs), dtype=float)
+        i, j = bracket(vals)
+        if xs[j] - xs[i] <= _ZOOM_STOP * (hi - lo):
+            break
+        xs = np.linspace(xs[i], xs[j], _GRID)
+    return xs, vals, i, j
+
+
+def find_peak(ell: LogDensity, lo: float, hi: float, probes: int = 2048) -> tuple[float, float]:
+    """(argmax, max) of ``ell`` on [lo, hi]: a probe grid, then nested-grid polish."""
+
+    def around_max(vals):
+        k = int(np.nanargmax(vals))
+        return max(k - 1, 0), min(k + 1, vals.size - 1)
+
+    xs, vals, i, j = _zoom(ell, lo, hi, probes, around_max)
+    k = i + int(np.nanargmax(vals[i : j + 1]))
+    return float(xs[k]), float(vals[k])
+
+
+def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
+                doublings: int) -> float:
+    """Smallest x in [lo, hi] with f(x) >= level (NaN counts as reached),
+    where hi is the first of hi_start * 2**m, m < ``doublings``, that
+    reaches it.  All doublings are probed in one call and nested grids
+    resolve the crossing; returns inf when no doubling reaches the level."""
+    his = hi_start * 2.0 ** np.arange(doublings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reached = np.flatnonzero(~(np.asarray(f(his), dtype=float) < level))
+    if reached.size == 0:
+        return math.inf
+
+    def first_reached(vals):
+        k = int(np.argmax(~(vals < level)))
+        return max(k - 1, 0), k
+
+    xs, _, _, j = _zoom(f, lo, float(his[reached[0]]), _GRID, first_reached)
+    return float(xs[j])
 
 
 def mass_window(
@@ -80,72 +109,45 @@ def mass_window(
     relevant mass of exp(ell) on (lo, inf).
 
     The upper edge grows by doubling until ell falls ``drop`` below the peak;
-    failure to decay within ``hi_limit`` raises :class:`Divergent`.
+    all doublings up to ``hi_limit`` are probed in one call, and failure to
+    decay within ``hi_limit`` raises :class:`Divergent`.
     """
     hi = max(hi_start, lo * 2 + 1.0)
-    peak_x = find_peak(ell, lo, hi)
-    peak = float(ell(np.array([peak_x]))[0])
+    peak_x, peak = find_peak(ell, lo, hi)
     while True:
-        tail = float(ell(np.array([hi]))[0])
-        if tail <= peak - drop:
+        his = hi * 2.0 ** np.arange(max(0, math.ceil(math.log2(hi_limit / hi))) + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            decayed = np.flatnonzero(np.asarray(ell(his), dtype=float) <= peak - drop)
+        if decayed.size == 0:
+            raise Divergent(f"integrand does not decay below peak-{drop:g} by x={his[-1]:.3g}")
+        if decayed[0] == 0:
             break
-        if hi >= hi_limit:
-            raise Divergent(
-                f"integrand does not decay below peak-{drop:g} by x={hi:.3g}"
-            )
-        hi *= 2.0
-        new_peak_x = find_peak(ell, peak_x, hi)
-        new_peak = float(ell(np.array([new_peak_x]))[0])
-        if new_peak > peak:
-            peak_x, peak = new_peak_x, new_peak
+        hi = float(his[decayed[0]])
+        new_peak_x, new_peak = find_peak(ell, peak_x, hi)
+        if new_peak <= peak:
+            break
+        peak_x, peak = new_peak_x, new_peak
 
-    # Tighten both edges to the region within `drop` of the peak.
-    def above(x: float) -> bool:
-        return float(ell(np.array([x]))[0]) > peak - drop
+    # Tighten both edges to the last points at or below peak - drop.
+    def first_above(vals):
+        k = int(np.argmax(vals > peak - drop))
+        return max(k - 1, 0), k
 
-    w_lo, w_hi = lo, hi
-    if not above(lo + 0.0):
-        a, b = lo, peak_x
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if above(m):
-                b = m
-            else:
-                a = m
-        w_lo = a
-    a, b = peak_x, hi
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        if above(m):
-            a = m
-        else:
-            b = m
-    w_hi = b
-    return w_lo, w_hi, peak_x
+    def last_above(vals):
+        k = vals.size - 1 - int(np.argmax(vals[::-1] > peak - drop))
+        return k, min(k + 1, vals.size - 1)
+
+    xs, _, i, _ = _zoom(ell, lo, peak_x, _GRID, first_above)
+    w_lo = float(xs[i])
+    xs, _, _, j = _zoom(ell, peak_x, hi, _GRID, last_above)
+    return w_lo, float(xs[j]), peak_x
 
 
-def log_integral(
-    ell: LogDensity,
-    lo: float,
-    hi: float,
-    peak_hint: float | None = None,
-    epsrel: float = 1e-10,
-) -> float:
-    """log of integral of exp(ell) over [lo, hi], computed with a peak shift."""
-    if hi <= lo:
-        return -np.inf
-    if peak_hint is None:
-        peak_hint = find_peak(ell, lo, hi)
-    shift = float(ell(np.array([peak_hint]))[0])
-
-    def f(x: float) -> float:
-        return float(np.exp(ell(np.array([x]))[0] - shift))
-
-    pts = [p for p in (peak_hint,) if lo < p < hi]
-    val, _ = _quiet_quad(f, lo, hi, points=pts or None, epsabs=0.0, epsrel=epsrel, limit=400)
-    if not np.isfinite(val) or val <= 0.0:
-        raise NonIntegrable("quadrature returned a non-positive mass")
-    return shift + float(np.log(val))
+def _moments(x: Array, w: Array, f: Array) -> Array:
+    """Per-panel Gauss-Legendre sums of f, x f and x^2 f, shape (panels, 3)."""
+    wf = w * f
+    wxf = wf * x
+    return np.stack([wf.sum(axis=1), wxf.sum(axis=1), (wxf * x).sum(axis=1)], axis=1)
 
 
 def log_moment_integrals(
@@ -153,27 +155,57 @@ def log_moment_integrals(
     lo: float,
     hi: float,
     peak_hint: float | None = None,
-    epsrel: float = 1e-10,
 ) -> tuple[float, float, float]:
     """Return (log m0, m1, m2): log mass plus first two moments of the
-    normalised density exp(ell)/m0 on [lo, hi].  All three quadratures share
-    one shift so the moment ratios are exact."""
+    normalised density exp(ell)/m0 on [lo, hi], split at the peak.  All
+    three come from the same nodes and shift, so the moment ratios are
+    exact."""
     if peak_hint is None:
-        peak_hint = find_peak(ell, lo, hi)
-    shift = float(ell(np.array([peak_hint]))[0])
-
-    def f0(x: float) -> float:
-        return float(np.exp(ell(np.array([x]))[0] - shift))
-
-    pts = [p for p in (peak_hint,) if lo < p < hi]
-    m0, _ = _quiet_quad(f0, lo, hi, points=pts or None, epsabs=0.0, epsrel=epsrel, limit=400)
+        peak_hint, _ = find_peak(ell, lo, hi)
+    cuts = np.array([lo, peak_hint, hi]) if lo < peak_hint < hi else np.array([lo, hi])
+    edges = np.append(np.linspace(cuts[:-1], cuts[1:], _START_PANELS, endpoint=False).T, hi)
+    a, b = edges[:-1], edges[1:]
+    x, w = gauss_legendre(a, b)
+    vals = np.asarray(ell(np.append(x.ravel(), peak_hint)), dtype=float)
+    shift = float(np.max(vals))
+    if not math.isfinite(shift):
+        raise NonIntegrable("integrand has no finite maximum on the window")
+    coarse = _moments(x, w, np.exp(vals[:-1].reshape(x.shape) - shift))
+    floor = _NOISE * (1.0 + abs(shift))
+    total, total_abs, settled = np.zeros(3), np.zeros(3), 0
+    while a.size:
+        if settled + a.size > _PANEL_CAP:
+            raise NonIntegrable(f"quadrature did not settle within {_PANEL_CAP} panels")
+        mid = 0.5 * (a + b)
+        x, w = gauss_legendre(np.concatenate([a, mid]), np.concatenate([mid, b]))
+        vals = np.asarray(ell(x.ravel()), dtype=float).reshape(x.shape)
+        fine = _moments(x, w, np.exp(vals - shift))
+        left, right = fine[: a.size], fine[a.size :]
+        split = left + right
+        tol = _RTOL * (total_abs + np.abs(split).sum(axis=0)) + floor * np.abs(split)
+        ok = np.all(np.abs(split - coarse) <= tol, axis=1)
+        total += split[ok].sum(axis=0)
+        total_abs += np.abs(split[ok]).sum(axis=0)
+        settled += int(ok.sum())
+        a, b, mid = a[~ok], b[~ok], mid[~ok]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        coarse = np.concatenate([left[~ok], right[~ok]])
+    m0, m1, m2 = total
     if not np.isfinite(m0) or m0 <= 0.0:
         raise NonIntegrable("quadrature returned a non-positive mass")
-    m1, _ = _quiet_quad(lambda x: x * f0(x), lo, hi, points=pts or None, epsabs=0.0,
-                        epsrel=epsrel, limit=400)
-    m2, _ = _quiet_quad(lambda x: x * x * f0(x), lo, hi, points=pts or None, epsabs=0.0,
-                        epsrel=epsrel, limit=400)
-    return shift + float(np.log(m0)), float(m1 / m0), float(m2 / m0)
+    return shift + math.log(m0), float(m1 / m0), float(m2 / m0)
+
+
+def log_integral(
+    ell: LogDensity,
+    lo: float,
+    hi: float,
+    peak_hint: float | None = None,
+) -> float:
+    """log of integral of exp(ell) over [lo, hi], computed with a peak shift."""
+    if hi <= lo:
+        return -np.inf
+    return log_moment_integrals(ell, lo, hi, peak_hint)[0]
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 The rate I(x) = sup_t (t x - Lambda(t)) is computed by solving the
 stationarity condition Lambda'(t) = x with a safeguarded Newton iteration.
-Lambda' and Lambda'' come from quadrature of tilted moments, never from
-differencing Lambda, so the iteration sees smooth derivatives.  A table
-type caches (x, I, t*) on a log-spaced grid with cubic interpolation for
-the many-query callers.
+Lambda, Lambda' and Lambda'' come together from one adaptive quadrature
+pass over the tilted mass window, never from differencing Lambda, so the
+iteration sees smooth derivatives.  A table type caches (x, I, t*) on a
+log-spaced grid with cubic interpolation for the many-query callers.
 """
 
 from __future__ import annotations
@@ -19,13 +19,18 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .density import PerturbedDensity
 from .errors import Divergent, DomainError, NoConvergence, NoRoot
-from .quadrature import log_integral, log_moment_integrals, mass_window
+from .quadrature import log_moment_integrals, mass_window
 
 _MEAN_ATTR = "_ratefn_mean"
 _NEWTON_CAP = 200
 # Wide enough that every diagnostic point of interest solves; Weibull k=3
 # at x=20 already needs a tilt near 1.2e3.
 _BRACKET_LIMIT = 1e4
+
+
+def _tilt_tol(x: float) -> float:
+    """Residual |Lambda'(t) - x| at which a tilt solve for mean x stops."""
+    return 1e-8 * max(1.0, abs(x))
 
 
 def _tilted_ell(model: PerturbedDensity, t: float):
@@ -36,7 +41,7 @@ def _tilted_ell(model: PerturbedDensity, t: float):
 
 
 def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, float]:
-    """(Lambda(t), Lambda'(t), Lambda''(t)) by shared-window quadrature."""
+    """(Lambda(t), Lambda'(t), Lambda''(t)) from one quadrature pass."""
     ell = _tilted_ell(model, t)
     lo, hi, peak = mass_window(ell, 0.0, 8.0)
     lam, mean, second = log_moment_integrals(ell, lo, hi, peak_hint=peak)
@@ -47,15 +52,13 @@ def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, floa
 
 
 def log_mgf(model: PerturbedDensity, t: float) -> float:
-    """Lambda(t) = log E exp(tX) by peak-shifted adaptive quadrature.
+    """Lambda(t) = log E exp(tX), from the quadrature pass of _tilted_stats.
 
     Raises Divergent when the tilted integrand refuses to decay under
     window doubling, which is how a linear-exponent model at t >= 1
     announces an infinite MGF.
     """
-    ell = _tilted_ell(model, float(t))
-    lo, hi, peak = mass_window(ell, 0.0, 8.0)
-    return log_integral(ell, lo, hi, peak_hint=peak)
+    return _tilted_stats(model, float(t))[0]
 
 
 def model_mean(model: PerturbedDensity) -> float:
@@ -77,7 +80,7 @@ def _solve_tilt(model: PerturbedDensity, x: float,
     upper end instead of aborting, so linear-exponent models still solve
     for means reachable below the divergence threshold.
     """
-    tol = 1e-8 * max(1.0, abs(x))
+    tol = _tilt_tol(x)
     ex = model_mean(model)
     if abs(x - ex) <= tol:
         return 0.0, 0.0

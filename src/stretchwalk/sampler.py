@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 from .density import PerturbedDensity
 from .errors import DegenerateWeights, DomainError, NoConvergence
 from .quadrature import GridInverseCdf, mass_window
-from .ratefn import cramer_rate, log_mgf, model_mean
+from .ratefn import _tilt_tol, _tilted_ell, cramer_rate, log_mgf, model_mean
 
 METHODS = ("TiltedIS", "FixedSumGibbs", "Rejection")
 
@@ -116,8 +116,8 @@ class ImportanceResult:
 
 
 def tilt_for_mean(model: PerturbedDensity, a: float) -> float:
-    """Tilt t with tilted mean a; zero at the model mean."""
-    if a < model_mean(model):
+    """Tilt t with tilted mean a; zero at the mean, to the tilt solve's tolerance."""
+    if a < model_mean(model) - _tilt_tol(a):
         raise DomainError("tilt target must not sit below the mean")
     _, tilt = cramer_rate(model, a)
     return tilt
@@ -126,10 +126,7 @@ def tilt_for_mean(model: PerturbedDensity, a: float) -> float:
 def tilted_table(model: PerturbedDensity, t: float,
                  points: int = 4097) -> GridInverseCdf:
     """Inverse-CDF table of the tilted density; t=0 gives the plain law."""
-
-    def ell(xs: np.ndarray) -> np.ndarray:
-        return t * xs + model.log_c + model._log_kernel(xs)
-
+    ell = _tilted_ell(model, t)
     lo, hi, _ = mass_window(ell, 0.0, 8.0)
     return GridInverseCdf.build(ell, lo, hi, points=points)
 

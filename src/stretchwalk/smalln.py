@@ -22,11 +22,11 @@ from scipy.interpolate import PchipInterpolator
 
 from .density import PerturbedDensity
 from .errors import DomainError
+from .quadrature import gauss_legendre
 
 Array = np.ndarray
 
 _SMALL_N = (2, 3)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _SURVIVAL_POINTS = 262_145
 
 
@@ -46,16 +46,10 @@ def _log_quad(ell, lo: float, hi: float, breakpoints=(), panels: int = 32) -> fl
     if hi <= lo:
         return -math.inf
     cuts = sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)})
-    xs_parts = []
-    ws_parts = []
-    for s_lo, s_hi in zip(cuts[:-1], cuts[1:]):
-        edges = np.linspace(s_lo, s_hi, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        xs_parts.append((mid[:, None] + half[:, None] * _GL_NODES).ravel())
-        ws_parts.append((half[:, None] * np.broadcast_to(_GL_WEIGHTS, (panels, 16))).ravel())
-    xs = np.concatenate(xs_parts)
-    ws = np.concatenate(ws_parts)
+    edges = [np.linspace(s_lo, s_hi, panels + 1) for s_lo, s_hi in zip(cuts[:-1], cuts[1:])]
+    xs, ws = gauss_legendre(np.concatenate([e[:-1] for e in edges]),
+                            np.concatenate([e[1:] for e in edges]))
+    xs, ws = xs.ravel(), ws.ravel()
     vals = np.asarray(ell(xs), dtype=float)
     shift = float(np.max(vals))
     if not math.isfinite(shift):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .density import ExponentModel, PerturbedDensity, Perturbation, _solve_log_g_level
 from .errors import DomainError, EnvelopeViolated, NoConvergence, ThresholdNotFound
+from .quadrature import find_peak
 
 Array = np.ndarray
 
@@ -127,30 +128,11 @@ _BASE_AXIS = {2: 257, 3: 81, 4: 33, 5: 17, 6: 11, 7: 9, 8: 7}
 
 
 def _min1d(fn, lo: float, hi: float, coarse: int = 65) -> tuple[float, float]:
-    """Minimise a smooth scalar function on [lo, hi]: dense grid, golden
+    """Minimise a smooth scalar function on [lo, hi]: dense grid, nested-grid
     polish around the best node, explicit endpoint checks."""
     if hi <= lo:
         return lo, float(fn(np.array([lo]))[0])
-    xs = np.linspace(lo, hi, coarse)
-    vals = np.asarray(fn(xs), dtype=float)
-    i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, coarse - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = float(fn(np.array([c]))[0])
-    fd = float(fn(np.array([d]))[0])
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(fn(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(fn(np.array([d]))[0])
-    x_best = 0.5 * (a + b)
+    x_best, _ = find_peak(lambda u: -np.asarray(fn(u), dtype=float), lo, hi, probes=coarse)
     candidates = [x_best, lo, hi]
     cand_vals = np.asarray(fn(np.array(candidates)), dtype=float)
     j = int(np.argmin(cand_vals))

@@ -24,6 +24,7 @@ from stretchwalk.paths import (
 )
 from stretchwalk.ratefn import model_mean
 from stretchwalk.seeding import derive_seed
+from stretchwalk.smalln import exact_log_prob_exceed
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +226,20 @@ class TestSimulateConditionedPath:
             )
             vals.append(traj.increments.mean())
         assert abs(np.mean(vals) - 2.0) <= 0.05
+
+    def test_exceedance_law_matches_exact_n2(self, weibull3):
+        # P(S_2 > 2a + 0.3 | S_2 > 2a) is 0.19 exactly; the tilted law merely
+        # restricted to {S_2 > 2a} puts about 0.52 of its paths there.
+        a = 1.5 * model_mean(weibull3)
+        paths = 1000
+        hits = sum(
+            simulate_conditioned_path(weibull3, 2, a, EndValueAtLeast(2.0 * a),
+                                      seed=derive_seed(60, r)).partial_sums[-1] > 2.0 * a + 0.3
+            for r in range(paths)
+        )
+        exact = math.exp(exact_log_prob_exceed(weibull3, 2, a + 0.15)
+                         - exact_log_prob_exceed(weibull3, 2, a))
+        assert abs(hits / paths - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / paths)
 
 
 class TestEstimatePAk:

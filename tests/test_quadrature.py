@@ -1,0 +1,145 @@
+"""The Gauss-Legendre engine against 40-digit mpmath references.
+
+References integrate the model's own exponent in mpmath, split at its
+kinks (the clipped sin envelope, the nodes of a tabulated curve), so they
+share nothing with the engine but the model definition.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+import tracemalloc
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from stretchwalk.density import (
+    ExpExponent,
+    PowerExponent,
+    TabulatedExponent,
+    WeibullExponent,
+    pure_density,
+    sin_perturbed_density,
+)
+from stretchwalk.errors import NonIntegrable
+from stretchwalk.quadrature import log_integral, mass_window
+from stretchwalk.ratefn import _tilted_ell, _tilted_stats
+
+DPS = 40
+TOL = 1e-10
+TILTS = (-1, 0, 1, 4)
+
+_TAB_X = np.linspace(0.05, 12.0, 12)
+_TAB = TabulatedExponent(_TAB_X, (_TAB_X - 0.3) ** 2 + 0.1 * _TAB_X**3)
+
+
+def _pchip_mp(interp):
+    """The tabulated exponent's piecewise cubic, evaluated in mpmath."""
+    knots = [float(v) for v in interp.x]
+    coef = [[mp.mpf(float(c)) for c in col] for col in interp.c.T]
+
+    def g(x):
+        i = min(max(bisect.bisect_right(knots, float(x)) - 1, 0), len(coef) - 1)
+        dx = x - knots[i]
+        c3, c2, c1, c0 = coef[i]
+        return ((c3 * dx + c2) * dx + c1) * dx + c0
+
+    return g
+
+
+def _sin_cubic(x):
+    return x**3 + mp.mpf("0.5") * mp.sin(x) * min(max(3 * mp.log(x), 0), 1)
+
+
+def _no_kinks():
+    return []
+
+
+# name -> (model factory, exponent g + q in mpmath, its kinks)
+CASES = {
+    "power2": (lambda: pure_density(PowerExponent(2.0)), lambda x: x**2, _no_kinks),
+    "weibull3": (lambda: pure_density(WeibullExponent(3.0)),
+                 lambda x: x**3 - 2 * mp.log(x), _no_kinks),
+    "exp": (lambda: pure_density(ExpExponent()), mp.exp, _no_kinks),
+    # The clipped envelope min(1, log g)+ bends where g = 1 and g = e.
+    "power3_sin": (lambda: sin_perturbed_density(PowerExponent(3.0)), _sin_cubic,
+                   lambda: [mp.mpf(1), mp.exp(mp.mpf(1) / 3)]),
+    "tabulated": (lambda: pure_density(_TAB), _pchip_mp(_TAB._interp),
+                  lambda: [mp.mpf(float(v)) for v in _TAB_X]),
+}
+
+
+def _mp_integral(f, lo, hi, kinks):
+    pts = sorted({mp.mpf(lo), mp.mpf(hi), *(k for k in kinks if lo < k < hi)})
+    return mp.quad(f, pts)
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    make, G, kinks = CASES[request.param]
+    model = make()
+    with mp.workdps(DPS):
+        kinks = kinks()
+        log_z = mp.log(_mp_integral(lambda x: mp.exp(-G(x)), 0, model.support_cap, kinks))
+        refs = {}
+        for t in TILTS:
+            # Far past the engine's window, so the reference sees all the mass.
+            _, hi, peak = mass_window(_tilted_ell(model, float(t)), 0.0, 8.0)
+            cuts = [*kinks, mp.mpf(peak)]
+            m0, m1, m2 = (_mp_integral(lambda x, j=j: x**j * mp.exp(t * x - G(x)),
+                                       0, 1.5 * hi + 1.0, cuts) for j in range(3))
+            mean = m1 / m0
+            refs[t] = (float(mp.log(m0) - log_z), float(mean), float(m2 / m0 - mean**2))
+    return model, refs
+
+
+def test_tilted_moments_match_mpmath(case):
+    model, refs = case
+    for t, (lam, mean, var) in refs.items():
+        got = _tilted_stats(model, float(t))
+        assert abs(got[0] - lam) <= TOL * max(1.0, abs(lam)), (t, got, lam)
+        assert abs(got[1] - mean) <= TOL * mean, (t, got, mean)
+        assert abs(got[2] - var) <= TOL * var, (t, got, var)
+
+
+def test_weibull_tail_window_converges():
+    # Weibull k=3 on [2 cap, 4 cap]: ell sits near -828, far above the
+    # relative target's reach, so only the roundoff floor settles it.
+    model = pure_density(WeibullExponent(3.0))
+    cap = model.support_cap
+    got = log_integral(model._log_kernel, 2.0 * cap, 4.0 * cap)
+    # The kernel is x^2 exp(-x^3); its integral over [u, v] is
+    # (exp(-u^3) - exp(-v^3)) / 3.
+    lo3, hi3 = (2.0 * cap) ** 3, (4.0 * cap) ** 3
+    ref = -lo3 + math.log1p(-math.exp(lo3 - hi3)) - math.log(3.0)
+    assert got < -800.0
+    assert abs(got - ref) <= TOL * abs(ref)
+
+
+def test_adaptive_split_settles_a_jump():
+    # Only the panel holding the jump stays unsettled; halving it alone
+    # reaches the closed form.
+    def step(x):
+        return np.where(x < 1.0, 0.0, -1.0)
+
+    got = log_integral(step, 0.0, 3.0, peak_hint=0.5)
+    assert got == pytest.approx(math.log(1.0 + 2.0 * math.exp(-1.0)), rel=1e-14)
+
+
+def test_unsettled_integrand_raises_with_bounded_memory():
+    rng = np.random.default_rng(3)
+
+    def noise(x):
+        return rng.normal(size=np.shape(x))
+
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            with pytest.raises(NonIntegrable):
+                log_integral(noise, 0.0, 1.0, peak_hint=0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
