@@ -9,7 +9,6 @@ from .density import (
     TabulatedExponent,
     WeibullExponent,
     almost_log_concave_density,
-    model_from_spec,
     parse_model,
     pure_density,
     sin_perturbed_density,
@@ -28,7 +27,6 @@ __all__ = [
     "TabulatedExponent",
     "WeibullExponent",
     "almost_log_concave_density",
-    "model_from_spec",
     "parse_model",
     "pure_density",
     "sin_perturbed_density",

@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import io
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .conditions import PRESETS, InversePower, SequencePlan, evaluate_conditions, parse_exponent
-from .density import PerturbedDensity, PowerExponent, pure_density, sin_perturbed_density
+from .conditions import PRESETS, InversePower, SequencePlan, evaluate_conditions
+from .density import PowerExponent, parse_exponent, parse_model, pure_density
 from .errors import StretchwalkError
 from .paths import EndValueAtLeast, detect_segments, estimate_p_ak, simulate_conditioned_path
 from .ratefn import CramerRate, tail_equivalence
-from .sampler import estimate_localization
+from .sampler import METHODS, estimate_localization
 from .seeding import derive_seed
 from .variational import BandEvent, brute_force_infimum, closed_form_bounds
 
@@ -36,13 +34,6 @@ _FORMATS = ("csv", "json")
 
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 1."""
-
-
-def _model_from_spec(spec: str) -> PerturbedDensity:
-    """Build a density from "<exponent-spec>" or "<exponent-spec>/sin"."""
-    if spec.endswith("/sin"):
-        return sin_perturbed_density(parse_exponent(spec[: -len("/sin")]))
-    return pure_density(parse_exponent(spec))
 
 
 def _require(ns: argparse.Namespace, *names: str) -> None:
@@ -178,7 +169,7 @@ def _emit_rows(ns: argparse.Namespace, name: str, columns: list[str],
 
 def _cmd_bounds(ns: argparse.Namespace) -> int:
     _require(ns, "model", "n", "a", "eps")
-    if ns.model.endswith("/sin"):
+    if str(ns.model).endswith("/sin"):
         raise UsageError("bounds evaluates the convex closed forms; "
                          "use a pure exponent spec")
     exponent = parse_exponent(ns.model)
@@ -240,7 +231,7 @@ def _cmd_conditions(ns: argparse.Namespace) -> int:
 
 def _cmd_rate(ns: argparse.Namespace) -> int:
     _require(ns, "model", "a")
-    model = _model_from_spec(ns.model)
+    model = parse_model(ns.model)
     x_max = _float1(ns.a, "a")
     table = CramerRate.build(model, x_max)
     columns = ["x", "I", "t_star"]
@@ -260,7 +251,7 @@ def _cmd_rate(ns: argparse.Namespace) -> int:
 
 def _cmd_localize(ns: argparse.Namespace) -> int:
     _require(ns, "model", "n", "a", "eps")
-    model = _model_from_spec(ns.model)
+    model = parse_model(ns.model)
     a = _float1(ns.a, "a")
     eps = _float1(ns.eps, "eps")
     columns = ["n", "p_hat", "std_err", "n_eff", "replications"]
@@ -277,7 +268,7 @@ def _cmd_localize(ns: argparse.Namespace) -> int:
 
 def _cmd_paths(ns: argparse.Namespace) -> int:
     _require(ns, "model", "n", "a", "k", "alpha")
-    model = _model_from_spec(ns.model)
+    model = parse_model(ns.model)
     n = _int1(ns.n, "n")
     a = _float1(ns.a, "a")
     k = _int1(ns.k, "k")
@@ -364,8 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, action="store_true",
                                help="also run the brute-force search")
             elif flag == "--method":
-                p.add_argument(flag, default="TiltedIS",
-                               choices=["TiltedIS", "FixedSumGibbs"])
+                p.add_argument(flag, default=METHODS[0], choices=METHODS)
             elif flag == "--trials":
                 p.add_argument(flag, type=int,
                                default=50 if name == "paths" else 20_000)
@@ -393,10 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("STRETCHWALK_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -9,13 +9,12 @@ log-log, sign-flip significance) plus the final value instead.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ExponentModel, PowerExponent, WeibullExponent, ExpExponent
+from .density import ExponentModel, parse_exponent
 from .errors import DegeneratePlan, DomainError, NotAchievable
 from .variational import BandEvent, closed_form_bounds
 
@@ -100,54 +99,7 @@ class SequencePlan:
         return self.eps_form.halfwidth(n, a)
 
 
-_A_FORMS = {"power_of_n": (PowerOfN, ("gamma",)),
-            "inverse_power": (InversePower, ("alpha",))}
-_EPS_FORMS = {"constant": (Constant, ("c",)),
-              "inv_log_a": (InverseLogA, ("c",)),
-              "power_of_a": (PowerOfA, ("c", "rho")),
-              "exp_decay": (ExpDecay, ("c", "kappa"))}
-
-
-def _build_form(spec: dict, table: dict, label: str):
-    kind = spec.get("form")
-    if kind not in table:
-        raise DomainError(f"unknown {label} form {kind!r}; choices: {sorted(table)}")
-    cls, params = table[kind]
-    kwargs = {p: float(spec[p]) for p in params if p in spec}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise DomainError(f"bad parameters for {label} form {kind!r}: {exc}") from None
-
-
-def plan_from_spec(spec: dict) -> SequencePlan:
-    """Build a plan from its JSON record, e.g.
-
-        {"a": {"form": "inverse_power", "alpha": 0.5},
-         "eps": {"form": "inv_log_a", "c": 1.0}}
-    """
-    if "a" not in spec or "eps" not in spec:
-        raise DomainError('plan record needs "a" and "eps" entries')
-    a_form = _build_form(spec["a"], _A_FORMS, "level")
-    eps_form = _build_form(spec["eps"], _EPS_FORMS, "halfwidth")
-    return SequencePlan(a_form=a_form, eps_form=eps_form)
-
-
 # -- presets -----------------------------------------------------------------
-
-
-def parse_exponent(spec: str) -> ExponentModel:
-    """Parse a compact exponent spec: "power:beta=3", "weibull:k=3", "exp"."""
-    try:
-        if spec.startswith("power:"):
-            return PowerExponent(float(spec.split("=", 1)[1]))
-        if spec.startswith("weibull:"):
-            return WeibullExponent(float(spec.split("=", 1)[1]))
-        if spec == "exp":
-            return ExpExponent()
-    except (IndexError, ValueError):
-        raise DomainError(f"malformed exponent spec {spec!r}") from None
-    raise DomainError(f"unknown exponent spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -235,14 +187,6 @@ class ConditionReport:
             if not row.degenerate:
                 return row.ratio32
         return math.nan
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "a", "eps", "ratio_growth", "ratio32", "ratio33", "H", "G"])
-        for row in self.rows:
-            writer.writerow([row.n] + [f"{v:.17g}" for v in
-                             (row.a, row.eps, row.ratio_growth, row.ratio32,
-                              row.ratio33, row.H, row.G)])
 
 
 def growth_ratio(exponent: ExponentModel, n: int, a: float) -> float:

@@ -17,8 +17,8 @@ Two numerical themes run through the module:
 
 from __future__ import annotations
 
-import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -145,8 +145,8 @@ class PowerExponent(ExponentModel):
     kind = "power"
 
     def __init__(self, beta: float):
-        if not beta >= 1.0:
-            raise InvalidModel("power exponent requires beta >= 1")
+        if not (math.isfinite(beta) and beta >= 1.0):
+            raise InvalidModel(f"power exponent requires finite beta >= 1, got {beta!r}")
         self.beta = float(beta)
         self.validate()
 
@@ -237,8 +237,8 @@ class WeibullExponent(ExponentModel):
     kind = "weibull"
 
     def __init__(self, k: float):
-        if not k > 2.0:
-            raise InvalidModel("weibull exponent requires k > 2")
+        if not (math.isfinite(k) and k > 2.0):
+            raise InvalidModel(f"weibull exponent requires finite k > 2, got {k!r}")
         self.k = float(k)
         self.validate()
 
@@ -305,6 +305,8 @@ class TabulatedExponent(ExponentModel):
         gvals = np.asarray(gvals, dtype=float)
         if x.ndim != 1 or x.size < 8 or np.any(np.diff(x) <= 0.0):
             raise InvalidModel("tabulated exponent needs an increasing grid of >= 8 points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(gvals))):
+            raise InvalidModel("tabulated grid and values must be finite")
         if np.any(x <= 0.0):
             raise InvalidModel("tabulated grid must lie in (0, inf)")
         self.x_grid = x
@@ -451,7 +453,9 @@ class PerturbedDensity:
     """Normalised density c * exp(-(g + q)) on (0, support_cap].
 
     Instances are immutable after construction and safe to share across
-    threads; anything random takes an explicit seed.
+    threads; anything random takes an explicit seed.  The one mutable part
+    is ``_derived``, a memo of deterministic values other modules compute
+    from the model on first use (see ``derived``).
     """
 
     exponent: ExponentModel
@@ -462,6 +466,7 @@ class PerturbedDensity:
     support_cap: float = field(init=False, default=float("nan"))
     mean: float = field(init=False, default=float("nan"))
     variance: float = field(init=False, default=float("nan"))
+    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.label:
@@ -469,6 +474,12 @@ class PerturbedDensity:
             self.label = base if self.perturbation is None else f"{base}+{self.perturbation.name}"
         self._validate_perturbation()
         self._normalize()
+
+    def derived(self, key: str, compute: Callable[[], object]):
+        """``compute()``, memoised on this model under ``key``."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     # -- structure ---------------------------------------------------------
 
@@ -618,7 +629,10 @@ def almost_log_concave_density(exponent: ExponentModel) -> PerturbedDensity:
 
 def load_tabulated_csv(path: str) -> tuple[TabulatedExponent, Perturbation | None]:
     """Read a (x, g[, q]) CSV into a tabulated exponent and optional q."""
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise InvalidModel(f"cannot read tabulated CSV {path!r}: {exc}") from None
     if data.shape[1] < 2:
         raise InvalidModel("tabulated CSV needs at least columns x,g")
     exponent = TabulatedExponent(data[:, 0], data[:, 1])
@@ -628,62 +642,81 @@ def load_tabulated_csv(path: str) -> tuple[TabulatedExponent, Perturbation | Non
     return exponent, pert
 
 
-def model_from_spec(spec: dict) -> PerturbedDensity:
-    """Build a density from its JSON record.
+# -- model specs --------------------------------------------------------------
 
-    Recognised keys: kind ("power" | "exp" | "weibull" | "tabulated"),
-    beta / k / path for the exponent, perturbation ("none" | "sin") and
-    lambda for the optional oscillation.
+# The keys each spec kind takes; every one is required, exactly once.
+_SPEC_KEYS = {"power": ("beta",), "weibull": ("k",), "exp": (), "tabulated": ("path",)}
+_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+def _split_spec(text: str, kinds: tuple[str, ...]) -> tuple[str, dict[str, str], bool]:
+    """(kind, {key: value}, sin suffix) of "<kind>[:key=value,...][/sin]".
+
+    Strict: the kind must be one of ``kinds``, its keys must be exactly
+    those of _SPEC_KEYS, no value may be empty, and nothing else may follow.
     """
-    kind = spec.get("kind")
-    file_pert: Perturbation | None = None
-    if kind == "power":
-        exponent: ExponentModel = PowerExponent(float(spec["beta"]))
-    elif kind == "exp":
-        exponent = ExpExponent()
-    elif kind == "weibull":
-        exponent = WeibullExponent(float(spec["k"]))
-    elif kind == "tabulated":
-        exponent, file_pert = load_tabulated_csv(str(spec["path"]))
-    else:
-        raise InvalidModel(f"unknown model kind {kind!r}")
+    if not isinstance(text, str):
+        raise InvalidModel(f"model spec must be a string, got {text!r}")
+    body, sin = (text[: -len("/sin")], True) if text.endswith("/sin") else (text, False)
+    kind, colon, rest = body.partition(":")
+    if kind not in kinds:
+        raise InvalidModel(f"unknown model kind {kind!r} in {text!r}; kinds: "
+                           + ", ".join(kinds))
+    params: dict[str, str] = {}
+    for item in rest.split(",") if colon else ():
+        key, eq, value = item.partition("=")
+        if not (key and eq and value):
+            raise InvalidModel(f"malformed entry {item!r} in {text!r}; expected key=value")
+        if key in params:
+            raise InvalidModel(f"duplicate key {key!r} in {text!r}")
+        params[key] = value
+    expected = _SPEC_KEYS[kind]
+    if set(params) != set(expected):
+        want = ", ".join(f"{k}=..." for k in expected) or "no keys"
+        raise InvalidModel(f"{kind} takes {want}; got {text!r}")
+    return kind, params, sin
 
-    pert_name = spec.get("perturbation", "none")
-    if pert_name == "none":
-        # A q column in a tabulated file is part of the model itself.
-        return PerturbedDensity(exponent=exponent, perturbation=file_pert)
-    if pert_name == "sin":
-        lam = float(spec.get("lambda", 0.5))
-        return PerturbedDensity(exponent=exponent, perturbation=sin_perturbation(exponent, lam))
-    raise InvalidModel(f"unknown perturbation {pert_name!r}")
+
+def _exponent_from(kind: str, params: dict[str, str], text: str) -> ExponentModel:
+    if kind == "exp":
+        return ExpExponent()
+    (value,) = params.values()
+    if not _NUMBER.fullmatch(value):
+        raise InvalidModel(f"{value!r} in {text!r} is not a number")
+    return {"power": PowerExponent, "weibull": WeibullExponent}[kind](float(value))
+
+
+def parse_exponent(text: str) -> ExponentModel:
+    """Parse an exponent spec: "power:beta=B", "weibull:k=K" or "exp".
+
+    Every malformed spec raises InvalidModel.
+    """
+    kind, params, sin = _split_spec(text, ("power", "weibull", "exp"))
+    if sin:
+        raise InvalidModel(f"{text!r} names a perturbed model; an exponent spec takes no /sin")
+    return _exponent_from(kind, params, text)
 
 
 def parse_model(text: str) -> PerturbedDensity:
-    """Parse a compact model string such as
+    """Parse a model spec: an exponent spec or "tabulated:path=FILE",
+    optionally followed by "/sin" for the sin-perturbed variant, e.g.
 
-        power:beta=2
-        weibull:k=3,perturbation=sin,lambda=0.5
+        power:beta=3/sin
+        weibull:k=3
         exp
         tabulated:path=steps.csv
 
-    or a JSON object string with the same keys.
+    A q column in a tabulated file is part of that model, so such a file
+    takes no /sin.  Every malformed spec raises InvalidModel.
     """
-    text = text.strip()
-    if text.startswith("{"):
-        return model_from_spec(json.loads(text))
-    if ":" in text:
-        kind, _, rest = text.partition(":")
-        spec: dict = {"kind": kind.strip()}
-        for item in rest.split(","):
-            if not item.strip():
-                continue
-            key, _, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in ("beta", "k", "lambda"):
-                spec[key] = float(value)
-            else:
-                spec[key] = value
+    kind, params, sin = _split_spec(text, ("power", "weibull", "exp", "tabulated"))
+    file_pert: Perturbation | None = None
+    if kind == "tabulated":
+        exponent, file_pert = load_tabulated_csv(params["path"])
     else:
-        spec = {"kind": text}
-    return model_from_spec(spec)
+        exponent = _exponent_from(kind, params, text)
+    if not sin:
+        return PerturbedDensity(exponent=exponent, perturbation=file_pert)
+    if file_pert is not None:
+        raise InvalidModel(f"{text!r}: the tabulated file already carries a perturbation")
+    return sin_perturbed_density(exponent)

@@ -9,10 +9,9 @@ scans then look for windows whose average climb clears a threshold.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,8 @@ from .density import PerturbedDensity
 from .errors import BadWindow, BudgetExceeded, DomainError
 from .ratefn import model_mean
 from .sampler import (
+    EndValueAtLeast,
+    EndValueEquals,
     LocalizationEstimate,
     gibbs_fixed_sum,
     tilt_for_mean,
@@ -30,18 +31,6 @@ from .seeding import derive_seed
 logger = logging.getLogger(__name__)
 
 _ACCEPT_BATCH = 64
-
-
-@dataclass(frozen=True)
-class EndValueAtLeast:
-    total: float
-
-
-@dataclass(frozen=True)
-class EndValueEquals:
-    total: float
-
-    rel_tol = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +47,8 @@ class Trajectory:
         object.__setattr__(self, "partial_sums", np.asarray(self.partial_sums, dtype=float))
         if self.increments.size != self.partial_sums.size or self.increments.size == 0:
             raise DomainError("increments and partial sums must align and be nonempty")
-        end = float(self.partial_sums[-1])
-        if isinstance(self.conditioning, EndValueAtLeast):
-            if end < self.conditioning.total:
-                raise DomainError("end value fell below the exceedance target")
-        elif isinstance(self.conditioning, EndValueEquals):
-            if abs(end - self.conditioning.total) > EndValueEquals.rel_tol * self.conditioning.total:
-                raise DomainError("end value drifted from the fixed target")
+        if self.conditioning is not None:
+            self.conditioning.check(float(self.partial_sums[-1]))
 
     @property
     def n(self) -> int:
@@ -207,31 +191,3 @@ def estimate_p_ak(model: PerturbedDensity, n: int, a: float, k: int, alpha: floa
         n_eff=float(replications),
         replications=replications,
     )
-
-
-# -- exports -----------------------------------------------------------------
-
-
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["j", "increment", "partial_sum"])
-    for j, (inc, ps) in enumerate(zip(traj.increments, traj.partial_sums), start=1):
-        writer.writerow([j, f"{inc:.17g}", f"{ps:.17g}"])
-
-
-def write_slopes_csv(slopes: np.ndarray, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["j", "delta"])
-    for j, d in enumerate(slopes):
-        writer.writerow([j, f"{d:.17g}"])
-
-
-def segment_report_dict(report: SegmentReport) -> dict:
-    return {
-        "k": report.k,
-        "alpha": report.alpha,
-        "argmax_j": report.argmax_j,
-        "max_slope": report.max_slope,
-        "a_k_event": report.a_k_event,
-        "slopes": [float(s) for s in report.slopes],
-    }

@@ -10,7 +10,6 @@ log-spaced grid with cubic interpolation for the many-query callers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from .density import PerturbedDensity
 from .errors import Divergent, DomainError, NoConvergence, NoRoot
 from .quadrature import log_moment_integrals, mass_window
 
-_MEAN_ATTR = "_ratefn_mean"
 _NEWTON_CAP = 200
 # Wide enough that every diagnostic point of interest solves; Weibull k=3
 # at x=20 already needs a tilt near 1.2e3.
@@ -62,12 +60,8 @@ def log_mgf(model: PerturbedDensity, t: float) -> float:
 
 
 def model_mean(model: PerturbedDensity) -> float:
-    """EX by quadrature, cached on the model instance."""
-    cached = getattr(model, _MEAN_ATTR, None)
-    if cached is None:
-        _, cached, _ = _tilted_stats(model, 0.0)
-        object.__setattr__(model, _MEAN_ATTR, cached)
-    return cached
+    """EX by quadrature, memoised on the model."""
+    return model.derived("mean", lambda: _tilted_stats(model, 0.0)[1])
 
 
 def _solve_tilt(model: PerturbedDensity, x: float,
@@ -297,9 +291,3 @@ class CramerRate:
         deriv = self._rate_spline.derivative()(xs)
         ref = self.t_star[1:-1]
         return float(np.max(np.abs(deriv - ref) / np.maximum(1.0, np.abs(ref))))
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "I", "t_star"])
-        for xv, rate, tilt in zip(self.x, self.I, self.t_star):
-            writer.writerow([f"{xv:.17g}", f"{rate:.17g}", f"{tilt:.17g}"])

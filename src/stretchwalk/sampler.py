@@ -20,49 +20,48 @@ from .errors import DegenerateWeights, DomainError, NoConvergence
 from .quadrature import GridInverseCdf, mass_window
 from .ratefn import _tilt_tol, _tilted_ell, cramer_rate, log_mgf, model_mean
 
-METHODS = ("TiltedIS", "FixedSumGibbs", "Rejection")
+METHODS = ("TiltedIS", "FixedSumGibbs")
 
 # Normal quantile of LocalizationEstimate.wilson_interval (95% two-sided).
 _WILSON_Z = 1.96
 
 
 @dataclass(frozen=True)
-class SumAtLeast:
+class EndValueAtLeast:
+    """Exceedance conditioning: the sum of the steps is at least ``total``."""
+
     total: float
+
+    def check(self, end: float) -> None:
+        if end < self.total:
+            raise DomainError("end value fell below the exceedance target")
 
 
 @dataclass(frozen=True)
-class SumEquals:
+class EndValueEquals:
+    """Fixed-sum conditioning: the sum of the steps equals ``total``."""
+
     total: float
 
     rel_tol = 1e-9
 
+    def check(self, end: float) -> None:
+        if abs(end - self.total) > self.rel_tol * self.total:
+            raise DomainError("end value drifted from the fixed target")
+
 
 @dataclass(frozen=True, eq=False)
 class ConditionedSample:
-    """One conditioned n-vector with its importance log-weight.
-
-    Exact-conditional methods carry log_weight 0.
-    """
+    """One conditioned n-vector, drawn from the exact conditional law."""
 
     values: np.ndarray
-    log_weight: float
-    method: str
-    constraint: SumAtLeast | SumEquals
+    constraint: EndValueAtLeast | EndValueEquals
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.method not in METHODS:
-            raise DomainError(f"unknown method {self.method!r}")
         if np.any(self.values <= 0.0):
             raise DomainError("sample coordinates must be positive")
-        total = float(self.values.sum())
-        if isinstance(self.constraint, SumAtLeast):
-            if total < self.constraint.total:
-                raise DomainError("sum fell below the exceedance constraint")
-        else:
-            if abs(total - self.constraint.total) > SumEquals.rel_tol * self.constraint.total:
-                raise DomainError("sum drifted from the fixed-sum constraint")
+        self.constraint.check(float(self.values.sum()))
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
         raise DomainError("need at least one recorded sweep")
     rng = np.random.default_rng(seed)
     x = np.full(n, s_total / n)
-    constraint = SumEquals(s_total)
+    constraint = EndValueEquals(s_total)
     out: list[ConditionedSample] = []
     for sweep in range(burn_in + sweeps):
         for _ in range(n):
@@ -242,12 +241,7 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
             x[i] = u
             x[j] = s - u
         if sweep >= burn_in:
-            out.append(ConditionedSample(
-                values=x.copy(),
-                log_weight=0.0,
-                method="FixedSumGibbs",
-                constraint=constraint,
-            ))
+            out.append(ConditionedSample(values=x.copy(), constraint=constraint))
     return out
 
 
@@ -288,4 +282,4 @@ def estimate_localization(model: PerturbedDensity, n: int, a: float, eps: float,
             n_eff=n_eff,
             replications=flags.size,
         )
-    raise DomainError(f"unknown method {method!r}; choices: TiltedIS, FixedSumGibbs")
+    raise DomainError(f"unknown method {method!r}; choices: {', '.join(METHODS)}")

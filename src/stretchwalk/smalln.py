@@ -89,11 +89,7 @@ class _LogSurvival:
 
 
 def _survival(model: PerturbedDensity) -> _LogSurvival:
-    cached = getattr(model, "_smalln_survival", None)
-    if cached is None:
-        cached = _LogSurvival(model)
-        object.__setattr__(model, "_smalln_survival", cached)
-    return cached
+    return model.derived("survival", lambda: _LogSurvival(model))
 
 
 def _log1mexp(delta: Array) -> Array:

@@ -1,9 +1,11 @@
 """Tests for the command-line front end: exit codes, emission, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from stretchwalk import cli
@@ -54,7 +56,16 @@ class TestExitCodes:
             ["rate", "--model", "cauchy", "--a", "5"], capsys
         )
         assert rc == 2
-        assert "DomainError" in err
+        assert "InvalidModel" in err
+
+    def test_key_must_match_kind(self, capsys):
+        # weibull takes k=; a power key is refused, not read as k.
+        rc, out, err = run_cli(
+            ["rate", "--model", "weibull:beta=3", "--a", "5"], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("InvalidModel")
 
 
 class TestBounds:
@@ -120,6 +131,24 @@ class TestConditions:
         )
         assert rc == 0
         assert len(out.strip().splitlines()) == 4
+
+
+class TestRate:
+    def test_tabulated_model(self, tmp_path, capsys):
+        # A tabulated g = x^2 reproduces the power beta=2 law (EX = 1/sqrt(pi)).
+        grid = np.linspace(1e-3, 14.0, 3000)
+        path = tmp_path / "steps.csv"
+        np.savetxt(path, np.column_stack([grid, grid**2]), delimiter=",")
+        rc, out, _ = run_cli(
+            ["rate", "--model", f"tabulated:path={path}", "--a", "3"], capsys
+        )
+        assert rc == 0
+        lines = out.strip().splitlines()
+        assert lines[1] == "x,I,t_star"
+        assert len(lines) == 2 + 129
+        x0, i0, t0 = (float(v) for v in lines[2].split(","))
+        assert x0 == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-4)
+        assert i0 == 0.0 and t0 == 0.0
 
 
 class TestLocalize:
@@ -215,6 +244,15 @@ class TestConfigFile:
         data = json.loads(out)
         assert data["a"] == 2.5
         assert data["rows"][0]["n"] == 4
+
+    def test_non_string_model_is_invalid(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": 3}))
+        for command in (["bounds", "--n", "2", "--a", "2", "--eps", "0.4"],
+                        ["rate", "--a", "5"]):
+            rc, _, err = run_cli(command + ["--model", "exp", "--config", str(cfg)], capsys)
+            assert rc == 2
+            assert err.startswith("InvalidModel")
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,12 +5,12 @@ the closed-form band infima; the module under test must reproduce them
 through its own float pipeline.
 """
 
-import io
 import math
 
 import numpy as np
 import pytest
 
+from stretchwalk import cli
 from stretchwalk.conditions import (
     Constant,
     ExpDecay,
@@ -24,7 +24,6 @@ from stretchwalk.conditions import (
     admissible_epsilon,
     evaluate_conditions,
     growth_ratio,
-    plan_from_spec,
 )
 from stretchwalk.density import ExpExponent, PowerExponent, WeibullExponent
 from stretchwalk.errors import DegeneratePlan, DomainError, NotAchievable
@@ -44,26 +43,6 @@ class TestSequencePlan:
         assert ExpDecay(c=1.0, kappa=0.125).halfwidth(50, 8.0) == pytest.approx(
             math.exp(-1.0)
         )
-
-    def test_from_spec_round_trip(self):
-        plan = plan_from_spec(
-            {
-                "a": {"form": "inverse_power", "alpha": 0.5},
-                "eps": {"form": "inv_log_a", "c": 1.0},
-            }
-        )
-        assert plan.level(100) == pytest.approx(1e4, rel=1e-15)
-        assert plan.halfwidth(100) == pytest.approx(1.0 / math.log(1e4), rel=1e-15)
-
-    def test_from_spec_rejects_unknown_form(self):
-        with pytest.raises(DomainError):
-            plan_from_spec(
-                {"a": {"form": "spiral"}, "eps": {"form": "constant", "c": 1.0}}
-            )
-
-    def test_from_spec_rejects_missing_entry(self):
-        with pytest.raises(DomainError):
-            plan_from_spec({"a": {"form": "power_of_n", "gamma": 1.0}})
 
 
 class TestFrozenRows:
@@ -116,14 +95,14 @@ class TestEvaluateConditions:
         with pytest.raises(DomainError):
             evaluate_conditions(PowerExponent(3.0), QUAD_LEVEL_PLAN, [])
 
-    def test_csv_header_and_shape(self):
-        rep = evaluate_conditions(PowerExponent(3.0), QUAD_LEVEL_PLAN, [100, 1000])
-        buf = io.StringIO()
-        rep.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "n,a,eps,ratio_growth,ratio32,ratio33,H,G"
-        assert len(lines) == 3
-        first = lines[1].split(",")
+    def test_csv_header_and_shape(self, capsys):
+        # The example1-case2 preset is the cubic law under QUAD_LEVEL_PLAN.
+        assert cli.main(["conditions", "--plan", "example1-case2", "--n", "100,1000"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "# seed=0"
+        assert lines[1] == "n,a,eps,ratio_growth,ratio32,ratio33,H,G"
+        assert len(lines) == 4
+        first = lines[2].split(",")
         assert first[0] == "100"
         assert float(first[4]) == pytest.approx(7.7350709660364185, rel=1e-12)
 

@@ -19,7 +19,6 @@ from stretchwalk.density import (
     WeibullExponent,
     almost_log_concave_density,
     load_tabulated_csv,
-    model_from_spec,
     parse_model,
     pure_density,
     sin_perturbed_density,
@@ -260,8 +259,9 @@ def test_tabulated_nonconvex_rejected():
 
 
 def test_parse_model_compact_strings():
-    model = parse_model("weibull:k=3,perturbation=sin,lambda=0.5")
+    model = parse_model("weibull:k=3/sin")
     assert model.exponent.kind == "weibull"
+    assert model.exponent.k == 3.0
     assert model.perturbation is not None
     pure = parse_model("power:beta=2.5")
     assert pure.is_pure
@@ -269,12 +269,18 @@ def test_parse_model_compact_strings():
     assert parse_model("exp").exponent.kind == "exp"
 
 
-def test_parse_model_json():
-    model = parse_model('{"kind": "power", "beta": 2.0, "perturbation": "sin"}')
-    assert model.exponent.kind == "power"
-    assert not model.is_pure
-
-
-def test_model_from_spec_rejects_unknown_kind():
+def test_parse_model_rejects_unknown_kind():
     with pytest.raises(InvalidModel):
-        model_from_spec({"kind": "cauchy"})
+        parse_model("cauchy")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PowerExponent(math.inf),
+    lambda: PowerExponent(math.nan),
+    lambda: WeibullExponent(math.inf),
+    lambda: WeibullExponent(math.nan),
+    lambda: TabulatedExponent(np.linspace(0.1, 2.0, 8), np.array([1.0] * 7 + [math.inf])),
+])
+def test_nonfinite_parameters_rejected(make):
+    with pytest.raises(InvalidModel):
+        make()

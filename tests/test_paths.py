@@ -1,6 +1,5 @@
 """Tests for trajectory simulation, sliding-window slopes, and segment detection."""
 
-import io
 import math
 
 import numpy as np
@@ -15,12 +14,9 @@ from stretchwalk.paths import (
     Trajectory,
     detect_segments,
     estimate_p_ak,
-    segment_report_dict,
     simulate_conditioned_path,
     simulate_free_path,
     sliding_slopes,
-    write_slopes_csv,
-    write_trajectory_csv,
 )
 from stretchwalk.ratefn import model_mean
 from stretchwalk.seeding import derive_seed
@@ -277,33 +273,3 @@ class TestEstimatePAk:
     def test_zero_replications_rejected(self, weibull3):
         with pytest.raises(DomainError):
             estimate_p_ak(weibull3, 10, 2.0, 3, 1.0, replications=0, seed=0)
-
-
-class TestExports:
-    def test_trajectory_csv(self):
-        traj = _free_traj([0.5, 1.5])
-        buf = io.StringIO()
-        write_trajectory_csv(traj, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "j,increment,partial_sum"
-        assert lines[1] == "1,0.5,0.5"
-        assert lines[2] == "2,1.5,2"
-
-    def test_slopes_csv(self):
-        buf = io.StringIO()
-        write_slopes_csv(np.array([1.25, 2.5]), buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "j,delta"
-        assert lines[1] == "0,1.25"
-        assert lines[2] == "1,2.5"
-
-    def test_segment_report_dict(self):
-        traj = _free_traj([1.0, 3.0, 1.0])
-        report = detect_segments(traj, 2, alpha=1.0)
-        d = segment_report_dict(report)
-        assert d["k"] == 2
-        assert d["alpha"] == 1.0
-        assert d["argmax_j"] == report.argmax_j
-        assert d["max_slope"] == report.max_slope
-        assert d["a_k_event"] is True
-        assert d["slopes"] == [float(s) for s in report.slopes]

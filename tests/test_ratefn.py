@@ -6,12 +6,12 @@ Frozen reference values for the other models were computed offline with
 50-digit arithmetic.
 """
 
-import io
 import math
 
 import numpy as np
 import pytest
 
+from stretchwalk import cli
 from stretchwalk.density import (
     PowerExponent,
     WeibullExponent,
@@ -216,13 +216,13 @@ class TestRateTable:
         assert table.rate_at(8.0) == pytest.approx(direct, rel=1e-6)
         assert table.x[-1] > old_hi
 
-    def test_csv_export(self, weibull_table):
-        buf = io.StringIO()
-        weibull_table.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "x,I,t_star"
-        assert len(lines) == weibull_table.x.size + 1
-        x0, i0, t0 = lines[1].split(",")
+    def test_csv_export(self, weibull_table, capsys):
+        assert cli.main(["rate", "--model", "weibull:k=3", "--a", "20"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1] == "x,I,t_star"
+        assert len(lines) == weibull_table.x.size + 2
+        x0, i0, t0 = lines[2].split(",")
+        assert float(x0) == weibull_table.x[0]
         assert float(i0) == 0.0 and float(t0) == 0.0
 
     def test_build_validation(self, weibull3):

@@ -20,9 +20,9 @@ from stretchwalk.errors import DegenerateWeights, DomainError, NoConvergence, No
 from stretchwalk.ratefn import log_mgf, model_mean
 from stretchwalk.sampler import (
     ConditionedSample,
+    EndValueAtLeast,
+    EndValueEquals,
     LocalizationEstimate,
-    SumAtLeast,
-    SumEquals,
     _batch_means_std_err,
     estimate_localization,
     gibbs_fixed_sum,
@@ -286,8 +286,7 @@ class TestGibbsFixedSum:
             assert s.values.shape == (8,)
             assert np.all(s.values > 0)
             assert abs(s.values.sum() - 16.0) <= 1e-9 * 16.0
-            assert s.method == "FixedSumGibbs"
-            assert isinstance(s.constraint, SumEquals)
+            assert isinstance(s.constraint, EndValueEquals)
 
     def test_deterministic(self, weibull3):
         a = gibbs_fixed_sum(weibull3, 5, 10.0, sweeps=20, seed=8)
@@ -362,30 +361,11 @@ class TestGibbsFixedSum:
 class TestConditionedSampleValidation:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(DomainError):
-            ConditionedSample(
-                values=np.array([1.0, -0.5]),
-                log_weight=0.0,
-                method="FixedSumGibbs",
-                constraint=SumEquals(0.5),
-            )
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(DomainError):
-            ConditionedSample(
-                values=np.array([1.0, 2.0]),
-                log_weight=0.0,
-                method="Metropolis",
-                constraint=SumEquals(3.0),
-            )
+            ConditionedSample(values=np.array([1.0, -0.5]), constraint=EndValueEquals(0.5))
 
     def test_rejects_violated_constraint(self):
         with pytest.raises(DomainError):
-            ConditionedSample(
-                values=np.array([1.0, 1.0]),
-                log_weight=0.0,
-                method="Rejection",
-                constraint=SumAtLeast(10.0),
-            )
+            ConditionedSample(values=np.array([1.0, 1.0]), constraint=EndValueAtLeast(10.0))
 
 
 class TestEstimateLocalization:
