@@ -18,9 +18,9 @@ import numpy as np
 
 from .conditions import PRESETS, InverseLogA, SequencePlan
 from .density import (
-    ExpExponent,
     PowerExponent,
     WeibullExponent,
+    parse_exponent,
     pure_density,
     sin_perturbed_density,
 )
@@ -41,10 +41,8 @@ from .variational import (
 )
 
 _ORACLE_EXPONENTS = {
-    "power:beta=2": PowerExponent(2.0),
-    "power:beta=3": PowerExponent(3.0),
-    "exp": ExpExponent(),
-    "weibull:k=3": WeibullExponent(3.0),
+    label: parse_exponent(label)
+    for label in ("power:beta=2", "power:beta=3", "exp", "weibull:k=3")
 }
 
 _PRESET_MODELS = {

@@ -1,8 +1,11 @@
 """Command-line front end: deterministic runs, file emission, verification.
 
-Every command resolves its configuration from flags (optionally overridden
-by a JSON config file), derives per-task seeds from the root seed, and
-emits either CSV or JSON.  Primary outputs are byte-identical across
+Every command resolves its configuration from flags, derives per-task
+seeds from the root seed, and emits either CSV or JSON.  ``--config FILE``
+names a JSON object whose keys become ``--key=value`` arguments after the
+command line, so config values are parsed and checked exactly like flags
+and override them: an array is a comma list and a boolean sets or clears
+``--oracle``.  Primary outputs are byte-identical across
 reruns with the same configuration; timestamps live only in the
 ``<name>.meta.json`` sidecar written next to file outputs.
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,64 +40,75 @@ class UsageError(Exception):
     """Bad flags or config; maps to exit code 1."""
 
 
-def _require(ns: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(ns, n, None) is None]
-    if missing:
-        raise UsageError(f"{ns.command}: missing required flag(s): "
-                         + ", ".join("--" + n for n in missing))
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
-def _ints(value, flag: str) -> list[int]:
+def _criterion(text: str) -> int:
+    index = int(text)
+    if not 1 <= index <= 11:
+        raise ValueError(text)
+    return index
+
+
+def _switch(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# argparse names a type by its __name__ in "invalid <name> value" messages.
+_finite.__name__ = "finite float"
+_criterion.__name__ = "criterion (1..11)"
+_switch.__name__ = "true|false"
+
+
+def _comma_list(item):
+    def parse(text: str) -> list:
+        return [item(part) for part in text.split(",")]
+
+    parse.__name__ = f"{item.__name__} list"
+    return parse
+
+
+def _config_path(argv: list[str]) -> str | None:
+    pre = argparse.ArgumentParser(prog="stretchwalk", add_help=False)
+    pre.add_argument("--config")
+    return pre.parse_known_args(argv)[0].config
+
+
+def _config_word(key: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, float)):
+        return json.dumps(value)
+    raise UsageError(f"config key {key!r} must hold a string, number, boolean "
+                     "or an array of them")
+
+
+def _config_args(path: str | None) -> list[str]:
+    """The keys of the JSON config file as ``--key=value`` arguments: an
+    array joins with commas and a boolean reads true or false."""
+    if path is None:
+        return []
     try:
-        if isinstance(value, str):
-            return [int(part) for part in value.split(",") if part]
-        if isinstance(value, (list, tuple)):
-            return [int(v) for v in value]
-        return [int(value)]
-    except (TypeError, ValueError):
-        raise UsageError(f"--{flag} expects an integer or comma list") from None
-
-
-def _floats(value, flag: str) -> list[float]:
-    try:
-        if isinstance(value, str):
-            return [float(part) for part in value.split(",") if part]
-        if isinstance(value, (list, tuple)):
-            return [float(v) for v in value]
-        return [float(value)]
-    except (TypeError, ValueError):
-        raise UsageError(f"--{flag} expects a number or comma list") from None
-
-
-def _float1(value, flag: str) -> float:
-    vals = _floats(value, flag)
-    if len(vals) != 1:
-        raise UsageError(f"--{flag} expects exactly one number here")
-    return vals[0]
-
-
-def _int1(value, flag: str) -> int:
-    vals = _ints(value, flag)
-    if len(vals) != 1:
-        raise UsageError(f"--{flag} expects exactly one integer here")
-    return vals[0]
-
-
-def _apply_config(ns: argparse.Namespace) -> None:
-    if not getattr(ns, "config", None):
-        return
-    try:
-        with open(ns.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
+    args = []
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(ns, attr) or attr in ("command", "config"):
-            raise UsageError(f"config key {key!r} is not a flag of {ns.command!r}")
-        setattr(ns, attr, value)
+        if key and "config".startswith(key):  # --config or an abbreviation of it
+            raise UsageError(f"config key {key!r} names --config")
+        if isinstance(value, list):
+            value = ",".join(_config_word(key, v) for v in value)
+        args.append(f"--{key}={_config_word(key, value)}")
+    return args
 
 
 # -- emission ----------------------------------------------------------------
@@ -134,7 +149,7 @@ def _render_json(payload: dict) -> str:
 
 
 def _write_output(ns: argparse.Namespace, name: str, text: str, extension: str) -> None:
-    if getattr(ns, "out", None) is None:
+    if ns.out is None:
         sys.stdout.write(text)
         return
     out_dir = Path(ns.out)
@@ -144,7 +159,7 @@ def _write_output(ns: argparse.Namespace, name: str, text: str, extension: str) 
         "command": ns.command,
         "config": {
             k: v for k, v in sorted(vars(ns).items())
-            if k not in ("command",) and v is not None
+            if k != "command" and v is not None
         },
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -168,8 +183,7 @@ def _emit_rows(ns: argparse.Namespace, name: str, columns: list[str],
 
 
 def _cmd_bounds(ns: argparse.Namespace) -> int:
-    _require(ns, "model", "n", "a", "eps")
-    if str(ns.model).endswith("/sin"):
+    if ns.model.endswith("/sin"):
         raise UsageError("bounds evaluates the convex closed forms; "
                          "use a pure exponent spec")
     exponent = parse_exponent(ns.model)
@@ -179,9 +193,9 @@ def _cmd_bounds(ns: argparse.Namespace) -> int:
     if ns.oracle:
         columns += ["oracle_escape", "oracle_rel_gap"]
     rows = []
-    for n in _ints(ns.n, "n"):
-        for a in _floats(ns.a, "a"):
-            for eps in _floats(ns.eps, "eps"):
+    for n in ns.n:
+        for a in ns.a:
+            for eps in ns.eps:
                 ev = BandEvent(n=n, a=a, eps=eps)
                 b = closed_form_bounds(exponent, ev)
                 row = (n, a, eps, b.high_exit, b.low_exit, b.escape_infimum,
@@ -197,21 +211,17 @@ def _cmd_bounds(ns: argparse.Namespace) -> int:
 
 
 def _cmd_conditions(ns: argparse.Namespace) -> int:
-    _require(ns, "plan")
-    if ns.plan not in PRESETS:
-        raise UsageError(f"unknown plan {ns.plan!r}; presets: "
-                         + ", ".join(sorted(PRESETS)))
     preset = PRESETS[ns.plan]
     exponent = preset.exponent()
     plan = preset.plan
     if ns.beta is not None:
-        exponent = PowerExponent(_float1(ns.beta, "beta"))
+        exponent = PowerExponent(ns.beta)
     if ns.alpha is not None:
         plan = SequencePlan(
-            a_form=InversePower(alpha=_float1(ns.alpha, "alpha")),
+            a_form=InversePower(alpha=ns.alpha),
             eps_form=plan.eps_form,
         )
-    n_grid = _ints(ns.n, "n") if ns.n is not None else list(preset.n_grid)
+    n_grid = ns.n if ns.n is not None else list(preset.n_grid)
     report = evaluate_conditions(exponent, plan, n_grid)
     columns = ["n", "a", "eps", "ratio_growth", "ratio32", "ratio33", "H", "G"]
     rows = [
@@ -230,9 +240,8 @@ def _cmd_conditions(ns: argparse.Namespace) -> int:
 
 
 def _cmd_rate(ns: argparse.Namespace) -> int:
-    _require(ns, "model", "a")
     model = parse_model(ns.model)
-    x_max = _float1(ns.a, "a")
+    x_max = ns.a
     table = CramerRate.build(model, x_max)
     columns = ["x", "I", "t_star"]
     rows = [(x, i, t) for x, i, t in zip(table.x, table.I, table.t_star)]
@@ -250,13 +259,11 @@ def _cmd_rate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_localize(ns: argparse.Namespace) -> int:
-    _require(ns, "model", "n", "a", "eps")
     model = parse_model(ns.model)
-    a = _float1(ns.a, "a")
-    eps = _float1(ns.eps, "eps")
+    a, eps = ns.a, ns.eps
     columns = ["n", "p_hat", "std_err", "n_eff", "replications"]
     rows = []
-    for i, n in enumerate(_ints(ns.n, "n")):
+    for i, n in enumerate(ns.n):
         est = estimate_localization(model, n, a, eps, ns.method,
                                     budget=ns.trials, seed=derive_seed(ns.seed, i))
         rows.append((n, est.p_hat, est.std_err, est.n_eff, est.replications))
@@ -267,12 +274,8 @@ def _cmd_localize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_paths(ns: argparse.Namespace) -> int:
-    _require(ns, "model", "n", "a", "k", "alpha")
     model = parse_model(ns.model)
-    n = _int1(ns.n, "n")
-    a = _float1(ns.a, "a")
-    k = _int1(ns.k, "k")
-    alpha = _float1(ns.alpha, "alpha")
+    n, a, k, alpha = ns.n, ns.a, ns.k, ns.alpha
     traj = simulate_conditioned_path(model, n, a, EndValueAtLeast(n * a),
                                      seed=derive_seed(ns.seed, 0))
     report = detect_segments(traj, k, alpha)
@@ -306,13 +309,7 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
 def _cmd_verify(ns: argparse.Namespace) -> int:
     from . import acceptance
 
-    if ns.criteria is not None:
-        wanted = sorted(set(_ints(ns.criteria, "criteria")))
-        bad = [i for i in wanted if not 1 <= i <= 11]
-        if bad:
-            raise UsageError(f"--criteria entries must lie in 1..11, got {bad}")
-    else:
-        wanted = None
+    wanted = sorted(set(ns.criteria)) if ns.criteria is not None else None
     results = acceptance.run_all(criteria=wanted, root_seed=ns.seed)
     payload = {
         "seed": ns.seed,
@@ -323,7 +320,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         ],
     }
     _write_output(ns, "verify", _render_json(payload), "json")
-    if getattr(ns, "out", None) is not None:
+    if ns.out is not None:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             print(f"criterion {r.index:2d}: {status}  ({r.runtime_s:.1f}s)",
@@ -331,13 +328,41 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if payload["all_passed"] else 3
 
 
-_HANDLERS = {
-    "bounds": _cmd_bounds,
-    "conditions": _cmd_conditions,
-    "rate": _cmd_rate,
-    "localize": _cmd_localize,
-    "paths": _cmd_paths,
-    "verify": _cmd_verify,
+_INTS = {"type": _comma_list(int), "required": True}
+_FLOATS = {"type": _comma_list(_finite), "required": True}
+_INT = {"type": int, "required": True}
+_FLOAT = {"type": _finite, "required": True}
+_MODEL = {"required": True}
+
+# Each subcommand's handler, help and own flags; every one also takes
+# --seed, --out, --format and --config.
+_COMMANDS = {
+    "bounds": (_cmd_bounds, "closed-form exit infima over an (n, a, eps) grid", {
+        "--model": _MODEL, "--n": _INTS, "--a": _FLOATS, "--eps": _FLOATS,
+        "--oracle": {"type": _switch, "nargs": "?", "const": True, "default": False,
+                     "metavar": "true|false", "help": "also run the brute-force search"},
+    }),
+    "conditions": (_cmd_conditions, "localization ratio diagnostics along a plan", {
+        "--plan": {"choices": sorted(PRESETS), "required": True, "metavar": "PLAN",
+                   "help": "one of %(choices)s"},
+        "--beta": {"type": _finite}, "--alpha": {"type": _finite},
+        "--n": {"type": _comma_list(int)},
+    }),
+    "rate": (_cmd_rate, "rate-function table export and duality diagnostics", {
+        "--model": _MODEL, "--a": _FLOAT,
+    }),
+    "localize": (_cmd_localize, "conditional band probability over an n grid", {
+        "--model": _MODEL, "--n": _INTS, "--a": _FLOAT, "--eps": _FLOAT,
+        "--method": {"choices": METHODS, "default": METHODS[0]},
+        "--trials": {"type": int, "default": 20_000},
+    }),
+    "paths": (_cmd_paths, "conditioned trajectory, window scan, and hit frequency", {
+        "--model": _MODEL, "--n": _INT, "--a": _FLOAT, "--k": _INT, "--alpha": _FLOAT,
+        "--trials": {"type": int, "default": 50},
+    }),
+    "verify": (_cmd_verify, "run acceptance criteria and report machine-readable results", {
+        "--criteria": {"type": _comma_list(_criterion)},
+    }),
 }
 
 
@@ -347,53 +372,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Conditioned-walk localization toolkit",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add(name: str, help_text: str, flags: list[str]) -> None:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            if flag == "--oracle":
-                p.add_argument(flag, action="store_true",
-                               help="also run the brute-force search")
-            elif flag == "--method":
-                p.add_argument(flag, default=METHODS[0], choices=METHODS)
-            elif flag == "--trials":
-                p.add_argument(flag, type=int,
-                               default=50 if name == "paths" else 20_000)
-            else:
-                p.add_argument(flag)
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output directory (default: stdout)")
-        p.add_argument("--format", default="csv" if name != "verify" else "json",
+        p.add_argument("--format", default="json" if name == "verify" else "csv",
                        choices=_FORMATS)
         p.add_argument("--config", help="JSON file whose keys override flags")
-
-    add("bounds", "closed-form exit infima over an (n, a, eps) grid",
-        ["--model", "--n", "--a", "--eps", "--oracle"])
-    add("conditions", "localization ratio diagnostics along a plan",
-        ["--plan", "--beta", "--alpha", "--n"])
-    add("rate", "rate-function table export and duality diagnostics",
-        ["--model", "--a"])
-    add("localize", "conditional band probability over an n grid",
-        ["--model", "--n", "--a", "--eps", "--method", "--trials"])
-    add("paths", "conditioned trajectory, window scan, and hit frequency",
-        ["--model", "--n", "--a", "--k", "--alpha", "--trials"])
-    add("verify", "run acceptance criteria and report machine-readable results",
-        ["--criteria"])
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(argv + _config_args(_config_path(argv)))
+        if ns.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        return _COMMANDS[ns.command][0](ns)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if ns.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        _apply_config(ns)
-        return _HANDLERS[ns.command](ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

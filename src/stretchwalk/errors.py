@@ -60,7 +60,3 @@ class NotAchievable(StretchwalkError):
 
 class BadWindow(StretchwalkError):
     """Sliding-window length is outside 1..n."""
-
-
-class BudgetExceeded(StretchwalkError):
-    """Retry budget exhausted before an acceptable draw was produced."""

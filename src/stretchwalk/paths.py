@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import PerturbedDensity
-from .errors import BadWindow, BudgetExceeded, DomainError
+from .errors import BadWindow, DomainError
 from .ratefn import model_mean
 from .sampler import (
     EndValueAtLeast,
@@ -30,7 +30,10 @@ from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
 
+# Tilted draws for the exceedance event come in batches of 64, and at most
+# 4,096 are tried before the fixed-sum boundary draw takes over.
 _ACCEPT_BATCH = 64
+_ACCEPT_DRAWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +59,7 @@ class Trajectory:
 
 
 def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
-                              conditioning, seed: int,
-                              retry_budget: int = 4096,
-                              fallback: bool = True) -> Trajectory:
+                              conditioning, seed: int) -> Trajectory:
     """Draw one conditioned trajectory; deterministic for a given seed.
 
     Exceedance conditioning {S_n > T} draws from the law tilted to mean a
@@ -66,8 +67,9 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
     exp(-t (S_n - T)), which yields the conditioned law.  At T = n a,
     Weibull k=3 and a = 1.5 EX, 0.18 of draws are kept at n = 2 and 0.007
     at n = 2000, where 4,096 draws all fail with probability about 3e-13.
-    If the budget runs out the sampler either falls back to a fixed-sum
-    draw at the boundary (recording a note) or raises BudgetExceeded.
+    If none of the 4,096 draws is kept, the sampler falls back to a
+    fixed-sum draw at the boundary, with EndValueEquals conditioning and a
+    note on the trajectory.
     """
     if n < 2:
         raise DomainError("a walk needs at least 2 increments")
@@ -84,7 +86,7 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
         table = tilted_table(model, tilt)
         target = conditioning.total
         increments = None
-        for _ in range(max(1, retry_budget // _ACCEPT_BATCH)):
+        for _ in range(_ACCEPT_DRAWS // _ACCEPT_BATCH):
             batch = table.ppf(rng.random((_ACCEPT_BATCH, n)))
             excess = batch.sum(axis=1) - target
             keep = np.exp(-tilt * np.maximum(excess, 0.0))
@@ -93,10 +95,6 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
                 increments = batch[hits[0]]
                 break
         if increments is None:
-            if not fallback:
-                raise BudgetExceeded(
-                    f"no acceptance in {retry_budget} tilted draws for end value {target:g}"
-                )
             note = "acceptance budget exhausted; fixed-sum boundary draw used"
             logger.warning(note)
             state = gibbs_fixed_sum(model, n, target, sweeps=1,

@@ -25,6 +25,8 @@ LogDensity = Callable[[Array], Array]
 
 # How far below the peak an integrand is treated as numerically zero.
 MASS_DROP = 60.0
+# mass_window raises Divergent when the integrand has not decayed by here.
+_HI_LIMIT = 1e12
 
 # Nested grids shrink their bracket 32-fold a level and stop at this share
 # of the searched range; the level cap only binds at float resolution.
@@ -98,28 +100,23 @@ def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
     return float(xs[j])
 
 
-def mass_window(
-    ell: LogDensity,
-    lo: float,
-    hi_start: float,
-    drop: float = MASS_DROP,
-    hi_limit: float = 1e12,
-) -> tuple[float, float, float]:
+def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, float, float]:
     """Return (window_lo, window_hi, peak_x) containing all numerically
     relevant mass of exp(ell) on (lo, inf).
 
-    The upper edge grows by doubling until ell falls ``drop`` below the peak;
-    all doublings up to ``hi_limit`` are probed in one call, and failure to
-    decay within ``hi_limit`` raises :class:`Divergent`.
+    The upper edge grows by doubling until ell falls ``MASS_DROP`` below the
+    peak; all doublings up to 1e12 are probed in one call, and failure to
+    decay by then raises :class:`Divergent`.
     """
     hi = max(hi_start, lo * 2 + 1.0)
     peak_x, peak = find_peak(ell, lo, hi)
     while True:
-        his = hi * 2.0 ** np.arange(max(0, math.ceil(math.log2(hi_limit / hi))) + 1)
+        his = hi * 2.0 ** np.arange(max(0, math.ceil(math.log2(_HI_LIMIT / hi))) + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            decayed = np.flatnonzero(np.asarray(ell(his), dtype=float) <= peak - drop)
+            decayed = np.flatnonzero(np.asarray(ell(his), dtype=float) <= peak - MASS_DROP)
         if decayed.size == 0:
-            raise Divergent(f"integrand does not decay below peak-{drop:g} by x={his[-1]:.3g}")
+            raise Divergent(
+                f"integrand does not decay below peak-{MASS_DROP:g} by x={his[-1]:.3g}")
         if decayed[0] == 0:
             break
         hi = float(his[decayed[0]])
@@ -128,13 +125,13 @@ def mass_window(
             break
         peak_x, peak = new_peak_x, new_peak
 
-    # Tighten both edges to the last points at or below peak - drop.
+    # Tighten both edges to the last points at or below peak - MASS_DROP.
     def first_above(vals):
-        k = int(np.argmax(vals > peak - drop))
+        k = int(np.argmax(vals > peak - MASS_DROP))
         return max(k - 1, 0), k
 
     def last_above(vals):
-        k = vals.size - 1 - int(np.argmax(vals[::-1] > peak - drop))
+        k = vals.size - 1 - int(np.argmax(vals[::-1] > peak - MASS_DROP))
         return k, min(k + 1, vals.size - 1)
 
     xs, _, i, _ = _zoom(ell, lo, peak_x, _GRID, first_above)
@@ -227,18 +224,12 @@ class GridInverseCdf:
     cdf: Array
 
     @classmethod
-    def build(
-        cls,
-        ell: LogDensity,
-        lo: float,
-        hi: float,
-        points: int = 4097,
-        drop: float = MASS_DROP,
-    ) -> "GridInverseCdf":
+    def build(cls, ell: LogDensity, lo: float, hi: float,
+              points: int = 4097) -> "GridInverseCdf":
         def mass_span(vals: Array) -> tuple[float, int, int]:
             # Pad one node each side so the clipped region integrates cleanly.
             peak = np.max(vals)
-            keep_idx = np.flatnonzero(vals > peak - drop)
+            keep_idx = np.flatnonzero(vals > peak - MASS_DROP)
             return peak, max(keep_idx[0] - 1, 0), min(keep_idx[-1] + 1, points - 1)
 
         xs = np.linspace(lo, hi, points)

@@ -28,6 +28,7 @@ Array = np.ndarray
 
 _SMALL_N = (2, 3)
 _SURVIVAL_POINTS = 262_145
+_PANELS = 32
 
 
 def _check_n(n: int) -> None:
@@ -35,18 +36,18 @@ def _check_n(n: int) -> None:
         raise DomainError("exact integration covers n = 2 and n = 3 only")
 
 
-def _log_quad(ell, lo: float, hi: float, breakpoints=(), panels: int = 32) -> float:
+def _log_quad(ell, lo: float, hi: float, breakpoints=()) -> float:
     """log of the integral of exp(ell) over [lo, hi].
 
     ``ell`` must accept arrays and may return -inf.  The domain is split
     at the breakpoints and each piece integrated by composite 16-point
-    Gauss-Legendre over ``panels`` panels; the max of ell over all nodes
+    Gauss-Legendre over 32 panels; the max of ell over all nodes
     serves as the stabilising shift.
     """
     if hi <= lo:
         return -math.inf
     cuts = sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)})
-    edges = [np.linspace(s_lo, s_hi, panels + 1) for s_lo, s_hi in zip(cuts[:-1], cuts[1:])]
+    edges = [np.linspace(s_lo, s_hi, _PANELS + 1) for s_lo, s_hi in zip(cuts[:-1], cuts[1:])]
     xs, ws = gauss_legendre(np.concatenate([e[:-1] for e in edges]),
                             np.concatenate([e[1:] for e in edges]))
     xs, ws = xs.ravel(), ws.ravel()
@@ -67,9 +68,9 @@ def _log_pdf(model: PerturbedDensity, x: Array) -> Array:
 class _LogSurvival:
     """Vectorised log P(X >= t) from one cumulative pass over the density."""
 
-    def __init__(self, model: PerturbedDensity, points: int = _SURVIVAL_POINTS):
+    def __init__(self, model: PerturbedDensity):
         cap = model.support_cap
-        xs = np.linspace(0.0, cap, points)
+        xs = np.linspace(0.0, cap, _SURVIVAL_POINTS)
         xs[0] = cap * 1e-12
         pdf = np.exp(_log_pdf(model, xs))
         panels = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs)

@@ -22,13 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ExponentModel, PerturbedDensity, Perturbation, _solve_log_g_level
+from .density import ExponentModel, PerturbedDensity, Perturbation
 from .errors import DomainError, EnvelopeViolated, NoConvergence, ThresholdNotFound
 from .quadrature import find_peak
 
 Array = np.ndarray
 
 REGIONS = ("C", "AcapC", "BcapC", "IccC")
+
+# brute_force_infimum stops when two resolutions agree to _REFINE_TOL
+# relative, and raises after _REFINE_CAP halvings of the grid spacing.
+_REFINE_TOL = 1e-5
+_REFINE_CAP = 8
+
+# convex_minorant searches its thresholds on a geometric grid up to here.
+_MINORANT_HI = 1e6
+_MINORANT_POINTS = 200_001
 
 
 @dataclass(frozen=True)
@@ -307,8 +316,7 @@ def _search_region(model: PerturbedDensity, ev: BandEvent, region: str,
     return best
 
 
-def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str,
-                        tol: float = 1e-5, max_refine: int = 8) -> float:
+def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str) -> float:
     """Directly search the constrained infimum of sum(g + q) over a region.
 
     Regions: "C" (sum >= n a), "AcapC" (C and some step >= a+eps), "BcapC"
@@ -317,8 +325,8 @@ def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str,
     constraint is pinned to the last coordinate.
 
     The value is certified by re-running at halved grid spacing until two
-    consecutive resolutions agree to ``tol`` relative; failure to stabilise
-    within ``max_refine`` refinements raises NoConvergence.
+    consecutive resolutions agree to 1e-5 relative; failure to stabilise
+    within 8 refinements raises NoConvergence.
     """
     if region not in REGIONS:
         raise DomainError(f"unknown region {region!r}")
@@ -326,14 +334,14 @@ def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str,
         raise DomainError("brute-force search is limited to n <= 8")
     _check_compensation(ev)
     if region == "IccC":
-        va = brute_force_infimum(model, ev, "AcapC", tol, max_refine)
-        vb = brute_force_infimum(model, ev, "BcapC", tol, max_refine)
+        va = brute_force_infimum(model, ev, "AcapC")
+        vb = brute_force_infimum(model, ev, "BcapC")
         return min(va, vb)
 
     prev = _search_region(model, ev, region, 0)
-    for level in range(1, max_refine + 1):
+    for level in range(1, _REFINE_CAP + 1):
         cur = _search_region(model, ev, region, min(level, 3))
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-12):
+        if abs(cur - prev) <= _REFINE_TOL * max(abs(cur), 1e-12):
             return min(cur, prev)
         prev = min(cur, prev)
     raise NoConvergence(f"region {region} value did not stabilise under refinement")
@@ -377,37 +385,19 @@ class PiecewiseMinorant:
     __call__ = value
 
 
-def convex_minorant(
-    exponent: ExponentModel,
-    perturbation: Perturbation | None = None,
-    N: float | None = None,
-    search_hi: float = 1e6,
-    grid_points: int = 200_001,
-) -> PiecewiseMinorant:
-    """Construct the glued minorant for an envelope (M, N, y0).
+def convex_minorant(exponent: ExponentModel, perturbation: Perturbation) -> PiecewiseMinorant:
+    """Construct the glued minorant for the perturbation's envelope (M, N, y0).
 
-    With ``perturbation=None`` the envelope is M = 0 and ``N`` acts as a
-    surrogate scale (useful to confirm h hugs g when nothing is perturbed).
-    The construction is validated numerically: h must stay below g - M on a
+    The thresholds are searched on a geometric grid up to 1e6.  The
+    construction is validated numerically: h must stay below g - M on a
     probe grid, otherwise the envelope threshold is advanced and the glue
     retried.
     """
-    if perturbation is not None:
-        M = perturbation.M
-        N = perturbation.N
-        y0 = perturbation.y0
-    else:
-        if N is None:
-            raise DomainError("a surrogate N is required when no perturbation is given")
-
-        def M(x: Array) -> Array:
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        y0 = _solve_log_g_level(exponent, 0.0)
+    M, N, y0 = perturbation.M, perturbation.N, perturbation.y0
 
     X = exponent.increase_threshold
     lo = max(1e-6, X * 1e-2, X / 10.0) if X > 0 else 1e-6
-    grid = np.geomspace(lo, search_hi, grid_points)
+    grid = np.geomspace(lo, _MINORANT_HI, _MINORANT_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):
         g = exponent.g(grid)
         dg = exponent.dg(grid)
@@ -453,7 +443,7 @@ def convex_minorant(
             knot_value=knot_value,
             knot_slope=knot_slope,
         )
-        probe = np.geomspace(lo, min(search_hi, 3.0 * y3), 10_001)
+        probe = np.geomspace(lo, min(_MINORANT_HI, 3.0 * y3), 10_001)
         gap = exponent.g(probe) - np.asarray(M(probe), dtype=float) - minorant.value(probe)
         scale = np.maximum(1.0, np.abs(exponent.g(probe)))
         if np.all(gap >= -1e-9 * scale):

@@ -266,6 +266,63 @@ class TestConfigFile:
         assert "bogus" in err
 
 
+class TestConfigParse:
+    """Config keys are parsed as ``--key=value`` by the flags' own declarations."""
+
+    _BOUNDS = ["bounds", "--model", "weibull:k=3", "--n", "2", "--a", "3", "--eps", "0.5"]
+
+    @staticmethod
+    def _run_with(tmp_path, capsys, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run_cli(argv + ["--config", str(path)], capsys)
+
+    @pytest.mark.parametrize("command, cfg, flag", [
+        ("localize", {"trials": "many"}, "--trials"),
+        ("conditions", {"seed": "x"}, "--seed"),
+        ("localize", {"format": "xml"}, "--format"),
+        ("localize", {"method": "Rejection"}, "--method"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, command, cfg, flag):
+        argv = {
+            "localize": ["localize", "--model", "power:beta=2", "--n", "4", "--a", "2",
+                         "--eps", "1.0", "--trials", "2000"],
+            "conditions": ["conditions", "--plan", "example1-case1"],
+        }[command]
+        rc, out, err = self._run_with(tmp_path, capsys, argv, cfg)
+        assert rc == 1
+        assert out == ""
+        assert flag in err
+        assert "Traceback" not in err
+
+    def test_required_flag_from_config(self, tmp_path, capsys):
+        rc, out, _ = self._run_with(tmp_path, capsys, ["bounds", "--model", "exp"],
+                                    {"n": [2, 3], "a": 2, "eps": 0.4})
+        assert rc == 0
+        assert len(out.strip().splitlines()) == 2 + 2
+
+    def test_oracle_switch_from_config(self, tmp_path, capsys):
+        rc, out, _ = self._run_with(tmp_path, capsys, self._BOUNDS, {"oracle": True})
+        assert rc == 0
+        assert out.splitlines()[1].endswith(",oracle_escape,oracle_rel_gap")
+        rc, out, _ = self._run_with(tmp_path, capsys, self._BOUNDS + ["--oracle"],
+                                    {"oracle": False})
+        assert rc == 0
+        assert out.splitlines()[1].endswith(",volume_correction")
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"n": {"value": 2}}, "n"),
+        ({"n": None}, "n"),
+        ({"config": "other.json"}, "config"),
+        ({"conf": "other.json"}, "conf"),
+    ])
+    def test_bad_shape_or_key_is_usage_error(self, tmp_path, capsys, cfg, key):
+        rc, out, err = self._run_with(tmp_path, capsys, self._BOUNDS, cfg)
+        assert rc == 1
+        assert out == ""
+        assert f"config key {key!r}" in err
+
+
 class TestVerifySubcommand:
     def test_single_fast_criterion(self, capsys):
         rc, out, _ = run_cli(["verify", "--criteria", "9"], capsys)

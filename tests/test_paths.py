@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stretchwalk.density import PowerExponent, WeibullExponent, pure_density
-from stretchwalk.errors import BadWindow, BudgetExceeded, DomainError
+from stretchwalk.errors import BadWindow, DomainError
 from stretchwalk.paths import (
     EndValueAtLeast,
     EndValueEquals,
@@ -189,18 +189,11 @@ class TestSimulateConditionedPath:
         # Tilted to mean 2 the sum concentrates near 20, so an end value of
         # 100 never accepts inside the budget; the boundary draw takes over.
         traj = simulate_conditioned_path(
-            weibull3, 10, 2.0, EndValueAtLeast(100.0), seed=5, retry_budget=128
+            weibull3, 10, 2.0, EndValueAtLeast(100.0), seed=5
         )
         assert traj.note != ""
         assert isinstance(traj.conditioning, EndValueEquals)
         assert traj.partial_sums[-1] == pytest.approx(100.0, rel=1e-9)
-
-    def test_unreachable_target_raises_without_fallback(self, weibull3):
-        with pytest.raises(BudgetExceeded):
-            simulate_conditioned_path(
-                weibull3, 10, 2.0, EndValueAtLeast(100.0), seed=5,
-                retry_budget=128, fallback=False,
-            )
 
     def test_bad_arguments_rejected(self, weibull3):
         with pytest.raises(DomainError):

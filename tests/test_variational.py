@@ -5,6 +5,7 @@ Frozen reference values come from 50-digit arithmetic; the brute-force
 comparisons are live searches so the closed forms are checked, not assumed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -212,22 +213,13 @@ def test_minorant_convex():
     assert np.all(second >= -1e-8 * np.maximum(1.0, np.abs(vals[1:-1])))
 
 
-def test_minorant_surrogate_hugs_exponent():
-    # With nothing perturbed the minorant must track g itself up to the
-    # tiny N log g adjustment.
-    exponent = PowerExponent(2.0)
-    minorant = convex_minorant(exponent, None, N=1e-6)
-    xs = np.linspace(minorant.knot, minorant.knot * 4.0, 1001)
-    gap = exponent.g(xs) - minorant.value(xs)
-    cap = 10.0 * 1e-6 * np.maximum(1.0, exponent.log_g(xs))
-    assert np.all(gap >= 0.0)
-    assert np.all(gap <= cap)
-
-
 def test_minorant_threshold_not_found_in_tiny_range():
+    # An envelope threshold y0 beyond the search grid (up to 1e6) leaves no
+    # point to glue at.
     model = sin_perturbed_density(PowerExponent(2.0))
+    far = dataclasses.replace(model.perturbation, y0=2e6)
     with pytest.raises(ThresholdNotFound):
-        convex_minorant(model.exponent, model.perturbation, search_hi=1.2)
+        convex_minorant(model.exponent, far)
 
 
 # -- certified probability bounds -------------------------------------------
