@@ -8,7 +8,6 @@ from .density import (
     PowerExponent,
     TabulatedExponent,
     WeibullExponent,
-    almost_log_concave_density,
     parse_model,
     pure_density,
     sin_perturbed_density,
@@ -26,7 +25,6 @@ __all__ = [
     "StretchwalkError",
     "TabulatedExponent",
     "WeibullExponent",
-    "almost_log_concave_density",
     "parse_model",
     "pure_density",
     "sin_perturbed_density",

@@ -26,7 +26,7 @@ from .density import (
 )
 from .errors import DomainError, StretchwalkError
 from .paths import estimate_p_ak
-from .ratefn import CramerRate, cramer_rate, model_mean, tail_equivalence
+from .ratefn import CramerRate, cramer_rate, tail_equivalence
 from .sampler import estimate_localization, importance_estimate
 from .seeding import derive_seed
 from .smalln import exact_log_prob_escape, exact_log_prob_exceed
@@ -301,7 +301,7 @@ def criterion_10(root_seed: int) -> tuple[bool, dict]:
     I(alpha) and the hit rate stays far lower.
     """
     model = pure_density(WeibullExponent(3.0))
-    ex = model_mean(model)
+    ex = model.mean
     a = 1.5 * ex
     alpha = 2.0 * ex
     rate_a, tilt_a = cramer_rate(model, a)

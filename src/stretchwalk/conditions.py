@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import ExponentModel, parse_exponent
-from .errors import DegeneratePlan, DomainError, NotAchievable
+from .errors import DegeneratePlan, DomainError
 from .variational import BandEvent, closed_form_bounds
 
 _BOOTSTRAP_B = 2048
@@ -27,31 +27,21 @@ _TREND_P = 0.01
 
 
 @dataclass(frozen=True)
-class PowerOfN:
-    """a_n = n**gamma."""
-
-    gamma: float
-
-    def level(self, n: int) -> float:
-        return float(n) ** self.gamma
-
-
-@dataclass(frozen=True)
 class InversePower:
     """a_n = n**(1/alpha); the plan parameter is the reciprocal exponent."""
 
     alpha: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise DomainError(f"level exponent alpha must be finite and positive, "
+                              f"got {self.alpha!r}")
+
     def level(self, n: int) -> float:
-        return float(n) ** (1.0 / self.alpha)
-
-
-@dataclass(frozen=True)
-class Constant:
-    c: float
-
-    def halfwidth(self, n: int, a: float) -> float:
-        return self.c
+        try:
+            return float(n) ** (1.0 / self.alpha)
+        except OverflowError:
+            raise DomainError(f"level n**(1/{self.alpha:g}) overflows at n={n}") from None
 
 
 @dataclass(frozen=True)
@@ -88,8 +78,8 @@ class ExpDecay:
 
 @dataclass(frozen=True)
 class SequencePlan:
-    a_form: PowerOfN | InversePower
-    eps_form: Constant | InverseLogA | PowerOfA | ExpDecay
+    a_form: InversePower
+    eps_form: InverseLogA | PowerOfA | ExpDecay
 
     def level(self, n: int) -> float:
         return self.a_form.level(n)
@@ -145,7 +135,7 @@ PRESETS: dict[str, PlanPreset] = {
     "example2": PlanPreset(
         name="example2",
         exponent_spec="exp",
-        plan=SequencePlan(PowerOfN(gamma=0.5), ExpDecay(c=1.0, kappa=0.125)),
+        plan=SequencePlan(InversePower(alpha=2.0), ExpDecay(c=1.0, kappa=0.125)),
         n_grid=_log_grid(25, 2500, 17),
     ),
     # Weibull steps under the same quadratic level plan.
@@ -271,38 +261,3 @@ def evaluate_conditions(exponent: ExponentModel, plan: SequencePlan,
         c33_trend=_trend_verdict(ns_arr, r33),
     )
 
-
-def admissible_epsilon(exponent: ExponentModel, n: int, a: float,
-                       target: float) -> float:
-    """Smallest band halfwidth whose entropy ratio meets the target.
-
-    The ratio n log g(a+eps) / H falls as the band widens (H grows like
-    eps^2), so the admissible set is an upper interval of eps; bisection
-    over [1e-8 a, 0.9 a] returns its lower endpoint.  NotAchievable if
-    even the widest allowed band misses the target.
-    """
-    if target <= 0.0:
-        raise DomainError("target ratio must be positive")
-
-    def ratio(eps: float) -> float:
-        bounds = closed_form_bounds(exponent, BandEvent(n, a, eps))
-        if bounds.escape_gap <= 0.0:
-            return math.inf
-        log_g_edge = float(exponent.log_g(np.array([a + eps]))[0])
-        return n * log_g_edge / bounds.escape_gap
-
-    lo = 1e-8 * a
-    hi = 0.9 * a
-    if ratio(lo) <= target:
-        return lo
-    if ratio(hi) > target:
-        raise NotAchievable(
-            f"entropy ratio stays above {target:g} for every eps up to 0.9a"
-        )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ratio(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidModel, NonIntegrable, OutOfSupport
 from .quadrature import (GridInverseCdf, first_reach, log_integral, log_moment_integrals,
@@ -118,8 +117,7 @@ class ExponentModel:
         return gap1, gap2
 
     def validate(self) -> None:
-        """Probe convexity, monotone growth beyond the threshold, and record
-        whether the superlinearity witness g(x)/x increasing holds."""
+        """Probe convexity and monotone growth beyond the threshold."""
         X = self.increase_threshold
         lo = max(X, 1e-6)
         grid = np.linspace(lo + 1e-9, X + 50.0, 4001)
@@ -129,17 +127,14 @@ class ExponentModel:
             raise InvalidModel(
                 f"{self.kind} exponent is not increasing beyond its threshold"
             )
-        probes = np.array([1e2, 1e3, 1e4])
-        ratio = self.log_g(probes) - np.log(probes)
-        self.superlinear = bool(np.all(np.diff(ratio) > 0.0))
 
 
 class PowerExponent(ExponentModel):
     """g(x) = x**beta with beta >= 1.
 
     beta = 1 (pure exponential step) sits on the boundary of the theory and
-    is admitted for reference runs; ``superlinear`` is then False and the
-    moment-transform guard refuses arguments t >= 1.
+    is admitted for reference runs; its moment transform diverges for
+    t >= 1, which ``mass_window`` reports by raising ``Divergent``.
     """
 
     kind = "power"
@@ -309,6 +304,8 @@ class TabulatedExponent(ExponentModel):
             raise InvalidModel("tabulated grid and values must be finite")
         if np.any(x <= 0.0):
             raise InvalidModel("tabulated grid must lie in (0, inf)")
+        from scipy.interpolate import PchipInterpolator
+
         self.x_grid = x
         self.g_grid = gvals
         self._interp = PchipInterpolator(x, gvals, extrapolate=True)
@@ -330,9 +327,6 @@ class TabulatedExponent(ExponentModel):
         tail = self.g_grid[self.x_grid >= self._X]
         if np.any(np.diff(tail) < 0.0):
             raise InvalidModel("tabulated exponent decreases beyond its threshold")
-        xs = self.x_grid
-        ratio = self.g_grid / xs
-        self.superlinear = bool(ratio[-1] > ratio[len(ratio) // 2])
 
     @property
     def increase_threshold(self) -> float:
@@ -417,22 +411,9 @@ def sin_perturbation(exponent: ExponentModel, lam: float = 0.5) -> Perturbation:
     return Perturbation(q=q, M=M, N=1.0, y0=y0, name=f"sin(lambda={lam:g})")
 
 
-def almost_log_concave_perturbation(exponent: ExponentModel) -> Perturbation:
-    """q = -log(1 + sin(x)**2 / 2): density c(x) exp(-g) with c in [1, 3/2]."""
-    bound = math.log(1.5)
-
-    def q(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return -np.log1p(0.5 * np.sin(x) ** 2)
-
-    def M(x: Array) -> Array:
-        return np.full_like(np.asarray(x, dtype=float), bound)
-
-    y0 = _solve_log_g_level(exponent, bound)
-    return Perturbation(q=q, M=M, N=1.0, y0=y0, name="almost-log-concave")
-
-
 def _tabulated_perturbation(exponent: ExponentModel, x: Array, qvals: Array) -> Perturbation:
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(x, qvals, extrapolate=False)
     bound = float(np.max(np.abs(qvals))) + 1e-12
 
@@ -561,13 +542,6 @@ class PerturbedDensity:
 
     # -- evaluation --------------------------------------------------------
 
-    def log_density(self, x: Array) -> Array:
-        """log of the density at x > 0; raises OutOfSupport otherwise."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise OutOfSupport("density support is (0, inf)")
-        return self.log_c - self.exponent_value(x)
-
     def pdf(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
@@ -606,9 +580,6 @@ class PerturbedDensity:
             return (-np.log(u)) ** (1.0 / self.exponent.k)
         return self._table.sample(rng, size)
 
-    def inverse_cdf_table(self) -> GridInverseCdf:
-        return self._table
-
 
 # -- construction helpers ---------------------------------------------------
 
@@ -619,12 +590,6 @@ def pure_density(exponent: ExponentModel) -> PerturbedDensity:
 
 def sin_perturbed_density(exponent: ExponentModel, lam: float = 0.5) -> PerturbedDensity:
     return PerturbedDensity(exponent=exponent, perturbation=sin_perturbation(exponent, lam))
-
-
-def almost_log_concave_density(exponent: ExponentModel) -> PerturbedDensity:
-    return PerturbedDensity(
-        exponent=exponent, perturbation=almost_log_concave_perturbation(exponent)
-    )
 
 
 def load_tabulated_csv(path: str) -> tuple[TabulatedExponent, Perturbation | None]:

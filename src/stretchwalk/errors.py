@@ -54,9 +54,5 @@ class DegeneratePlan(StretchwalkError):
     """Sequence plan produced non-positive variational gaps on too many rows."""
 
 
-class NotAchievable(StretchwalkError):
-    """No admissible parameter meets the requested target within bounds."""
-
-
 class BadWindow(StretchwalkError):
     """Sliding-window length is outside 1..n."""

@@ -17,7 +17,6 @@ import numpy as np
 
 from .density import PerturbedDensity
 from .errors import BadWindow, DomainError
-from .ratefn import model_mean
 from .sampler import (
     EndValueAtLeast,
     EndValueEquals,
@@ -73,7 +72,7 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
     """
     if n < 2:
         raise DomainError("a walk needs at least 2 increments")
-    if a <= model_mean(model):
+    if a <= model.mean:
         raise DomainError("conditioning level must exceed the mean")
     rng = np.random.default_rng(seed)
     note = ""

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import Divergent, NonIntegrable
 
@@ -220,7 +219,6 @@ class GridInverseCdf:
     """
 
     x: Array
-    pdf: Array
     cdf: Array
 
     @classmethod
@@ -248,13 +246,11 @@ class GridInverseCdf:
             vals = np.asarray(ell(xs), dtype=float)
             peak, lo_i, hi_i = mass_span(vals)
         w = np.exp(vals - peak)
-        cdf = np.concatenate([[0.0], cumulative_trapezoid(w, xs)])
+        cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (w[1:] + w[:-1]) / 2.0)])
         total = cdf[-1]
         if not np.isfinite(total) or total <= 0.0:
             raise NonIntegrable("density mass vanished on the table grid")
-        cdf /= total
-        pdf = w / total
-        return cls(x=xs, pdf=pdf, cdf=cdf)
+        return cls(x=xs, cdf=cdf / total)
 
     def ppf(self, u: Array) -> Array:
         u = np.asarray(u, dtype=float)
@@ -263,10 +259,6 @@ class GridInverseCdf:
     def cdf_at(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         return np.interp(x, self.x, self.cdf, left=0.0, right=1.0)
-
-    def pdf_at(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, self.x, self.pdf, left=0.0, right=0.0)
 
     def sample(self, rng: np.random.Generator, size) -> Array:
         return self.ppf(rng.random(size))

@@ -4,17 +4,16 @@ The rate I(x) = sup_t (t x - Lambda(t)) is computed by solving the
 stationarity condition Lambda'(t) = x with a safeguarded Newton iteration.
 Lambda, Lambda' and Lambda'' come together from one adaptive quadrature
 pass over the tilted mass window, never from differencing Lambda, so the
-iteration sees smooth derivatives.  A table type caches (x, I, t*) on a
-log-spaced grid with cubic interpolation for the many-query callers.
+iteration sees smooth derivatives.  A table type holds (x, I, t*) on a
+log-spaced grid together with its duality and derivative residual checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .density import PerturbedDensity
 from .errors import Divergent, DomainError, NoConvergence, NoRoot
@@ -59,11 +58,6 @@ def log_mgf(model: PerturbedDensity, t: float) -> float:
     return _tilted_stats(model, float(t))[0]
 
 
-def model_mean(model: PerturbedDensity) -> float:
-    """EX by quadrature, memoised on the model."""
-    return model.derived("mean", lambda: _tilted_stats(model, 0.0)[1])
-
-
 def _solve_tilt(model: PerturbedDensity, x: float,
                 t_guess: float | None = None) -> tuple[float, float]:
     """Solve Lambda'(t) = x; returns (t*, Lambda(t*)).
@@ -75,7 +69,7 @@ def _solve_tilt(model: PerturbedDensity, x: float,
     for means reachable below the divergence threshold.
     """
     tol = _tilt_tol(x)
-    ex = model_mean(model)
+    ex = model.mean
     if abs(x - ex) <= tol:
         return 0.0, 0.0
 
@@ -163,16 +157,6 @@ def cramer_rate(model: PerturbedDensity, x: float,
     return value, t_star
 
 
-def extended_ldp_log_prob(model: PerturbedDensity, n: int, a: float) -> float:
-    """First-order log-probability -n I(a) for the mean exceeding a."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if a < model_mean(model):
-        raise DomainError("level a must not sit below the mean")
-    value, _ = cramer_rate(model, a)
-    return -n * value
-
-
 def tail_equivalence(model: PerturbedDensity, x: float) -> float:
     """Diagnostic ratio (-log P(X > x)) / I(x); approaches 1 far in the tail."""
     value, _ = cramer_rate(model, x)
@@ -181,14 +165,12 @@ def tail_equivalence(model: PerturbedDensity, x: float) -> float:
     return -model.log_tail(x) / value
 
 
-@dataclass
+@dataclass(frozen=True)
 class CramerRate:
-    """Tabulated rate function on [EX, x_max] with cubic interpolation.
+    """Tabulated rate function on [EX, x_max].
 
-    Nodes are log-spaced from 1.05 EX upward; the exact anchor
-    (EX, 0, 0) is prepended so queries just above the mean interpolate
-    correctly.  Lookups are pure; extension re-tabulates and is single
-    writer.
+    Nodes are log-spaced from 1.05 EX upward, with the exact anchor
+    (EX, 0, 0) prepended; EX is the model's own ``mean``.
     """
 
     model: PerturbedDensity
@@ -196,13 +178,11 @@ class CramerRate:
     x: np.ndarray
     I: np.ndarray
     t_star: np.ndarray
-    _rate_spline: CubicSpline = field(repr=False)
-    _tilt_spline: PchipInterpolator = field(repr=False)
 
     @classmethod
     def build(cls, model: PerturbedDensity, x_max: float,
               points: int = 128) -> "CramerRate":
-        ex = model_mean(model)
+        ex = model.mean
         lo = 1.05 * ex
         if x_max <= lo * 1.01:
             raise DomainError("x_max must sit clearly above 1.05 EX")
@@ -215,17 +195,12 @@ class CramerRate:
         for i, xv in enumerate(grid):
             rates[i], tilts[i] = cramer_rate(model, float(xv), t_guess=guess)
             guess = tilts[i]
-        xs = np.concatenate([[ex], grid])
-        Is = np.concatenate([[0.0], rates])
-        ts = np.concatenate([[0.0], tilts])
         table = cls(
             model=model,
             ex=ex,
-            x=xs,
-            I=Is,
-            t_star=ts,
-            _rate_spline=CubicSpline(xs, Is),
-            _tilt_spline=PchipInterpolator(xs, ts),
+            x=np.concatenate([[ex], grid]),
+            I=np.concatenate([[0.0], rates]),
+            t_star=np.concatenate([[0.0], tilts]),
         )
         table.validate()
         return table
@@ -238,36 +213,6 @@ class CramerRate:
             raise NoConvergence("rate table produced a negative rate")
         if np.any(np.diff(self.t_star) < 0.0):
             raise NoConvergence("tilt column is not nondecreasing")
-
-    def ensure_cover(self, x: float) -> None:
-        """Extend the table when a query lands beyond the last node."""
-        if x <= self.x[-1]:
-            return
-        old_span = math.log(self.x[-1] / self.x[1])
-        new_span = math.log(1.05 * x / self.x[1])
-        points = max(self.x.size - 1, math.ceil((self.x.size - 1) * new_span / old_span))
-        fresh = CramerRate.build(self.model, 1.05 * x, points=points)
-        self.x = fresh.x
-        self.I = fresh.I
-        self.t_star = fresh.t_star
-        self._rate_spline = fresh._rate_spline
-        self._tilt_spline = fresh._tilt_spline
-
-    def rate_at(self, x) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        self.ensure_cover(float(arr.max()))
-        if np.any(arr < self.ex):
-            raise DomainError("table covers only x >= EX; call cramer_rate below the mean")
-        out = self._rate_spline(arr)
-        return float(out) if np.isscalar(x) else out
-
-    def t_star_at(self, x) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        self.ensure_cover(float(arr.max()))
-        if np.any(arr < self.ex):
-            raise DomainError("table covers only x >= EX; call cramer_rate below the mean")
-        out = self._tilt_spline(arr)
-        return float(out) if np.isscalar(x) else out
 
     def duality_residuals(self) -> tuple[float, float]:
         """(max value residual, max gradient residual) over the log nodes.
@@ -286,8 +231,10 @@ class CramerRate:
 
     def derivative_residual(self) -> float:
         """max |dI/dx - t*| / max(1, t*) over interior nodes, with dI/dx
-        taken from the cubic interpolant."""
+        taken from the cubic spline through (x, I)."""
+        from scipy.interpolate import CubicSpline
+
         xs = self.x[1:-1]
-        deriv = self._rate_spline.derivative()(xs)
+        deriv = CubicSpline(self.x, self.I).derivative()(xs)
         ref = self.t_star[1:-1]
         return float(np.max(np.abs(deriv - ref) / np.maximum(1.0, np.abs(ref))))

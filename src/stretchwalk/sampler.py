@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .density import PerturbedDensity
 from .errors import DegenerateWeights, DomainError, NoConvergence
 from .quadrature import GridInverseCdf, mass_window
-from .ratefn import _tilt_tol, _tilted_ell, cramer_rate, log_mgf, model_mean
+from .ratefn import _tilt_tol, _tilted_ell, cramer_rate, log_mgf
 
 METHODS = ("TiltedIS", "FixedSumGibbs")
 
@@ -121,7 +120,7 @@ class ImportanceResult:
 
 def tilt_for_mean(model: PerturbedDensity, a: float) -> float:
     """Tilt t with tilted mean a; zero at the mean, to the tilt solve's tolerance."""
-    if a < model_mean(model) - _tilt_tol(a):
+    if a < model.mean - _tilt_tol(a):
         raise DomainError("tilt target must not sit below the mean")
     _, tilt = cramer_rate(model, a)
     return tilt
@@ -143,11 +142,13 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
     weights exp(n Lambda(t) - t S).  Band membership uses strict
     inequalities.  Deterministic for a given seed.
     """
+    from scipy.special import logsumexp
+
     if trials < 1000:
         raise DomainError("importance sampling needs at least 1000 trials")
     if n < 1 or a <= 0.0 or eps < 0.0:
         raise DomainError("need n >= 1, a > 0, eps >= 0")
-    t = tilt_for_mean(model, a) if a > model_mean(model) else 0.0
+    t = tilt_for_mean(model, a) if a > model.mean else 0.0
     lam = log_mgf(model, t)
     table = tilted_table(model, t)
     rng = np.random.default_rng(seed)

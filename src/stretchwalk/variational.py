@@ -96,7 +96,10 @@ def closed_form_bounds(exponent: ExponentModel, ev: BandEvent) -> LocalizationBo
         raise DomainError("band centre must lie beyond the increase threshold")
     _check_compensation(ev)
     n, a, eps = ev.n, ev.a, ev.eps
-    ga = float(exponent.g(np.array([a]))[0])
+    with np.errstate(over="ignore"):
+        ga = float(exponent.g(np.array([a]))[0])
+    if not math.isfinite(ga):
+        raise DomainError(f"exponent g(a) overflows at a={a:g}")
     if ga <= 0.0:
         raise DomainError("exponent must be positive at the band centre")
     gap1, gap2 = exponent.band_gaps(a, eps, n)

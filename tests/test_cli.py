@@ -67,6 +67,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("InvalidModel")
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--model", "exp", "--n", "3", "--a", "800", "--eps", "0.5"],
+        ["bounds", "--model", "power:beta=2", "--n", "3", "--a", "1e200", "--eps", "0.5"],
+        ["conditions", "--plan", "example2", "--alpha", "0"],
+        ["conditions", "--plan", "example1-case2", "--alpha", "0.001"],
+    ])
+    def test_overflowing_inputs_are_domain_errors(self, argv, capsys):
+        # g(a) or the plan level a_n = n**(1/alpha) leaves the float range.
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("DomainError")
+
 
 class TestBounds:
     def test_oracle_agreement_json(self, capsys):
@@ -345,3 +358,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "stretchwalk" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy loads only where it is used: tabulated models, the rate table's
+    # derivative check, importance weights, and verify's acceptance layer.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import stretchwalk.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

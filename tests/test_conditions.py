@@ -12,32 +12,30 @@ import pytest
 
 from stretchwalk import cli
 from stretchwalk.conditions import (
-    Constant,
     ExpDecay,
     InverseLogA,
     InversePower,
     PlanPreset,
     PowerOfA,
-    PowerOfN,
     PRESETS,
     SequencePlan,
-    admissible_epsilon,
+    _trend_verdict,
     evaluate_conditions,
     growth_ratio,
 )
 from stretchwalk.density import ExpExponent, PowerExponent, WeibullExponent
-from stretchwalk.errors import DegeneratePlan, DomainError, NotAchievable
+from stretchwalk.errors import DegeneratePlan, DomainError
 
 QUAD_LEVEL_PLAN = SequencePlan(InversePower(alpha=0.5), InverseLogA(c=1.0))
 
 
 class TestSequencePlan:
     def test_level_forms(self):
-        assert PowerOfN(gamma=0.5).level(100) == pytest.approx(10.0, rel=1e-15)
+        assert InversePower(alpha=2.0).level(100) == pytest.approx(10.0, rel=1e-15)
         assert InversePower(alpha=0.5).level(100) == pytest.approx(1e4, rel=1e-15)
 
     def test_halfwidth_forms(self):
-        assert Constant(c=0.3).halfwidth(50, 7.0) == 0.3
+        assert PowerOfA(c=0.3, rho=0.0).halfwidth(50, 7.0) == 0.3
         assert InverseLogA(c=2.0).halfwidth(50, math.e**2) == pytest.approx(1.0)
         assert PowerOfA(c=2.0, rho=0.5).halfwidth(50, 9.0) == pytest.approx(6.0)
         assert ExpDecay(c=1.0, kappa=0.125).halfwidth(50, 8.0) == pytest.approx(
@@ -135,52 +133,14 @@ class TestTrendVerdicts:
 
     def test_flat_sequence_inconclusive(self):
         # Constant ratios carry no trend signal.
-        rep = evaluate_conditions(
-            PowerExponent(3.0),
-            SequencePlan(PowerOfN(gamma=0.0), Constant(c=0.1)),
-            [10, 20, 40, 80, 160, 320],
-        )
-        assert rep.c32_trend == "inconclusive"
+        ns = np.array([10, 20, 40, 80, 160, 320])
+        assert _trend_verdict(ns, np.full(ns.size, 0.7)) == "inconclusive"
 
     def test_verdicts_deterministic(self):
         preset = PRESETS["example2"]
         a = evaluate_conditions(preset.exponent(), preset.plan, preset.n_grid)
         b = evaluate_conditions(preset.exponent(), preset.plan, preset.n_grid)
         assert (a.c32_trend, a.c33_trend) == (b.c32_trend, b.c33_trend)
-
-
-class TestAdmissibleEpsilon:
-    def test_self_consistency(self):
-        exp = PowerExponent(3.0)
-        n, a, target = 1000, 100.0, 0.1
-        eps_star = admissible_epsilon(exp, n, a, target)
-        # Re-evaluate the ratio at the returned halfwidth directly.
-        from stretchwalk.variational import BandEvent, closed_form_bounds
-
-        bounds = closed_form_bounds(exp, BandEvent(n, a, eps_star))
-        ratio = n * float(exp.log_g(np.array([a + eps_star]))[0]) / bounds.escape_gap
-        assert 0.099 <= ratio <= 0.101
-
-    def test_loose_target_returns_floor(self):
-        # At the floor halfwidth 5e-8 the ratio is about 1.2e15, so any
-        # target above that is met immediately.
-        exp = PowerExponent(3.0)
-        eps_star = admissible_epsilon(exp, 10, 5.0, 1e16)
-        assert eps_star == pytest.approx(1e-8 * 5.0, rel=1e-12)
-
-    def test_monotone_in_target(self):
-        exp = PowerExponent(3.0)
-        wide = admissible_epsilon(exp, 1000, 100.0, 0.01)
-        narrow = admissible_epsilon(exp, 1000, 100.0, 0.1)
-        assert wide >= narrow
-
-    def test_unreachable_target(self):
-        with pytest.raises(NotAchievable):
-            admissible_epsilon(PowerExponent(3.0), 10, 5.0, 1e-12)
-
-    def test_bad_target(self):
-        with pytest.raises(DomainError):
-            admissible_epsilon(PowerExponent(3.0), 10, 5.0, 0.0)
 
 
 class TestPresets:

@@ -18,7 +18,6 @@ from stretchwalk.paths import (
     simulate_free_path,
     sliding_slopes,
 )
-from stretchwalk.ratefn import model_mean
 from stretchwalk.seeding import derive_seed
 from stretchwalk.smalln import exact_log_prob_exceed
 
@@ -200,7 +199,7 @@ class TestSimulateConditionedPath:
             simulate_conditioned_path(weibull3, 1, 2.0, EndValueAtLeast(2.0), seed=0)
         with pytest.raises(DomainError):
             simulate_conditioned_path(
-                weibull3, 10, 0.5 * model_mean(weibull3), EndValueAtLeast(5.0), seed=0
+                weibull3, 10, 0.5 * weibull3.mean, EndValueAtLeast(5.0), seed=0
             )
         with pytest.raises(DomainError):
             simulate_conditioned_path(weibull3, 10, 2.0, "at least 20", seed=0)
@@ -219,7 +218,7 @@ class TestSimulateConditionedPath:
     def test_exceedance_law_matches_exact_n2(self, weibull3):
         # P(S_2 > 2a + 0.3 | S_2 > 2a) is 0.19 exactly; the tilted law merely
         # restricted to {S_2 > 2a} puts about 0.52 of its paths there.
-        a = 1.5 * model_mean(weibull3)
+        a = 1.5 * weibull3.mean
         paths = 1000
         hits = sum(
             simulate_conditioned_path(weibull3, 2, a, EndValueAtLeast(2.0 * a),

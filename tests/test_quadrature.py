@@ -20,6 +20,7 @@ from stretchwalk.density import (
     PowerExponent,
     TabulatedExponent,
     WeibullExponent,
+    parse_model,
     pure_density,
     sin_perturbed_density,
 )
@@ -102,6 +103,22 @@ def test_tilted_moments_match_mpmath(case):
         assert abs(got[0] - lam) <= TOL * max(1.0, abs(lam)), (t, got, lam)
         assert abs(got[1] - mean) <= TOL * mean, (t, got, mean)
         assert abs(got[2] - var) <= TOL * var, (t, got, var)
+
+
+@pytest.mark.parametrize("spec, G, kinks", [
+    ("power:beta=2/sin",
+     lambda x: x**2 + mp.mpf("0.5") * mp.sin(x) * min(max(2 * mp.log(x), 0), 1),
+     lambda: [mp.mpf(1), mp.exp(mp.mpf("0.5"))]),
+    ("power:beta=1.5", lambda x: x ** mp.mpf("1.5"), _no_kinks),
+])
+def test_mean_matches_mpmath(spec, G, kinks):
+    # EX is computed once, from the moments that normalise the model.
+    model = parse_model(spec)
+    with mp.workdps(DPS):
+        m0, m1 = (_mp_integral(lambda x, j=j: x**j * mp.exp(-G(x)), 0, model.support_cap,
+                               kinks()) for j in range(2))
+        ref = float(m1 / m0)
+    assert abs(model.mean - ref) <= 1e-12 * ref
 
 
 def test_weibull_tail_window_converges():

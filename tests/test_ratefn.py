@@ -15,18 +15,12 @@ from stretchwalk import cli
 from stretchwalk.density import (
     PowerExponent,
     WeibullExponent,
+    parse_model,
     pure_density,
     sin_perturbed_density,
 )
 from stretchwalk.errors import Divergent, DomainError, NoRoot
-from stretchwalk.ratefn import (
-    CramerRate,
-    cramer_rate,
-    extended_ldp_log_prob,
-    log_mgf,
-    model_mean,
-    tail_equivalence,
-)
+from stretchwalk.ratefn import CramerRate, cramer_rate, log_mgf, tail_equivalence
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +83,7 @@ class TestCramerRate:
         assert tilt == pytest.approx(-3.0, abs=1e-6)
 
     def test_at_the_mean(self, weibull3):
-        value, tilt = cramer_rate(weibull3, model_mean(weibull3))
+        value, tilt = cramer_rate(weibull3, weibull3.mean)
         assert value == 0.0
         assert tilt == 0.0
 
@@ -129,26 +123,9 @@ class TestCramerRate:
             cramer_rate(weibull3, 100.0)
 
     def test_mean_cached(self, weibull3):
-        first = model_mean(weibull3)
-        assert model_mean(weibull3) == first
-        assert first == pytest.approx(0.89297951156924921, rel=1e-9)
-
-
-class TestExtendedLdp:
-    def test_scales_linearly_in_n(self, weibull3):
-        one = extended_ldp_log_prob(weibull3, 1, 2.0)
-        ten = extended_ldp_log_prob(weibull3, 10, 2.0)
-        assert one == pytest.approx(-5.8584034035071651, rel=1e-10)
-        assert ten == pytest.approx(10.0 * one, rel=1e-12)
-
-    def test_at_the_mean(self, weibull3):
-        assert extended_ldp_log_prob(weibull3, 5, model_mean(weibull3)) == 0.0
-
-    def test_below_mean_rejected(self, weibull3):
-        with pytest.raises(DomainError):
-            extended_ldp_log_prob(weibull3, 5, 0.5)
-        with pytest.raises(DomainError):
-            extended_ldp_log_prob(weibull3, 0, 2.0)
+        # The solver anchors at the mean the model computed at construction.
+        assert weibull3.mean == pytest.approx(0.89297951156924921, rel=1e-9)
+        assert cramer_rate(weibull3, weibull3.mean) == (0.0, 0.0)
 
 
 class TestTailEquivalence:
@@ -193,28 +170,16 @@ class TestRateTable:
     def test_derivative_matches_tilt(self, weibull_table):
         assert weibull_table.derivative_residual() <= 1e-4
 
-    def test_interpolation_accuracy(self, weibull_table, weibull3):
-        assert weibull_table.rate_at(2.0) == pytest.approx(
-            5.8584034035071651, rel=1e-6
-        )
-        assert weibull_table.t_star_at(2.0) == pytest.approx(
-            11.219238766026694, rel=1e-6
-        )
-        xs = np.array([1.0, 2.5, 7.0])
-        out = weibull_table.rate_at(xs)
-        assert out.shape == (3,)
-        assert np.all(np.diff(out) > 0.0)
-
-    def test_below_mean_rejected(self, weibull_table):
-        with pytest.raises(DomainError):
-            weibull_table.rate_at(0.5)
-
-    def test_extends_on_demand(self, weibull3):
-        table = CramerRate.build(weibull3, 5.0, points=32)
-        old_hi = table.x[-1]
-        direct, _ = cramer_rate(weibull3, 8.0)
-        assert table.rate_at(8.0) == pytest.approx(direct, rel=1e-6)
-        assert table.x[-1] > old_hi
+    @pytest.mark.parametrize("spec", ["power:beta=2", "power:beta=2/sin", "weibull:k=3",
+                                      "weibull:k=3/sin", "exp", "exp/sin",
+                                      "tabulated:path={csv}", "tabulated:path={csv}/sin"])
+    def test_anchor_is_the_mean(self, spec, tmp_path):
+        # One mean: the table anchors at the value the model computed.
+        csv = tmp_path / "steps.csv"
+        grid = np.linspace(1e-3, 14.0, 3000)
+        np.savetxt(csv, np.column_stack([grid, grid**2]), delimiter=",")
+        model = parse_model(spec.format(csv=csv))
+        assert CramerRate.build(model, 2.0 * model.mean, points=8).x[0] == model.mean
 
     def test_csv_export(self, weibull_table, capsys):
         assert cli.main(["rate", "--model", "weibull:k=3", "--a", "20"]) == 0

@@ -14,8 +14,9 @@ import pytest
 from stretchwalk.density import (
     ExpExponent,
     PowerExponent,
+    Perturbation,
+    PerturbedDensity,
     WeibullExponent,
-    almost_log_concave_density,
     pure_density,
     sin_perturbed_density,
 )
@@ -155,7 +156,10 @@ def test_brute_force_perturbed_stays_in_envelope_corridor():
 
 
 def test_brute_force_perturbed_alc_corridor():
-    model = almost_log_concave_density(PowerExponent(2.0))
+    # Almost log-concave: |q| = log(1 + sin(x)^2 / 2) <= log(3/2) per step.
+    alc = Perturbation(q=lambda x: -np.log1p(0.5 * np.sin(x) ** 2),
+                       M=lambda x: np.full_like(x, math.log(1.5)), N=1.0, y0=math.sqrt(1.5))
+    model = PerturbedDensity(exponent=PowerExponent(2.0), perturbation=alc)
     ev = BandEvent(3, 2.0, 0.5)
     bounds = closed_form_bounds(model.exponent, ev)
     slack = 3 * math.log(1.5) + 1e-6
