@@ -261,12 +261,13 @@ def _cmd_rate(ns: argparse.Namespace) -> int:
 def _cmd_localize(ns: argparse.Namespace) -> int:
     model = parse_model(ns.model)
     a, eps = ns.a, ns.eps
-    columns = ["n", "p_hat", "std_err", "n_eff", "replications"]
+    columns = ["n", "p_hat", "std_err", "n_eff", "replications", "wilson_lo", "wilson_hi"]
     rows = []
     for i, n in enumerate(ns.n):
         est = estimate_localization(model, n, a, eps, ns.method,
                                     budget=ns.trials, seed=derive_seed(ns.seed, i))
-        rows.append((n, est.p_hat, est.std_err, est.n_eff, est.replications))
+        rows.append((n, est.p_hat, est.std_err, est.n_eff, est.replications,
+                     *est.wilson_interval()))
     summary = {"model": ns.model, "a": a, "eps": eps,
                "method": ns.method, "trials": ns.trials}
     _emit_rows(ns, "localize", columns, rows, summary)

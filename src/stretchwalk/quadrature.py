@@ -206,55 +206,85 @@ def log_integral(
 
 @dataclass
 class GridInverseCdf:
-    """Tabulated inverse-CDF sampler for a 1-D density given by a log-density.
+    """Tabulated inverse-CDF sampler for 1-D densities given by log-densities.
 
-    The table restricts itself to the region where the log-density is within
+    With scalar bounds ``lo``, ``hi`` the table holds one density: ``ell(xs)``
+    is its log-density and ``x``, ``cdf`` are 1-D.  With array bounds it
+    holds one density per row: ``ell(xs, rows)`` gets a ``(len(rows),
+    points)`` grid whose row ``i`` lies in ``(lo[rows[i]], hi[rows[i]])``,
+    and ``x``, ``cdf`` are ``(len(lo), points)``.
+
+    Each row restricts itself to the region where its log-density is within
     ``MASS_DROP`` of its peak, places ``points`` equispaced nodes there, and
-    builds the cumulative by composite trapezoid.  A mass region narrower
-    than half the grid is re-gridded, as often as it takes, so a sharply
-    peaked density (a pair conditional at a large sum, say) still gets at
-    least ``points // 2`` nodes across its mass.  Node spacing at the default
-    resolution keeps the inversion error well below 1e-6 in probability for
-    the smooth densities used in this package.
+    builds the cumulative by composite trapezoid.  A row whose mass region
+    is narrower than half the grid is re-gridded, as often as it takes, so a
+    sharply peaked density (a pair conditional at a large sum, say) still
+    gets at least ``points // 2`` nodes across its mass; only those rows
+    call ``ell`` again.  A row cropped to fewer than ``points`` nodes is
+    padded on the right with its last node (cdf 1), so row k of a batched
+    table is the scalar table on ``(lo[k], hi[k])`` followed by that padding.
+    Node spacing at the default resolution keeps the inversion error well
+    below 1e-6 in probability for the smooth densities used in this package.
     """
 
     x: Array
     cdf: Array
 
     @classmethod
-    def build(cls, ell: LogDensity, lo: float, hi: float,
+    def build(cls, ell: Callable[..., Array], lo: float | Array, hi: float | Array,
               points: int = 4097) -> "GridInverseCdf":
-        def mass_span(vals: Array) -> tuple[float, int, int]:
-            # Pad one node each side so the clipped region integrates cleanly.
-            peak = np.max(vals)
-            keep_idx = np.flatnonzero(vals > peak - MASS_DROP)
-            return peak, max(keep_idx[0] - 1, 0), min(keep_idx[-1] + 1, points - 1)
-
-        xs = np.linspace(lo, hi, points)
-        vals = np.asarray(ell(xs), dtype=float)
-        peak, lo_i, hi_i = mass_span(vals)
-        if hi_i - lo_i + 1 >= points // 2:
-            xs = xs[lo_i : hi_i + 1]
-            vals = vals[lo_i : hi_i + 1]
-        # Re-grid the mass region at full resolution until it spans at least
-        # half the table; each pass narrows the grid at least twofold.
-        while hi_i - lo_i + 1 < points // 2:
-            x_lo, x_hi = float(xs[lo_i]), float(xs[hi_i])
-            if x_hi - x_lo < points * math.ulp(max(abs(x_lo), abs(x_hi))):
+        batched = np.ndim(lo) > 0
+        call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
+        lo_r = np.atleast_1d(np.asarray(lo, dtype=float))
+        hi_r = np.atleast_1d(np.asarray(hi, dtype=float))
+        rows = np.arange(lo_r.size)
+        ramp = np.arange(points)
+        xs = _linspace_rows(lo_r, hi_r, ramp)
+        vals = np.asarray(call(xs, rows), dtype=float)
+        peak, lo_i, hi_i = _mass_span(vals)
+        if not np.all(peak > -np.inf):
+            raise NonIntegrable("log-density is not finite anywhere on the table grid")
+        # Rows whose mass region spans half the table are cropped to it; the
+        # rest are re-gridded at full resolution until it does, each pass
+        # narrowing the row's grid at least twofold.
+        cropped = hi_i - lo_i + 1 >= points // 2
+        narrow = rows[~cropped]
+        while narrow.size:
+            x_lo, x_hi = xs[narrow, lo_i[narrow]], xs[narrow, hi_i[narrow]]
+            if np.any(x_hi - x_lo < points * np.spacing(np.maximum(abs(x_lo), abs(x_hi)))):
                 raise NonIntegrable("density mass narrower than float resolution")
-            xs = np.linspace(x_lo, x_hi, points)
-            vals = np.asarray(ell(xs), dtype=float)
-            peak, lo_i, hi_i = mass_span(vals)
-        w = np.exp(vals - peak)
-        cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (w[1:] + w[:-1]) / 2.0)])
-        total = cdf[-1]
-        if not np.isfinite(total) or total <= 0.0:
+            xs[narrow] = _linspace_rows(x_lo, x_hi, ramp)
+            vals[narrow] = call(xs[narrow], narrow)
+            peak[narrow], lo_i[narrow], hi_i[narrow] = _mass_span(vals[narrow])
+            narrow = narrow[hi_i[narrow] - lo_i[narrow] + 1 < points // 2]
+        lo_i[~cropped], hi_i[~cropped] = 0, points - 1
+        if cropped.any():
+            flat = np.minimum(lo_i[:, None] + ramp, hi_i[:, None]) + (rows * points)[:, None]
+            xs, vals = xs.take(flat), vals.take(flat)
+        w = np.exp(vals - peak[:, None])
+        cdf = np.zeros_like(w)
+        np.cumsum((xs[:, 1:] - xs[:, :-1]) * (w[:, 1:] + w[:, :-1]) / 2.0, axis=1,
+                  out=cdf[:, 1:])
+        total = cdf[:, -1:]
+        if not np.all((total > 0.0) & (total < np.inf)):
             raise NonIntegrable("density mass vanished on the table grid")
-        return cls(x=xs, cdf=cdf / total)
+        cdf /= total
+        if batched:
+            return cls(x=xs, cdf=cdf)
+        m = hi_i[0] - lo_i[0] + 1
+        return cls(x=xs[0, :m], cdf=cdf[0, :m])
 
     def ppf(self, u: Array) -> Array:
+        """Inverse cdf: any shape of u for one density, one u per row for many."""
         u = np.asarray(u, dtype=float)
-        return np.interp(u, self.cdf, self.x)
+        if self.cdf.ndim == 1:
+            return np.interp(u, self.cdf, self.x)
+        # Node k is the first with cdf >= u; interpolate on [k - 1, k].
+        rows, points = self.cdf.shape
+        k = np.clip((self.cdf < u[:, None]).sum(axis=1), 1, points - 1) + np.arange(0, rows * points, points)
+        c0, c1 = self.cdf.take(k - 1), self.cdf.take(k)
+        x0, x1 = self.x.take(k - 1), self.x.take(k)
+        return x0 + (u - c0) / np.maximum(c1 - c0, np.finfo(float).tiny) * (x1 - x0)
 
     def cdf_at(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -262,3 +292,24 @@ class GridInverseCdf:
 
     def sample(self, rng: np.random.Generator, size) -> Array:
         return self.ppf(rng.random(size))
+
+
+def _linspace_rows(lo: Array, hi: Array, ramp: Array) -> Array:
+    """np.linspace(lo[k], hi[k], ramp.size) in row k, computed the same way."""
+    step = (hi - lo) / (ramp.size - 1)
+    xs = ramp * step[:, None] + lo[:, None]
+    xs[:, -1] = hi
+    return xs
+
+
+def _mass_span(vals: Array) -> tuple[Array, Array, Array]:
+    """Per row of vals: the peak and the first and last node of the region
+    within MASS_DROP of it, padded by one node each side so the clipped
+    region integrates cleanly.  The peak node is always kept, also where
+    peak - MASS_DROP rounds to the peak."""
+    points = vals.shape[1]
+    peak = vals.max(axis=1)
+    keep = vals > np.minimum(peak - MASS_DROP, np.nextafter(peak, -np.inf))[:, None]
+    first = keep.argmax(axis=1)
+    last = points - 1 - keep[:, ::-1].argmax(axis=1)
+    return peak, np.maximum(first - 1, 0), np.minimum(last + 1, points - 1)

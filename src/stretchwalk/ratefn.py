@@ -174,7 +174,6 @@ class CramerRate:
     """
 
     model: PerturbedDensity
-    ex: float
     x: np.ndarray
     I: np.ndarray
     t_star: np.ndarray
@@ -197,7 +196,6 @@ class CramerRate:
             guess = tilts[i]
         table = cls(
             model=model,
-            ex=ex,
             x=np.concatenate([[ex], grid]),
             I=np.concatenate([[0.0], rates]),
             t_star=np.concatenate([[0.0], tilts]),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import PerturbedDensity
 from .errors import DegenerateWeights, DomainError, NoConvergence
-from .quadrature import GridInverseCdf, mass_window
+from .quadrature import Array, GridInverseCdf, mass_window
 from .ratefn import _tilt_tol, _tilted_ell, cramer_rate, log_mgf
 
 METHODS = ("TiltedIS", "FixedSumGibbs")
@@ -206,24 +206,34 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
     )
 
 
-def pair_conditional_table(model: PerturbedDensity, s: float) -> GridInverseCdf:
-    """Inverse-CDF table for the one-dimensional conditional density
-    proportional to p(u) p(s-u) on (0, s)."""
+def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
+    """Half-tables of the pair conditionals, one row per pair sum in s.
 
-    def ell(us: np.ndarray) -> np.ndarray:
-        return model._log_kernel(us) + model._log_kernel(s - us)
+    Row k tabulates the density proportional to p(u) p(s_k - u) on
+    (0, s_k / 2].  That density is symmetric about s_k / 2, so its cdf there
+    is exactly 1/2, and reflecting a half-table draw u to s_k - u with
+    probability 1/2 draws from the whole conditional on (0, s_k).
+    """
+    s = np.asarray(s, dtype=float)
 
-    return GridInverseCdf.build(ell, 0.0, s, points=_PAIR_POINTS)
+    def ell(us: Array, rows: Array) -> Array:
+        both = model._log_kernel(np.stack((us, s[rows, None] - us)))
+        return both[0] + both[1]
+
+    return GridInverseCdf.build(ell, np.zeros_like(s), s / 2.0, points=_PAIR_POINTS)
 
 
 def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
                     sweeps: int, seed: int) -> list[ConditionedSample]:
     """Fixed-sum Gibbs chain started at the all-equal point.
 
-    Each sweep resamples n random pairs: the pair sum s is redistributed
-    by drawing one coordinate from the conditional p(u) p(s-u) on (0, s).
-    The total is invariant by construction; states are recorded once per
-    sweep after the first 100.
+    Each sweep applies two uniformly random matchings, the first
+    2 floor(n/2) entries of a random permutation taken in pairs.  Every pair
+    of a matching redistributes its sum s by drawing one coordinate from
+    the conditional p(u) p(s-u) on (0, s), all pairs at once from one
+    batch of half-tables; disjoint pair updates commute, so the matching
+    keeps the fixed-sum law.  The total is invariant by construction;
+    states are recorded once per sweep after the first 100.
     """
     if n < 2:
         raise DomainError("fixed-sum Gibbs needs n >= 2")
@@ -234,15 +244,21 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
     rng = np.random.default_rng(seed)
     x = np.full(n, s_total / n)
     constraint = EndValueEquals(s_total)
+    pairs = n // 2
     out: list[ConditionedSample] = []
     for sweep in range(_BURN_IN + sweeps):
-        for _ in range(n):
-            i, j = rng.choice(n, size=2, replace=False)
+        for _ in range(2):
+            i, j = rng.permutation(n)[: 2 * pairs].reshape(pairs, 2).T
             s = x[i] + x[j]
-            u = float(pair_conditional_table(model, s).ppf(rng.random()))
-            u = min(max(u, 1e-300), s - 1e-300)
-            x[i] = u
-            x[j] = s - u
+            # One uniform per pair: 2v below 1 inverts the lower half-table,
+            # above 1 the reflected upper half, so the map is the whole
+            # conditional's inverse cdf.
+            v = 2.0 * rng.random(pairs)
+            upper = v > 1.0
+            u = np.maximum(pair_conditional_table(model, s).ppf(np.where(upper, 2.0 - v, v)),
+                           1e-300)
+            x[i] = np.where(upper, s - u, u)
+            x[j] = np.where(upper, u, s - u)
         if sweep >= _BURN_IN:
             out.append(ConditionedSample(values=x.copy(), constraint=constraint))
     return out
@@ -269,7 +285,10 @@ def estimate_localization(model: PerturbedDensity, n: int, a: float, eps: float,
 
     TiltedIS conditions on the sum exceeding n a; FixedSumGibbs conditions
     on the sum equal to n a (the boundary case) with batch-means errors.
+    The band must be nonempty: eps is positive and finite.
     """
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise DomainError(f"band half-width eps must be positive and finite, got {eps!r}")
     if method == "TiltedIS":
         return importance_estimate(model, n, a, eps, budget, seed).conditional
     if method == "FixedSumGibbs":

@@ -51,6 +51,33 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("DomainError")
 
+    @pytest.mark.parametrize("eps", ["0", "-0.5", "1e400"])
+    def test_empty_or_unbounded_band_is_domain_error(self, eps, capsys):
+        # (a - eps, a + eps) is empty for eps <= 0; 1e400 is not finite.
+        rc, out, err = run_cli(
+            ["localize", "--model", "weibull:k=3", "--n", "5", "--a", "2",
+             f"--eps={eps}", "--trials", "1000"],
+            capsys,
+        )
+        assert out == ""
+        if eps == "1e400":
+            assert rc == 1 and "--eps" in err
+        else:
+            assert rc == 2 and err.startswith("DomainError")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_unresolvable_pair_table_is_numeric_failure(self, capsys):
+        # exp at pair sum 1600: e^u + e^(1600 - u) overflows for every u, so
+        # the pair conditional has no finite log-density anywhere.
+        rc, out, err = run_cli(
+            ["localize", "--model", "exp", "--n", "2", "--a", "800", "--eps", "0.5",
+             "--method", "FixedSumGibbs", "--trials", "100"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("NonIntegrable")
+
     def test_bad_model_spec(self, capsys):
         rc, _, err = run_cli(
             ["rate", "--model", "cauchy", "--a", "5"], capsys
@@ -174,8 +201,37 @@ class TestLocalize:
         assert rc == 0
         lines = out.strip().splitlines()
         assert lines[0] == "# seed=11"
-        assert lines[1] == "n,p_hat,std_err,n_eff,replications"
+        assert lines[1] == "n,p_hat,std_err,n_eff,replications,wilson_lo,wilson_hi"
         assert len(lines) == 4
+
+    def test_zero_hits_keep_an_upper_bound(self, capsys):
+        # No draw lands in the narrow band: p_hat = std_err = 0, and the
+        # Wilson interval still bounds p away from a certain 0.
+        rc, out, _ = run_cli(
+            ["localize", "--model", "weibull:k=3", "--n", "5", "--a", "2",
+             "--eps", "0.01", "--trials", "1000"],
+            capsys,
+        )
+        assert rc == 0
+        row = dict(zip(out.splitlines()[1].split(","), out.splitlines()[2].split(",")))
+        assert float(row["p_hat"]) == float(row["std_err"]) == 0.0
+        assert float(row["wilson_lo"]) == 0.0
+        assert float(row["wilson_hi"]) == pytest.approx(
+            1.96**2 / (float(row["n_eff"]) + 1.96**2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_gibbs_resolves_a_collapsed_pair_table(self, capsys):
+        # exp at pair sum 800: log p(u) p(800 - u) is about -1e174, so
+        # peak - MASS_DROP rounds to the peak.  The peak node is kept and
+        # re-gridded until the table sits at 400, where the conditional
+        # (sd about e^-200) puts every draw.
+        rc, out, _ = run_cli(
+            ["localize", "--model", "exp", "--n", "2", "--a", "400", "--eps", "0.01",
+             "--method", "FixedSumGibbs", "--trials", "100", "--format", "json"],
+            capsys,
+        )
+        assert rc == 0
+        assert json.loads(out)["rows"][0]["p_hat"] == 1.0
 
     def test_gibbs_method(self, capsys):
         rc, out, _ = run_cli(

@@ -152,7 +152,7 @@ class TestTailEquivalence:
 
 class TestRateTable:
     def test_anchor_row(self, weibull_table):
-        assert weibull_table.x[0] == weibull_table.ex
+        assert weibull_table.x[0] == weibull_table.model.mean
         assert weibull_table.I[0] == 0.0
         assert weibull_table.t_star[0] == 0.0
 

@@ -12,10 +12,11 @@ from scipy.stats import binomtest, chi2_contingency, kstwo, norm
 from stretchwalk.density import (
     PowerExponent,
     WeibullExponent,
+    parse_model,
     pure_density,
     sin_perturbed_density,
 )
-from stretchwalk.quadrature import MASS_DROP, GridInverseCdf, mass_window
+from stretchwalk.quadrature import MASS_DROP, GridInverseCdf, gauss_legendre, mass_window
 from stretchwalk.errors import DegenerateWeights, DomainError, NoConvergence, NonIntegrable
 from stretchwalk.ratefn import log_mgf
 from stretchwalk.sampler import (
@@ -235,32 +236,77 @@ def _one_regrid_table(ell, lo, hi, points):
     return xs, cdf / cdf[-1]
 
 
+def _row(table, k):
+    """Row k of a batched table without its right padding, as a 1-D table."""
+    m = int(np.argmax(table.x[k] == table.x[k, -1])) + 1
+    return GridInverseCdf(x=table.x[k, :m], cdf=table.cdf[k, :m])
+
+
+def _pair_cdf(half, s, u):
+    """cdf at u of the whole pair conditional on (0, s), from its half-table
+    on (0, s/2] and the reflection u -> s - u."""
+    u = np.asarray(u, dtype=float)
+    return np.where(u <= s / 2, half.cdf_at(u) / 2, 1.0 - half.cdf_at(s - u) / 2)
+
+
+def _pair_ell(model, s):
+    def ell(us):
+        return model._log_kernel(us) + model._log_kernel(s - us)
+
+    return ell
+
+
 class TestTableResolution:
     @pytest.mark.parametrize("s", [800.0, 2000.0])
     def test_narrow_pair_table_matches_fine_grid(self, power3, s):
         # The pair conditional at sum s has sd about 1 / sqrt(6 s) for the
-        # cubic, far below one cell of the first 512-point grid on (0, s).
+        # cubic, far below one cell of the first 512-point grid on (0, s/2].
         sd = 1.0 / math.sqrt(6.0 * s)
         us = np.linspace(s / 2 - 30 * sd, s / 2 + 30 * sd, 400_001)
         log_w = power3._log_kernel(us) + power3._log_kernel(s - us)
         ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_w - log_w.max()), us)])
         ref /= ref[-1]
-        table = pair_conditional_table(power3, s)
-        assert np.max(np.abs(table.cdf_at(us) - ref)) <= 1e-3
+        half = _row(pair_conditional_table(power3, [s]), 0)
+        assert np.max(np.abs(_pair_cdf(half, s, us) - ref)) <= 1e-3
 
     @pytest.mark.parametrize("kind", ["pure", "sin"])
     @pytest.mark.parametrize("s", [6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 199.9, 200.0])
     def test_resolved_pair_tables_unchanged(self, kind, s):
+        # Where one re-grid resolves the mass, the half-table is the
+        # construction without repeated re-gridding, bit for bit.
         exponent = PowerExponent(3.0)
         model = pure_density(exponent) if kind == "pure" else sin_perturbed_density(exponent)
+        xs, cdf = _one_regrid_table(_pair_ell(model, s), 0.0, s / 2, 512)
+        half = _row(pair_conditional_table(model, [s]), 0)
+        assert np.array_equal(half.x, xs)
+        assert np.array_equal(half.cdf, cdf)
 
-        def ell(us):
-            return model._log_kernel(us) + model._log_kernel(s - us)
+    @pytest.mark.parametrize("kind", ["pure", "sin"])
+    def test_batched_rows_match_scalar_builds(self, kind):
+        # Rows cropped at once, re-gridded once and re-gridded repeatedly,
+        # built together: each row is its scalar build plus right padding.
+        exponent = PowerExponent(3.0)
+        model = pure_density(exponent) if kind == "pure" else sin_perturbed_density(exponent)
+        sums = np.array([6.0, 2000.0, 50.0, 800.0, 8.0, 199.9])
+        table = pair_conditional_table(model, sums)
+        assert table.x.shape == table.cdf.shape == (sums.size, 512)
+        for k, s in enumerate(sums):
+            ref = GridInverseCdf.build(_pair_ell(model, s), 0.0, s / 2, points=512)
+            m = ref.x.size
+            assert np.array_equal(table.x[k, :m], ref.x)
+            assert np.array_equal(table.cdf[k, :m], ref.cdf)
+            assert np.all(table.x[k, m:] == ref.x[-1]) and np.all(table.cdf[k, m:] == 1.0)
 
-        xs, cdf = _one_regrid_table(ell, 0.0, s, 512)
-        table = pair_conditional_table(model, s)
-        assert np.array_equal(table.x, xs)
-        assert np.array_equal(table.cdf, cdf)
+    def test_batched_ppf_matches_row_interp(self, power3):
+        sums = np.array([6.0, 2000.0, 50.0, 8.0])
+        table = pair_conditional_table(power3, sums)
+        u = np.array([0.0, 0.3, 0.999999, 1.0])
+        for trial in range(20):
+            got = table.ppf(u)
+            for k in range(sums.size):
+                want = np.interp(u[k], table.cdf[k], table.x[k])
+                assert got[k] == pytest.approx(want, rel=1e-13, abs=1e-13)
+            u = default_rng(trial).random(sums.size)
 
     def test_tilted_table_unchanged(self, weibull3):
         t = tilt_for_mean(weibull3, 1.5 * weibull3.mean)
@@ -301,30 +347,35 @@ class TestGibbsFixedSum:
             assert np.array_equal(sa.values, sb.values)
 
     def test_pair_marginal_matches_quadrature(self, power2):
-        # With n = 2 every sweep resamples the only pair from its exact
+        # With n = 2 every matching resamples the only pair from its exact
         # conditional, so recorded first coordinates are iid draws from the
-        # u | u + v = s density. Compare with a direct quadrature cdf.
+        # u | u + v = s density. Compare with the quadrature cdf of the
+        # half-table, reflected about s/2.
         s_total = 6.0
         states = gibbs_fixed_sum(power2, 2, s_total, sweeps=10_000, seed=42)
         first = np.sort(np.array([st.values[0] for st in states]))
-        table = pair_conditional_table(power2, s_total)
-        cdf = np.array([table.cdf_at(x) for x in first])
+        half = _row(pair_conditional_table(power2, [s_total]), 0)
+        cdf = _pair_cdf(half, s_total, first)
         m = len(first)
         ks = np.max(np.maximum(cdf - np.arange(m) / m, (np.arange(m) + 1) / m - cdf))
         assert ks < 0.02
         assert kstwo.sf(ks, m) > 0.01
 
-    def test_pair_conditional_density_shape(self, power2):
-        # The pair table's law must have density proportional to p(u) p(s - u):
-        # its cdf matches a fine trapezoid cumulative of that product.
-        s_total = 6.0
-        table = pair_conditional_table(power2, s_total)
-        fine = np.linspace(0.0, s_total, 200_001)
+    @pytest.mark.parametrize("s_total", [6.0, 2000.0])
+    def test_pair_conditional_density_shape(self, power2, s_total):
+        # The half-table's law must have density proportional to p(u) p(s - u)
+        # on (0, s/2]: its cdf matches a fine trapezoid cumulative of that
+        # product.  For the square exponent the product is a normal density
+        # with sd 1/2 about s/2, so (s/2 - 12, s/2] holds all of its half;
+        # at s = 2000 that is under a cell of the first grid, so the table
+        # is re-gridded.
+        half = _row(pair_conditional_table(power2, [s_total]), 0)
+        fine = np.linspace(max(0.0, s_total / 2 - 12.0), s_total / 2, 200_001)
         log_ref = power2._log_kernel(fine) + power2._log_kernel(s_total - fine)
         ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_ref - log_ref.max()), fine)])
         ref /= ref[-1]
-        us = np.linspace(0.3, 5.7, 41)
-        got = table.cdf_at(us)
+        us = s_total / 2 + np.linspace(-2.7, 0.0, 41)
+        got = half.cdf_at(us)
         assert np.max(np.abs(got - np.interp(us, fine, ref))) <= 1e-4
 
     def test_exchangeable_coordinates(self, power2):
@@ -363,6 +414,90 @@ class TestGibbsFixedSum:
             gibbs_fixed_sum(weibull3, 4, 8.0, sweeps=0, seed=0)
 
 
+def _gauss_legendre(lo, hi, panels=64):
+    """Nodes and weights of a composite 16-point Gauss-Legendre rule on each
+    interval (lo[i], hi[i]): arrays of shape (len(lo), 16 * panels)."""
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
+    edges = lo + (hi - lo) * np.linspace(0.0, 1.0, panels + 1)
+    x, w = gauss_legendre(edges[:, :-1].ravel(), edges[:, 1:].ravel())
+    return x.reshape(lo.size, -1), w.reshape(lo.size, -1)
+
+
+def _fixed_sum_n3(model, a, eps, lo, hi):
+    """P(x1, x2, x3 all in (a - eps, a + eps) | x1 + x2 + x3 = 3a), and the
+    conditional cdf of x1 on a grid, by quadrature over the slice.
+
+    The slice is parametrised by (x1, x2) with x3 = 3a - x1 - x2; the
+    conditional density is proportional to p(x1) p(x2) p(x3).  Every
+    coordinate is kept in (lo, hi), which must hold all but a negligible
+    part of the mass.  For each x1 the inner rule runs over the x2 that keep
+    x2 and x3 inside the box, so the box edges are integration limits.
+    """
+    s = 3.0 * a
+
+    def log_density(x1, box_lo, box_hi):
+        x2_lo = np.maximum(box_lo, s - x1 - box_hi)
+        x2_hi = np.maximum(np.minimum(box_hi, s - x1 - box_lo), x2_lo)
+        x2, w2 = _gauss_legendre(x2_lo, x2_hi)
+        x3 = s - x1[:, None] - x2
+        ell = model._log_kernel(x1)[:, None] + model._log_kernel(x2) + model._log_kernel(x3)
+        return ell, w2
+
+    x1, w1 = _gauss_legendre([lo], [hi])
+    ell, w2 = log_density(x1[0], lo, hi)
+    shift = ell.max()
+    total = float(w1[0] @ (w2 * np.exp(ell - shift)).sum(axis=1))
+    b1, bw1 = _gauss_legendre([a - eps], [a + eps])
+    ell, w2 = log_density(b1[0], a - eps, a + eps)
+    band = float(bw1[0] @ (w2 * np.exp(ell - shift)).sum(axis=1))
+    grid = np.linspace(lo, hi, 4001)
+    ell, w2 = log_density(grid, lo, hi)
+    marginal = (w2 * np.exp(ell - shift)).sum(axis=1)
+    cdf = np.concatenate([[0.0], cumulative_trapezoid(marginal, grid)])
+    return band / total, grid, cdf / cdf[-1]
+
+
+class TestFixedSumOracle:
+    """The Gibbs kernel against an exact law at n = 3.
+
+    At a = 2 the pair tables are cropped at once; at a = 25 every pair table
+    is re-gridded.  At a = 2 the box is the whole slice.  At a = 25 the
+    log-density falls by about 3a (d1^2 + d2^2 + d3^2) from (a, a, a), since
+    g'' = 6a and the offsets d sum to 0, so a coordinate one unit off costs
+    at least 3a * 1.5 = 112 and the box (a - 1, a + 1) misses only about
+    e^-112 of the mass.
+    """
+
+    _SEEDS = range(8)
+    _SWEEPS = 1000
+
+    @pytest.mark.parametrize("spec", ["power:beta=3", "power:beta=3/sin"])
+    @pytest.mark.parametrize("a, eps, lo, hi", [(2.0, 0.3, 0.0, 6.0), (25.0, 0.05, 24.0, 26.0)])
+    def test_pooled_chains_match_quadrature(self, spec, a, eps, lo, hi):
+        model = parse_model(spec)
+        p_exact, grid, cdf = _fixed_sum_n3(model, a, eps, lo, hi)
+        estimates, variances, coords = [], [], []
+        for seed in self._SEEDS:
+            values = np.array([st.values for st in gibbs_fixed_sum(
+                model, 3, 3.0 * a, sweeps=self._SWEEPS, seed=seed)])
+            flags = np.all((values > a - eps) & (values < a + eps), axis=1).astype(float)
+            se, _ = _batch_means_std_err(flags)
+            estimates.append(flags.mean())
+            variances.append(se * se)
+            coords.append(values.ravel())
+        p_hat = float(np.mean(estimates))
+        se = math.sqrt(sum(variances)) / len(estimates)
+        assert abs(p_hat - p_exact) <= 4.0 * se, (p_hat, se, p_exact)
+        # The coordinates are exchangeable, so each follows the x1 marginal.
+        pooled = np.sort(np.concatenate(coords))
+        m = pooled.size
+        ref = np.interp(pooled, grid, cdf)
+        ks = float(np.max(np.maximum(ref - np.arange(m) / m, (np.arange(m) + 1) / m - ref)))
+        print(f"{spec} a={a} eps={eps}: p_hat {p_hat:.4f} +- {se:.4f}, "
+              f"exact {p_exact:.6f}, KS {ks:.4f} over {m} coordinates")
+        assert ks < 0.03
+
+
 class TestConditionedSampleValidation:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(DomainError):
@@ -392,6 +527,12 @@ class TestEstimateLocalization:
         gb_est = estimate_localization(power3, 5, 4.0, 1.0, "FixedSumGibbs", budget=4000, seed=31)
         joint = math.hypot(is_est.std_err, gb_est.std_err)
         assert abs(is_est.p_hat - gb_est.p_hat) <= 3.0 * joint + 1e-12
+
+    @pytest.mark.parametrize("method", ["TiltedIS", "FixedSumGibbs"])
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.inf, math.nan])
+    def test_empty_or_unbounded_band_rejected(self, weibull3, method, eps):
+        with pytest.raises(DomainError):
+            estimate_localization(weibull3, 5, 2.0, eps, method, budget=1000, seed=0)
 
     def test_unknown_method_rejected(self, weibull3):
         with pytest.raises(DomainError):
