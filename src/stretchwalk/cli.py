@@ -300,6 +300,8 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
             "a_k_event": report.a_k_event,
             "p_ak": est.p_hat,
             "p_ak_std_err": est.std_err,
+            "p_ak_wilson_lo": est.wilson_interval()[0],
+            "p_ak_wilson_hi": est.wilson_interval()[1],
             "replications": est.replications,
             "note": traj.note,
         }

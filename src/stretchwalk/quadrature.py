@@ -3,9 +3,10 @@
 Integrands are exp(ell(x)) with ell up to +-1e4, so each integral is taken
 relative to the largest sampled ell and the shift is added back in log
 space.  ``ell`` is only ever called on whole arrays: peaks, mass-window
-edges and level crossings are found by nested 65-point grids, and
-integrals by a locally adaptive composite 16-point Gauss-Legendre rule
-(Davis & Rabinowitz, *Methods of Numerical Integration*) whose every
+edges and level crossings are found by nested 65-point grids (a batch of
+searches, such as a window's two edges, runs as the rows of one grid),
+and integrals by a locally adaptive composite 16-point Gauss-Legendre
+rule (Davis & Rabinowitz, *Methods of Numerical Integration*) whose every
 round yields the mass and the first two moments from one ``ell`` call.
 """
 
@@ -32,6 +33,7 @@ _HI_LIMIT = 1e12
 _GRID = 65
 _ZOOM_STOP = 1e-13
 _ZOOM_LEVELS = 16
+_RAMP = np.arange(_GRID, dtype=float)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _START_PANELS = 4
@@ -52,31 +54,56 @@ def gauss_legendre(lo: Array, hi: Array) -> tuple[Array, Array]:
     return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
 
 
-def _zoom(ell: LogDensity, lo: float, hi: float, probes: int,
-          bracket: Callable[[Array], tuple[int, int]]) -> tuple[Array, Array, int, int]:
-    """Nested grids on [lo, hi]: ``bracket(vals)`` names the nodes (i, j)
-    whose span holds the target, and each level regrids that span.
-    Returns the last grid, its values and (i, j)."""
-    xs = np.linspace(lo, hi, probes)
+def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probes: int,
+          bracket: Callable[[Array, Array], tuple[Array, Array, Array]]):
+    """Nested grids on [lo, hi], or on every row's bounds (see find_peak):
+    ``bracket(vals, rows)`` names per row the nodes (i, j) whose span holds the
+    target and the node to report, and each level regrids that span.  A row
+    stops once its span falls to _ZOOM_STOP of its own range.  Returns the
+    reported node and its value."""
+    batched = np.ndim(lo) > 0
+    call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
+    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    out_x, out_v = np.empty(lo.size), np.empty(lo.size)
+    stop = _ZOOM_STOP * (hi - lo)
+    xs = _linspace_rows(lo, hi, np.arange(probes, dtype=float))
+    live = r = np.arange(lo.size)
     for _ in range(_ZOOM_LEVELS):
-        vals = np.asarray(ell(xs), dtype=float)
-        i, j = bracket(vals)
-        if xs[j] - xs[i] <= _ZOOM_STOP * (hi - lo):
-            break
-        xs = np.linspace(xs[i], xs[j], _GRID)
-    return xs, vals, i, j
+        vals = call(xs, live)
+        i, j, pick = bracket(vals, live)
+        x_i, x_j = xs[r, i], xs[r, j]
+        done = x_j - x_i <= stop
+        if np.count_nonzero(done):
+            out_x[live[done]], out_v[live[done]] = xs[r, pick][done], vals[r, pick][done]
+            live, stop, x_i, x_j, pick, vals = (
+                arr[~done] for arr in (live, stop, x_i, x_j, pick, vals))
+            r = np.arange(live.size)
+            if not live.size:
+                break
+        xs = _linspace_rows(x_i, x_j, _RAMP)
+    else:
+        # Level cap (float resolution): the node index refers to the last
+        # grid evaluated, its position to the regridded one.
+        out_x[live], out_v[live] = xs[r, pick], vals[r, pick]
+    return (out_x, out_v) if batched else (float(out_x[0]), float(out_v[0]))
 
 
-def find_peak(ell: LogDensity, lo: float, hi: float, probes: int = 2048) -> tuple[float, float]:
-    """(argmax, max) of ``ell`` on [lo, hi]: a probe grid, then nested-grid polish."""
+def find_peak(ell: Callable[..., Array], lo: float | Array, hi: float | Array,
+              probes: int = 2048) -> tuple[float, float] | tuple[Array, Array]:
+    """(argmax, max) of ``ell`` on [lo, hi]: a probe grid, then nested-grid polish.
 
-    def around_max(vals):
-        k = int(np.nanargmax(vals))
-        return max(k - 1, 0), min(k + 1, vals.size - 1)
+    With array bounds each row is its own search: ``ell(xs, rows)`` gets a
+    (len(rows), points) grid whose row i lies in [lo[rows[i]], hi[rows[i]]],
+    each row stops at its own zoom level, and entry k of the two result
+    arrays equals, bit for bit, the scalar call on (lo[k], hi[k])."""
 
-    xs, vals, i, j = _zoom(ell, lo, hi, probes, around_max)
-    k = i + int(np.nanargmax(vals[i : j + 1]))
-    return float(xs[k]), float(vals[k])
+    def around_max(vals, rows):
+        k = vals.argmax(axis=1)
+        if np.isnan(vals).any():  # argmax stops at the first NaN
+            k = np.nanargmax(vals, axis=1)
+        return np.maximum(k - 1, 0), np.minimum(k + 1, vals.shape[1] - 1), k
+
+    return _zoom(ell, lo, hi, probes, around_max)
 
 
 def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
@@ -91,12 +118,11 @@ def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
     if reached.size == 0:
         return math.inf
 
-    def first_reached(vals):
-        k = int(np.argmax(~(vals < level)))
-        return max(k - 1, 0), k
+    def first_reached(vals, rows):
+        k = (~(vals < level)).argmax(axis=1)
+        return np.maximum(k - 1, 0), k, k
 
-    xs, _, _, j = _zoom(f, lo, float(his[reached[0]]), _GRID, first_reached)
-    return float(xs[j])
+    return _zoom(f, lo, float(his[reached[0]]), _GRID, first_reached)[0]
 
 
 def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, float, float]:
@@ -124,19 +150,19 @@ def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, flo
             break
         peak_x, peak = new_peak_x, new_peak
 
-    # Tighten both edges to the last points at or below peak - MASS_DROP.
-    def first_above(vals):
-        k = int(np.argmax(vals > peak - MASS_DROP))
-        return max(k - 1, 0), k
+    # Tighten both edges to the last points at or below peak - MASS_DROP,
+    # as two rows of one search: the lower edge in row 0, the upper in row 1.
+    def edges(vals, rows):
+        above, end = vals > peak - MASS_DROP, vals.shape[1] - 1
+        first, last = above.argmax(axis=1), end - above[:, ::-1].argmax(axis=1)
+        i = np.where(rows == 0, np.maximum(first - 1, 0), last)
+        j = np.where(rows == 0, first, np.minimum(last + 1, end))
+        return i, j, np.where(rows == 0, i, j)
 
-    def last_above(vals):
-        k = vals.size - 1 - int(np.argmax(vals[::-1] > peak - MASS_DROP))
-        return k, min(k + 1, vals.size - 1)
-
-    xs, _, i, _ = _zoom(ell, lo, peak_x, _GRID, first_above)
-    w_lo = float(xs[i])
-    xs, _, _, j = _zoom(ell, peak_x, hi, _GRID, last_above)
-    return w_lo, float(xs[j]), peak_x
+    (w_lo, w_hi), _ = _zoom(
+        lambda xs, rows: np.asarray(ell(xs.ravel()), dtype=float).reshape(xs.shape),
+        np.array([lo, peak_x]), np.array([peak_x, hi]), _GRID, edges)
+    return float(w_lo), float(w_hi), peak_x
 
 
 def _moments(x: Array, w: Array, f: Array) -> Array:

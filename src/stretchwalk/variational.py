@@ -9,7 +9,9 @@ band edge and spread the compensation evenly over the rest:
 
 For convex exponents these closed forms are the exact constrained infima;
 ``brute_force_infimum`` re-derives them by direct search so the closed
-forms can be checked rather than trusted.  The module also builds the
+forms can be checked rather than trusted.  It polishes all its starts at
+once: one row-wise nested-grid search per round-robin matching of the
+coordinates, then one per single coordinate.  The module also builds the
 piecewise-linear-then-convex minorant used to push the lower probability
 bound through a bounded perturbation, and evaluates both certified
 probability bounds.
@@ -17,6 +19,7 @@ probability bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,18 +140,43 @@ def exit_profile(exponent: ExponentModel, ev: BandEvent, k: int) -> float:
 # -- brute-force oracle ------------------------------------------------------
 
 _BASE_AXIS = {2: 257, 3: 81, 4: 33, 5: 17, 6: 11, 7: 9, 8: 7}
+# At most this many points (about 81 bytes each) on the grid of n - 1
+# coordinates.  Levels 0 and 1 always run, which leaves n <= 6.
+_GRID_CAP = 2**24
 
 
-def _min1d(fn, lo: float, hi: float, coarse: int = 65) -> tuple[float, float]:
-    """Minimise a smooth scalar function on [lo, hi]: dense grid, nested-grid
-    polish around the best node, explicit endpoint checks."""
-    if hi <= lo:
-        return lo, float(fn(np.array([lo]))[0])
-    x_best, _ = find_peak(lambda u: -np.asarray(fn(u), dtype=float), lo, hi, probes=coarse)
-    candidates = [x_best, lo, hi]
-    cand_vals = np.asarray(fn(np.array(candidates)), dtype=float)
-    j = int(np.argmin(cand_vals))
-    return candidates[j], float(cand_vals[j])
+def _axis_points(n: int, level: int) -> int:
+    return (_BASE_AXIS[n] - 1) * 2**level + 1
+
+
+def _min1d(fn, lo: Array, hi: Array, coarse: int) -> tuple[Array, Array]:
+    """Row-wise minimum of a smooth function on [lo[k], hi[k]], where
+    ``fn(xs, rows)`` maps a (len(rows), m) grid to values: dense grid,
+    nested-grid polish around each row's best node, and that node checked
+    against the row's two endpoints."""
+    rows = np.arange(lo.size)
+    cand = np.stack([find_peak(lambda xs, k: -fn(xs, k), lo, hi, coarse)[0], lo, hi], axis=1)
+    vals = fn(cand, rows)
+    j = vals.argmin(axis=1)
+    return cand[rows, j], vals[rows, j]
+
+
+def _suffix_min(vals: Array) -> tuple[Array, Array]:
+    """min(vals[i:]) and its leftmost position for every i: the first node at
+    or after i that is no larger than everything to its right."""
+    suffix_min = np.minimum.accumulate(vals[::-1])[::-1]
+    record = np.append(vals[:-1] <= suffix_min[1:], True)
+    nodes = np.where(record, np.arange(vals.size), vals.size)
+    return suffix_min, np.minimum.accumulate(nodes[::-1])[::-1]
+
+
+def _smallest(total: Array, m: int) -> Array:
+    """np.argsort(total, kind="stable")[:m] without sorting all of total:
+    only the values at or below the m-th smallest, ties included."""
+    m = min(m, total.size)
+    cut = np.partition(total, m - 1)[m - 1]
+    near = np.flatnonzero(~(total > cut))
+    return near[np.argsort(total[near], kind="stable")][:m]
 
 
 def _coarse_candidates(w, ev: BandEvent, region: str, lo: float, hi: float,
@@ -168,25 +196,11 @@ def _coarse_candidates(w, ev: BandEvent, region: str, lo: float, hi: float,
     else:
         u_hi = hi
         ugrid = np.linspace(lo, hi, 8193)
-    w_u = np.asarray(w(ugrid), dtype=float)
-    suffix_min = np.minimum.accumulate(w_u[::-1])[::-1]
-    suffix_arg = np.zeros(ugrid.size, dtype=int)
-    best = ugrid.size - 1
-    for idx in range(ugrid.size - 1, -1, -1):
-        if w_u[idx] <= w_u[best]:
-            best = idx
-        suffix_arg[idx] = best
+    suffix_min, suffix_arg = _suffix_min(np.asarray(w(ugrid), dtype=float))
 
     shape = (axis_points,) * (n - 1)
-    sum_w = np.zeros(shape)
-    sum_x = np.zeros(shape)
-    for dim in range(n - 1):
-        view = [1] * (n - 1)
-        view[dim] = axis_points
-        sum_w = sum_w + w_axis.reshape(view)
-        sum_x = sum_x + axis.reshape(view)
-    sum_w = sum_w.ravel()
-    sum_x = sum_x.ravel()
+    sum_w = functools.reduce(np.add.outer, [w_axis] * (n - 1)).ravel()
+    sum_x = functools.reduce(np.add.outer, [axis] * (n - 1)).ravel()
 
     d_lo = floor - sum_x
     np.clip(d_lo, lo, None, out=d_lo)
@@ -206,7 +220,7 @@ def _coarse_candidates(w, ev: BandEvent, region: str, lo: float, hi: float,
     completion = np.minimum(grid_min, exact_lo)
     total = sum_w + completion
 
-    order = np.argsort(total, kind="stable")[: keep * 4]
+    order = _smallest(total, keep * 4)
     free_idx = np.array(np.unravel_index(np.flatnonzero(feasible)[order], shape)).T
     out = []
     seen = set()
@@ -227,74 +241,85 @@ def _coarse_candidates(w, ev: BandEvent, region: str, lo: float, hi: float,
     return out
 
 
-def _descend(w, ev: BandEvent, region: str, x0: np.ndarray, lo: float, hi: float,
+def _round_robin(n: int) -> list[tuple[Array, Array]]:
+    """Circle-method rounds of disjoint pairs (i, j), i < j, that cover every
+    pair of range(n) once: n - 1 rounds for even n, n for odd n."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        seats = [0] + [(r + s) % (m - 1) + 1 for s in range(m - 1)]
+        pairs = [sorted((seats[s], seats[-1 - s])) for s in range(m // 2)]
+        rounds.append(tuple(np.array([p for p in pairs if p[1] < n]).T))
+    return rounds
+
+
+def _descend(w, ev: BandEvent, region: str, starts: Array, lo: float, hi: float,
              coarse: int) -> float:
-    """Polish a feasible point with sum-preserving pair moves plus single
-    coordinate moves.  Pair moves travel along the active sum constraint
-    (where single-coordinate steps are blocked); single moves let the point
-    leave the constraint when the unconstrained minimiser is interior."""
+    """Polish the feasible starts at once and return the best value.  Pair
+    moves keep the sum, travelling along the active constraint; single moves
+    let a point leave it.  sum w(x_i) is separable, so the pairs of a
+    round-robin matching move independently, each round one row-wise search
+    over (start, pair); single moves couple through the sum floor and go one
+    coordinate at a time.  A start retires once a sweep gains at most
+    1e-12 (1 + |f|)."""
     n, a, eps = ev.n, ev.a, ev.eps
     floor = n * a
-    lb = np.full(n, lo)
-    ub = np.full(n, hi)
+    lb, ub = np.full(n, lo), np.full(n, hi)
     if region == "AcapC":
         lb[-1] = a + eps
     elif region == "BcapC":
         ub[-1] = a - eps
-    x = np.clip(x0, lb, ub)
-    deficit = floor - x.sum()
-    if deficit > 0.0:
-        # Restore feasibility by topping up the most spacious coordinate.
-        room = ub - x
-        j = int(np.argmax(room))
-        x[j] = min(ub[j], x[j] + deficit)
-        if x.sum() < floor - 1e-9:
-            return math.inf
+    x = np.clip(starts, lb, ub)
+    # Restore feasibility by topping up each point's most spacious coordinate.
+    deficit = floor - x.sum(axis=1)
+    short = np.flatnonzero(deficit > 0.0)
+    j = (ub - x[short]).argmax(axis=1)
+    x[short, j] = np.minimum(ub[j], x[short, j] + deficit[short])
+    x = x[x.sum(axis=1) >= floor - 1e-9]
+    if not x.size:
+        return math.inf
 
-    def value(vec: np.ndarray) -> float:
-        return float(np.sum(w(vec)))
-
-    f = value(x)
+    f = w(x).sum(axis=1)
+    live = np.arange(len(x))
+    rounds = _round_robin(n)
     for _ in range(200):
-        f_start = f
+        f_start = f[live]
+        for pi, pj in rounds:
+            rows = np.repeat(live, pi.size)
+            i, j = np.tile(pi, live.size), np.tile(pj, live.size)
+            xi, xj = x[rows, i], x[rows, j]
+            t_lo = np.maximum(lb[i] - xi, xj - ub[j])
+            t_hi = np.minimum(ub[i] - xi, xj - lb[j])
+            move = t_hi > t_lo
+            rows, i, j, xi, xj = rows[move], i[move], j[move], xi[move], xj[move]
+            t, f_pair = _min1d(lambda ts, k: w(xi[k, None] + ts) + w(xj[k, None] - ts),
+                               t_lo[move], t_hi[move], coarse)
+            base = w(xi) + w(xj)
+            ok = f_pair < base - 1e-15 * (1.0 + np.abs(base))
+            x[rows[ok], i[ok]] = xi[ok] + t[ok]
+            x[rows[ok], j[ok]] = xj[ok] - t[ok]
         for i in range(n):
-            for j in range(i + 1, n):
-                t_lo = max(lb[i] - x[i], x[j] - ub[j])
-                t_hi = min(ub[i] - x[i], x[j] - lb[j])
-                if t_hi <= t_lo:
-                    continue
-                xi, xj = x[i], x[j]
-
-                def pair_obj(t: Array) -> Array:
-                    return w(xi + t) + w(xj - t)
-
-                t_best, f_pair = _min1d(pair_obj, t_lo, t_hi, coarse)
-                base = float(w(np.array([xi]))[0] + w(np.array([xj]))[0])
-                if f_pair < base - 1e-15 * (1.0 + abs(base)):
-                    x[i] = xi + t_best
-                    x[j] = xj - t_best
-                    f += f_pair - base
-        for i in range(n):
-            rest = x.sum() - x[i]
-            u_lo = max(lb[i], floor - rest)
-            u_hi = ub[i]
-            if u_hi <= u_lo:
-                continue
-            xi = x[i]
-            u_best, f_new = _min1d(lambda u: w(u), u_lo, u_hi, coarse)
-            base = float(w(np.array([xi]))[0])
-            if f_new < base - 1e-15 * (1.0 + abs(base)):
-                x[i] = u_best
-                f += f_new - base
-        f = value(x)
-        if f_start - f <= 1e-12 * (1.0 + abs(f)):
+            u_lo = np.maximum(lb[i], floor - (x[live].sum(axis=1) - x[live, i]))
+            move = ub[i] > u_lo
+            rows = live[move]
+            u, f_new = _min1d(lambda us, k: w(us), u_lo[move], np.full(rows.size, ub[i]),
+                              coarse)
+            base = w(x[rows, i])
+            ok = f_new < base - 1e-15 * (1.0 + np.abs(base))
+            x[rows[ok], i] = u[ok]
+        f[live] = w(x[live]).sum(axis=1)
+        live = live[f_start - f[live] > 1e-12 * (1.0 + np.abs(f[live]))]
+        if not live.size:
             break
-    return f
+    return float(f.min())
 
 
 def _search_region(model: PerturbedDensity, ev: BandEvent, region: str,
                    level: int) -> float:
     n, a, eps = ev.n, ev.a, ev.eps
+    axis_points = _axis_points(n, level)
+    if axis_points ** (n - 1) > _GRID_CAP:
+        raise NoConvergence(f"region {region} did not stabilise within {_GRID_CAP} grid points")
     exponent = model.exponent
 
     def w(x):
@@ -303,8 +328,6 @@ def _search_region(model: PerturbedDensity, ev: BandEvent, region: str,
 
     lo = min(1e-3, 0.5 * (a - eps)) if eps > 0.0 else min(1e-3, 0.5 * a)
     hi = a + n * eps + 5.0
-    base = _BASE_AXIS[n]
-    axis_points = (base - 1) * (2**level) + 1
     coarse_1d = 65 * (2 ** min(level, 2))
     keep = 6
 
@@ -313,10 +336,7 @@ def _search_region(model: PerturbedDensity, ev: BandEvent, region: str,
         starts.append(np.full(n, a))
     if not starts:
         raise DomainError(f"region {region} is empty for {ev}")
-    best = math.inf
-    for x0 in starts:
-        best = min(best, _descend(w, ev, region, x0, lo, hi, coarse_1d))
-    return best
+    return _descend(w, ev, region, np.array(starts), lo, hi, coarse_1d)
 
 
 def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str) -> float:
@@ -329,12 +349,14 @@ def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str) -> 
 
     The value is certified by re-running at halved grid spacing until two
     consecutive resolutions agree to 1e-5 relative; failure to stabilise
-    within 8 refinements raises NoConvergence.
+    within 8 refinements, or before the grid passes 2**24 points, raises
+    NoConvergence.  The first two resolutions always run, so n is limited
+    to 6: larger n raises DomainError before any search.
     """
     if region not in REGIONS:
         raise DomainError(f"unknown region {region!r}")
-    if ev.n > 8:
-        raise DomainError("brute-force search is limited to n <= 8")
+    if ev.n not in _BASE_AXIS or _axis_points(ev.n, 1) ** (ev.n - 1) > _GRID_CAP:
+        raise DomainError(f"brute-force search is limited to n <= 6, got n={ev.n}")
     _check_compensation(ev)
     if region == "IccC":
         va = brute_force_infimum(model, ev, "AcapC")

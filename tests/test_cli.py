@@ -259,6 +259,19 @@ class TestPaths:
                              "p_ak", "p_ak_std_err", "note"}
         assert 0 <= data["argmax_j"] <= 45
 
+    def test_all_hits_keep_a_lower_bound(self, capsys):
+        rc, out, _ = run_cli(
+            ["paths", "--model", "weibull:k=3", "--n", "50", "--a", "2",
+             "--k", "5", "--alpha", "1.0", "--trials", "10",
+             "--format", "json", "--seed", "3"],
+            capsys,
+        )
+        assert rc == 0
+        data = json.loads(out)
+        assert data["p_ak"] == 1.0 and data["p_ak_std_err"] == 0.0
+        assert data["p_ak_wilson_hi"] == 1.0
+        assert 0.0 < data["p_ak_wilson_lo"] < 1.0
+
     def test_csv_trajectory(self, capsys):
         rc, out, _ = run_cli(
             ["paths", "--model", "weibull:k=3", "--n", "20", "--a", "2",

@@ -25,7 +25,7 @@ from stretchwalk.density import (
     sin_perturbed_density,
 )
 from stretchwalk.errors import NonIntegrable
-from stretchwalk.quadrature import log_integral, mass_window
+from stretchwalk.quadrature import find_peak, log_integral, mass_window
 from stretchwalk.ratefn import _tilted_ell, _tilted_stats
 
 DPS = 40
@@ -160,3 +160,26 @@ def test_unsettled_integrand_raises_with_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("probes", [65, 2048])
+def test_batched_find_peak_rows_match_scalar_calls(probes):
+    # The rows stop at different zoom levels: an empty range at once, a
+    # peak past the range's right edge (one-cell brackets), interior peaks,
+    # and a range below float resolution that runs to the level cap.
+    centre = np.array([0.3, 7.0, 2.0, -1.0, 1e6 + 3e-4, 5.0])
+    lo = np.array([0.0, 5.0, 0.0, -4.0, 1e6, 5.0])
+    hi = np.array([1.0, 6.0, 10.0, 2.0, 1e6 + 1e-3, 5.0])
+    levels = np.zeros(lo.size, dtype=int)
+
+    def rows_ell(xs, rows):
+        levels[rows] += 1
+        return -((xs - centre[rows, None]) ** 2) + np.sin(3.0 * xs)
+
+    x_rows, v_rows = find_peak(rows_ell, lo, hi, probes=probes)
+    for k in range(lo.size):
+        x, v = find_peak(lambda xs: -((xs - centre[k]) ** 2) + np.sin(3.0 * xs),
+                         lo[k], hi[k], probes=probes)
+        assert x_rows[k] == x and v_rows[k] == v
+    assert levels[-1] == 1 and levels[4] == 16
+    assert len(set(levels.tolist())) >= 4

@@ -20,7 +20,8 @@ from stretchwalk.density import (
     pure_density,
     sin_perturbed_density,
 )
-from stretchwalk.errors import DomainError, ThresholdNotFound
+from stretchwalk import variational
+from stretchwalk.errors import DomainError, NoConvergence, ThresholdNotFound
 from stretchwalk.smalln import exact_log_prob_escape, exact_log_prob_exceed
 from stretchwalk.variational import (
     BandEvent,
@@ -120,6 +121,7 @@ def test_closed_form_requires_level_beyond_threshold():
         (PowerExponent(2.5), 2, 4.0, 1.0),
         (WeibullExponent(3.0), 3, 1.8, 0.3),
         (ExpExponent(), 3, 2.5, 0.4),
+        (PowerExponent(2.0), 5, 3.0, 0.5),
     ],
 )
 def test_brute_force_recovers_closed_forms(exponent, n, a, eps):
@@ -179,8 +181,64 @@ def test_brute_force_input_validation():
     model = pure_density(PowerExponent(2.0))
     with pytest.raises(DomainError):
         brute_force_infimum(model, BandEvent(3, 2.0, 0.5), "elsewhere")
-    with pytest.raises(DomainError):
-        brute_force_infimum(model, BandEvent(9, 2.0, 0.5), "C")
+    # n = 7 and 8 would grid 24M and 63M points at the second resolution;
+    # both are refused before any search.
+    for n in (7, 8, 9):
+        with pytest.raises(DomainError):
+            brute_force_infimum(model, BandEvent(n, 2.0, 0.5), "C")
+
+
+def test_brute_force_refinement_stops_at_the_grid_cap(monkeypatch):
+    # At n = 5 the third resolution would grid 65^4 > 2^24 points; when the
+    # first two disagree the search raises instead of allocating it.
+    monkeypatch.setattr(variational, "_REFINE_TOL", -1.0)
+    with pytest.raises(NoConvergence):
+        brute_force_infimum(pure_density(PowerExponent(2.0)), BandEvent(5, 3.0, 0.5), "C")
+
+
+@pytest.mark.parametrize("region", ["C", "AcapC", "BcapC"])
+def test_coarse_candidates_match_full_stable_sort(monkeypatch, region):
+    # g = x^2 at n = 4 is symmetric in the three gridded coordinates, so
+    # equal totals come in groups of up to six; the partial selection must
+    # keep the stable order of a full argsort through every tie.
+    g = PowerExponent(2.0).g
+    ev = BandEvent(4, 2.0, 0.5)
+    args = (g, ev, region, 1e-3, 2.0 + 4 * 0.5 + 5.0, 65, 6)
+    got = variational._coarse_candidates(*args)
+    monkeypatch.setattr(variational, "_smallest",
+                        lambda total, m: np.argsort(total, kind="stable")[:m])
+    want = variational._coarse_candidates(*args)
+    assert len(got) == len(want) == 6
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_suffix_min_matches_scan():
+    rng = np.random.default_rng(11)
+    for vals in (rng.integers(0, 4, 300).astype(float),   # many ties
+                 np.linspace(2.0, -1.0, 50) ** 2,          # one interior minimum
+                 rng.normal(size=1000), np.ones(7), np.array([3.0])):
+        want_arg = np.zeros(vals.size, dtype=int)
+        best = vals.size - 1
+        for i in range(vals.size - 1, -1, -1):
+            if vals[i] <= vals[best]:
+                best = i
+            want_arg[i] = best
+        got_min, got_arg = variational._suffix_min(vals)
+        assert np.array_equal(got_arg, want_arg)
+        assert np.array_equal(got_min, vals[want_arg])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_round_robin_covers_every_pair_once(n):
+    rounds = variational._round_robin(n)
+    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+    pairs = []
+    for i, j in rounds:
+        assert np.all(i < j)
+        assert len(set(i.tolist() + j.tolist())) == 2 * i.size == 2 * (n // 2)
+        pairs += list(zip(i.tolist(), j.tolist()))
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 # -- convex minorant ---------------------------------------------------------
