@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -436,7 +436,8 @@ class PerturbedDensity:
     Instances are immutable after construction and safe to share across
     threads; anything random takes an explicit seed.  The one mutable part
     is ``_derived``, a memo of deterministic values other modules compute
-    from the model on first use (see ``derived``).
+    from the model on first use (see ``derived``): the ``smalln`` survival
+    table and one ``sampler.TiltedLaw`` per target mean a.
     """
 
     exponent: ExponentModel
@@ -456,7 +457,7 @@ class PerturbedDensity:
         self._validate_perturbation()
         self._normalize()
 
-    def derived(self, key: str, compute: Callable[[], object]):
+    def derived(self, key: Hashable, compute: Callable[[], object]):
         """``compute()``, memoised on this model under ``key``."""
         if key not in self._derived:
             self._derived[key] = compute()

@@ -38,7 +38,8 @@ def _tilted_ell(model: PerturbedDensity, t: float):
 
 
 def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, float]:
-    """(Lambda(t), Lambda'(t), Lambda''(t)) from one quadrature pass."""
+    """(Lambda(t), Lambda'(t), Lambda''(t)) from one quadrature pass; Divergent
+    where the MGF is infinite (a linear exponent at t >= 1)."""
     ell = _tilted_ell(model, t)
     lo, hi, peak = mass_window(ell, 0.0, 8.0)
     lam, mean, second = log_moment_integrals(ell, lo, hi, peak_hint=peak)
@@ -46,16 +47,6 @@ def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, floa
     if var <= 0.0:
         raise NoConvergence(f"tilted variance {var:g} not positive at t={t:g}")
     return lam, mean, var
-
-
-def log_mgf(model: PerturbedDensity, t: float) -> float:
-    """Lambda(t) = log E exp(tX), from the quadrature pass of _tilted_stats.
-
-    Raises Divergent when the tilted integrand refuses to decay under
-    window doubling, which is how a linear-exponent model at t >= 1
-    announces an infinite MGF.
-    """
-    return _tilted_stats(model, float(t))[0]
 
 
 def _solve_tilt(model: PerturbedDensity, x: float,

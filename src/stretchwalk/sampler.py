@@ -17,7 +17,7 @@ import numpy as np
 from .density import PerturbedDensity
 from .errors import DegenerateWeights, DomainError, NoConvergence
 from .quadrature import Array, GridInverseCdf, mass_window
-from .ratefn import _tilt_tol, _tilted_ell, cramer_rate, log_mgf
+from .ratefn import _tilted_ell, _tilted_stats, cramer_rate
 
 METHODS = ("TiltedIS", "FixedSumGibbs")
 
@@ -118,12 +118,14 @@ class ImportanceResult:
     trials: int
 
 
-def tilt_for_mean(model: PerturbedDensity, a: float) -> float:
-    """Tilt t with tilted mean a; zero at the mean, to the tilt solve's tolerance."""
-    if a < model.mean - _tilt_tol(a):
-        raise DomainError("tilt target must not sit below the mean")
-    _, tilt = cramer_rate(model, a)
-    return tilt
+@dataclass(frozen=True, eq=False)
+class TiltedLaw:
+    """The step law tilted to mean a: its tilt t, Lambda(t) = log E exp(tX)
+    and its inverse-CDF table.  The plain law has t = 0 and Lambda = 0."""
+
+    tilt: float
+    log_mgf: float
+    table: GridInverseCdf
 
 
 def tilted_table(model: PerturbedDensity, t: float) -> GridInverseCdf:
@@ -133,13 +135,24 @@ def tilted_table(model: PerturbedDensity, t: float) -> GridInverseCdf:
     return GridInverseCdf.build(ell, lo, hi)
 
 
+def tilted_law(model: PerturbedDensity, a: float) -> TiltedLaw:
+    """The law tilted to mean a (the plain law at or below the mean, with
+    Lambda exactly 0), built once per (model, a) and memoised on the model."""
+
+    def build() -> TiltedLaw:
+        t = cramer_rate(model, a)[1] if a > model.mean else 0.0
+        return TiltedLaw(t, _tilted_stats(model, t)[0] if t else 0.0, tilted_table(model, t))
+
+    return model.derived(("tilted_law", float(a)), build)
+
+
 def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
                         trials: int, seed: int) -> ImportanceResult:
     """Tilted-IS estimates of P(C), P(I and C), and P(I | C).
 
-    Draws i.i.d. n-vectors from the law tilted to mean a (plain law when a
-    sits below the mean, in which case every weight is exactly one), with
-    weights exp(n Lambda(t) - t S).  Band membership uses strict
+    Draws i.i.d. n-vectors from ``tilted_law(model, a)`` (the plain law
+    when a sits at or below the mean, in which case every weight is exactly
+    one), with weights exp(n Lambda(t) - t S).  Band membership uses strict
     inequalities.  Deterministic for a given seed.
     """
     from scipy.special import logsumexp
@@ -148,13 +161,11 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
         raise DomainError("importance sampling needs at least 1000 trials")
     if n < 1 or a <= 0.0 or eps < 0.0:
         raise DomainError("need n >= 1, a > 0, eps >= 0")
-    t = tilt_for_mean(model, a) if a > model.mean else 0.0
-    lam = log_mgf(model, t)
-    table = tilted_table(model, t)
+    law = tilted_law(model, a)
     rng = np.random.default_rng(seed)
-    draws = table.ppf(rng.random((trials, n)))
+    draws = law.table.ppf(rng.random((trials, n)))
     sums = draws.sum(axis=1)
-    log_w = n * lam - t * sums
+    log_w = n * law.log_mgf - law.tilt * sums
 
     in_c = sums > n * a
     in_band = ((draws > a - eps) & (draws < a + eps)).all(axis=1) & in_c
@@ -200,8 +211,8 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
         p_band_and_c=p_band,
         p_band_and_c_std_err=p_band_se,
         conditional=conditional,
-        tilt=t,
-        log_mgf_at_tilt=lam,
+        tilt=law.tilt,
+        log_mgf_at_tilt=law.log_mgf,
         trials=trials,
     )
 

@@ -65,7 +65,31 @@ def _log_pdf(model: PerturbedDensity, x: Array) -> Array:
     return model.log_c + model._log_kernel(np.asarray(x, dtype=float))
 
 
-class _LogSurvival:
+class _LogTable:
+    """Vectorised log-values by PCHIP through finite nodes, clipped to them:
+    ``left_value`` at or below ``left_edge`` and -inf past the last node."""
+
+    def __init__(self, nodes: Array, log_values: Array, left_edge: float, left_value: float):
+        self._x0, self._x1 = float(nodes[0]), float(nodes[-1])
+        self._left_edge, self._left_value = left_edge, left_value
+        self._interp = PchipInterpolator(nodes, log_values, extrapolate=False)
+
+    def __call__(self, t) -> Array:
+        t = np.asarray(t, dtype=float)
+        out = np.asarray(self._interp(np.clip(t, self._x0, self._x1)), dtype=float)
+        out = np.where(t <= self._left_edge, self._left_value, out)
+        return np.where(t > self._x1, -np.inf, out)
+
+
+def _finite_nodes(nodes: Array, log_values: Array) -> tuple[Array, Array] | None:
+    """The nodes with finite log-values; None (probability 0) when none is."""
+    finite = np.isfinite(log_values)
+    if not np.any(finite):
+        return None
+    return nodes[finite], log_values[finite]
+
+
+class _LogSurvival(_LogTable):
     """Vectorised log P(X >= t) from one cumulative pass over the density."""
 
     def __init__(self, model: PerturbedDensity):
@@ -76,17 +100,7 @@ class _LogSurvival:
         panels = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs)
         tail = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
         keep = tail > 0.0
-        log_tail = np.log(tail[keep])
-        self._x0 = float(xs[keep][0])
-        self._x1 = float(xs[keep][-1])
-        self._interp = PchipInterpolator(xs[keep], log_tail, extrapolate=False)
-
-    def __call__(self, t) -> Array:
-        t = np.asarray(t, dtype=float)
-        clipped = np.clip(t, self._x0, self._x1)
-        out = np.asarray(self._interp(clipped), dtype=float)
-        out = np.where(t <= self._x0, 0.0, out)
-        return np.where(t > self._x1, -np.inf, out)
+        super().__init__(xs[keep], np.log(tail[keep]), float(xs[keep][0]), 0.0)
 
 
 def _survival(model: PerturbedDensity) -> _LogSurvival:
@@ -128,18 +142,10 @@ def exact_log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
         [exact_log_prob_exceed(model, 2, float(t) / 2.0) if t > 0.0 else 0.0
          for t in t_grid]
     )
-    finite = np.isfinite(two_tail_vals)
-    if not np.any(finite):
+    finite = _finite_nodes(t_grid, two_tail_vals)
+    if finite is None:
         return -math.inf
-    t_fin = t_grid[finite]
-    interp = PchipInterpolator(t_fin, two_tail_vals[finite], extrapolate=False)
-    g_lo, g_hi = float(t_fin[0]), float(t_fin[-1])
-
-    def two_tail(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(interp(np.clip(t, g_lo, g_hi)), dtype=float)
-        out = np.where(t <= 0.0, 0.0, out)
-        return np.where(t > g_hi, -np.inf, out)
+    two_tail = _LogTable(*finite, 0.0, 0.0)
 
     def ell3(x: Array) -> Array:
         return _log_pdf(model, x) + two_tail(target - x)
@@ -196,19 +202,10 @@ def exact_log_prob_band(model: PerturbedDensity, n: int, a: float, eps: float) -
         return _log_quad(inner, lo_b, hi_b, breakpoints=(t - lo_b, t - hi_b))
 
     vals = np.array([two_band_tail_at(float(t)) for t in t_grid])
-    finite = np.isfinite(vals)
-    if not np.any(finite):
+    finite = _finite_nodes(t_grid, vals)
+    if finite is None:
         return -math.inf
-    t_fin = t_grid[finite]
-    interp = PchipInterpolator(t_fin, vals[finite], extrapolate=False)
-    g_lo, g_hi = float(t_fin[0]), float(t_fin[-1])
-    full_two_band = float(vals[finite][0])
-
-    def two_band(t: Array) -> Array:
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(interp(np.clip(t, g_lo, g_hi)), dtype=float)
-        out = np.where(t <= 2.0 * lo_b, full_two_band, out)
-        return np.where(t > g_hi, -np.inf, out)
+    two_band = _LogTable(*finite, 2.0 * lo_b, float(finite[1][0]))
 
     def ell3(x: Array) -> Array:
         x = np.asarray(x, dtype=float)

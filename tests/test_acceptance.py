@@ -89,7 +89,7 @@ def test_criterion_10_steep_window_hits():
     # baseline strictly lower, 200 replications; <= 5 min.  Windows of
     # length k_n = floor(log n / (2 J(alpha))), J the rate of the law tilted
     # to mean a, so c J <= 1/2, inside the Erdos-Renyi regime c J < 1 where
-    # the hit rate tends to 1.  Measured: k = 3, conditioned 0.965, 1.0, 1.0,
+    # the hit rate tends to 1.  Measured: k = 3, conditioned 0.97, 1.0, 1.0,
     # baseline 0, 0, 0.005.
     _check(10)
 

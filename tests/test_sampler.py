@@ -18,7 +18,9 @@ from stretchwalk.density import (
 )
 from stretchwalk.quadrature import MASS_DROP, GridInverseCdf, gauss_legendre, mass_window
 from stretchwalk.errors import DegenerateWeights, DomainError, NoConvergence, NonIntegrable
-from stretchwalk.ratefn import log_mgf
+from stretchwalk import sampler
+from stretchwalk.paths import estimate_p_ak
+from stretchwalk.ratefn import _tilted_stats, cramer_rate
 from stretchwalk.sampler import (
     ConditionedSample,
     EndValueAtLeast,
@@ -29,7 +31,7 @@ from stretchwalk.sampler import (
     gibbs_fixed_sum,
     importance_estimate,
     pair_conditional_table,
-    tilt_for_mean,
+    tilted_law,
     tilted_table,
 )
 from stretchwalk.smalln import exact_localization, exact_log_prob_band, exact_log_prob_exceed
@@ -55,25 +57,49 @@ def weibull3():
     return pure_density(WeibullExponent(3.0))
 
 
-class TestTiltForMean:
+class TestTiltedLaw:
     def test_exponential_closed_form(self, expo):
-        # For g(x) = x the tilted mean is 1/(1-t), so mean 2 needs t = 1/2.
-        t = tilt_for_mean(expo, 2.0)
-        assert t == pytest.approx(0.5, abs=1e-8)
+        # For g(x) = x the tilted mean is 1/(1-t), so mean 2 needs t = 1/2,
+        # and Lambda(1/2) = log 2.
+        law = tilted_law(expo, 2.0)
+        assert law.tilt == pytest.approx(0.5, abs=1e-8)
+        assert law.log_mgf == pytest.approx(math.log(2.0), rel=1e-6)
 
     def test_mean_itself_gives_zero(self, expo):
-        assert tilt_for_mean(expo, 1.0) == 0.0
+        law = tilted_law(expo, 1.0)
+        assert law.tilt == 0.0 and law.log_mgf == 0.0
 
     def test_self_consistency(self, weibull3):
-        from stretchwalk.ratefn import _tilted_stats
-
-        t = tilt_for_mean(weibull3, 2.0)
-        _, mean, _ = _tilted_stats(weibull3, t)
+        law = tilted_law(weibull3, 2.0)
+        lam, mean, _ = _tilted_stats(weibull3, law.tilt)
         assert abs(mean - 2.0) <= 1e-3
+        assert law.log_mgf == lam
 
-    def test_below_mean_rejected(self, weibull3):
-        with pytest.raises(DomainError):
-            tilt_for_mean(weibull3, 0.5)
+    def test_below_mean_gives_plain_law(self, weibull3):
+        law = tilted_law(weibull3, 0.5)
+        plain = tilted_table(weibull3, 0.0)
+        assert law.tilt == 0.0 and law.log_mgf == 0.0
+        assert np.array_equal(law.table.x, plain.x)
+        assert np.array_equal(law.table.cdf, plain.cdf)
+
+    def test_built_once_per_model_and_mean(self, monkeypatch):
+        calls = []
+
+        def counted(model, x, t_guess=None):
+            calls.append(x)
+            return cramer_rate(model, x, t_guess)
+
+        monkeypatch.setattr(sampler, "cramer_rate", counted)
+        model = pure_density(WeibullExponent(3.0))
+        a = 1.5 * model.mean
+        estimate_p_ak(model, 50, a, 5, 2.0 * model.mean, replications=20, seed=1)
+        importance_estimate(model, 5, a, 0.5, trials=1000, seed=2)
+        importance_estimate(model, 5, a, 0.5, trials=1000, seed=3)
+        assert calls == [a]
+        assert tilted_law(model, a) is tilted_law(model, a)
+        other = pure_density(WeibullExponent(3.0))
+        assert tilted_law(other, a) is not tilted_law(model, a)
+        assert calls == [a, a]
 
 
 class TestImportanceEstimate:
@@ -104,7 +130,7 @@ class TestImportanceEstimate:
         # numbers come from log w = n*Lambda(t) - t*S with strict indicators.
         n, a, eps, trials, seed = 6, 2.0, 0.5, 5_000, 123
         res = importance_estimate(weibull3, n, a, eps, trials=trials, seed=seed)
-        table = tilted_table(weibull3, res.tilt)
+        table = tilted_law(weibull3, a).table
         rng = default_rng(seed)
         draws = table.ppf(rng.random((trials, n)))
         sums = draws.sum(axis=1)
@@ -133,7 +159,9 @@ class TestImportanceEstimate:
         mean = weibull3.mean
         res = importance_estimate(weibull3, 4, 0.8 * mean, 0.5, trials=10_000, seed=21)
         assert res.tilt == 0.0
-        assert res.log_mgf_at_tilt == log_mgf(weibull3, 0.0)
+        assert res.log_mgf_at_tilt == 0.0
+        draws = tilted_law(weibull3, 0.8 * mean).table.ppf(default_rng(21).random((10_000, 4)))
+        assert np.all(np.exp(4 * res.log_mgf_at_tilt - res.tilt * draws.sum(axis=1)) == 1.0)
         assert res.conditional.n_eff == pytest.approx(res.p_c * res.trials, rel=1e-9)
 
     def test_tiny_trials_rejected(self, weibull3):
@@ -309,16 +337,16 @@ class TestTableResolution:
             u = default_rng(trial).random(sums.size)
 
     def test_tilted_table_unchanged(self, weibull3):
-        t = tilt_for_mean(weibull3, 1.5 * weibull3.mean)
+        law = tilted_law(weibull3, 1.5 * weibull3.mean)
+        t = law.tilt
 
         def ell(xs):
             return t * xs + weibull3.log_c + weibull3._log_kernel(xs)
 
         lo, hi, _ = mass_window(ell, 0.0, 8.0)
         xs, cdf = _one_regrid_table(ell, lo, hi, 4097)
-        table = tilted_table(weibull3, t)
-        assert np.array_equal(table.x, xs)
-        assert np.array_equal(table.cdf, cdf)
+        assert np.array_equal(law.table.x, xs)
+        assert np.array_equal(law.table.cdf, cdf)
 
     def test_unresolvable_mass_raises(self):
         # Mass on a single node of every grid never widens to half the table;
