@@ -11,6 +11,9 @@ cumulative trapezoid over a quarter-million-point grid (positive panels
 summed smallest-first, so deep-tail values keep relative accuracy), and
 every integral is a composite Gauss-Legendre sum over the interpolated
 integrand, split at its kinks.  Nothing here nests adaptive quadrature.
+An n = 3 probability reads a 513-node table of the two-step probability,
+built row-wise: one quadrature row per node, in a few batched integrand
+calls.  Every log table is PCHIP on a uniform grid, read by direct index.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ Array = np.ndarray
 _SMALL_N = (2, 3)
 _SURVIVAL_POINTS = 262_145
 _PANELS = 32
+# Rows per batch of a row-wise _log_quad: about 1 MB per temporary at three pieces.
+_ROW_BLOCK = 64
 
 
 def _check_n(n: int) -> None:
@@ -36,29 +41,39 @@ def _check_n(n: int) -> None:
         raise DomainError("exact integration covers n = 2 and n = 3 only")
 
 
-def _log_quad(ell, lo: float, hi: float, breakpoints=()) -> float:
-    """log of the integral of exp(ell) over [lo, hi].
+def _log_quad(ell, lo, hi, breakpoints=()):
+    """log of the integral of exp(ell) over [lo, hi], split at the breakpoints.
 
-    ``ell`` must accept arrays and may return -inf.  The domain is split
-    at the breakpoints and each piece integrated by composite 16-point
-    Gauss-Legendre over 32 panels; the max of ell over all nodes
-    serves as the stabilising shift.
+    ``ell`` must accept arrays and may return -inf.  Each piece is integrated
+    by composite 16-point Gauss-Legendre over 32 panels, and the max of ell
+    over all nodes serves as the stabilising shift.  With array bounds (and
+    one value per row in each breakpoint) every row is its own integral and
+    the result is an array: ``ell(xs, rows)`` gets a (len(rows), points) grid
+    whose row i holds the nodes of row rows[i].  Rows with the same number of
+    pieces go _ROW_BLOCK at a time, each with the scalar call's nodes.
     """
-    if hi <= lo:
-        return -math.inf
-    cuts = sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)})
-    edges = [np.linspace(s_lo, s_hi, _PANELS + 1) for s_lo, s_hi in zip(cuts[:-1], cuts[1:])]
-    xs, ws = gauss_legendre(np.concatenate([e[:-1] for e in edges]),
-                            np.concatenate([e[1:] for e in edges]))
-    xs, ws = xs.ravel(), ws.ravel()
-    vals = np.asarray(ell(xs), dtype=float)
-    shift = float(np.max(vals))
-    if not math.isfinite(shift):
-        return -math.inf
-    total = float(np.sum(ws * np.exp(vals - shift)))
-    if total <= 0.0:
-        return -math.inf
-    return shift + math.log(total)
+    batched = np.ndim(lo) > 0
+    call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
+    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    cuts = np.array([np.broadcast_to(p, lo.shape) for p in breakpoints]).reshape(-1, lo.size).T
+    # Each row's cuts inside (lo, hi), sorted, then NaN.
+    cuts = np.sort(np.where((cuts > lo[:, None]) & (cuts < hi[:, None]), cuts, np.nan), axis=1)
+    inner = np.count_nonzero(~np.isnan(cuts), axis=1)
+    out = np.full(lo.size, -np.inf)
+    for k in np.unique(inner[hi > lo]):
+        group = np.flatnonzero((hi > lo) & (inner == k))
+        for rows in np.split(group, range(_ROW_BLOCK, group.size, _ROW_BLOCK)):
+            ends = np.column_stack([lo[rows], cuts[rows, :k], hi[rows]])
+            edges = np.linspace(ends[:, :-1].ravel(), ends[:, 1:].ravel(), _PANELS + 1, axis=1)
+            xs, ws = gauss_legendre(edges[:, :-1].ravel(), edges[:, 1:].ravel())
+            xs, ws = xs.reshape(rows.size, -1), ws.reshape(rows.size, -1)
+            vals = np.asarray(call(xs, rows), dtype=float)
+            shift = vals.max(axis=1)
+            ok = np.isfinite(shift)
+            total = np.sum(ws * np.exp(vals - np.where(ok, shift, 0.0)[:, None]), axis=1)
+            ok &= total > 0.0
+            out[rows[ok]] = shift[ok] + np.log(total[ok])
+    return out if batched else float(out[0])
 
 
 def _log_pdf(model: PerturbedDensity, x: Array) -> Array:
@@ -66,27 +81,29 @@ def _log_pdf(model: PerturbedDensity, x: Array) -> Array:
 
 
 class _LogTable:
-    """Vectorised log-values by PCHIP through finite nodes, clipped to them:
-    ``left_value`` at or below ``left_edge`` and -inf past the last node."""
+    """Vectorised log-values by PCHIP through nodes on a uniform grid, clipped
+    to them: 0 (probability one) at or below ``left_edge`` and -inf past the
+    last node.  Node 0 may sit right of the grid's origin (the survival
+    table's does).  A read finds its interval from the node spacing, with no
+    search, and sums scipy's PCHIP polynomial in scipy's term order, so it
+    returns what ``PchipInterpolator`` would, to within rounding."""
 
-    def __init__(self, nodes: Array, log_values: Array, left_edge: float, left_value: float):
-        self._x0, self._x1 = float(nodes[0]), float(nodes[-1])
-        self._left_edge, self._left_value = left_edge, left_value
-        self._interp = PchipInterpolator(nodes, log_values, extrapolate=False)
+    def __init__(self, nodes: Array, log_values: Array, left_edge: float = -math.inf):
+        self._x, self._left_edge = nodes, left_edge
+        self._step = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+        self._c = PchipInterpolator(nodes, log_values).c
 
     def __call__(self, t) -> Array:
         t = np.asarray(t, dtype=float)
-        out = np.asarray(self._interp(np.clip(t, self._x0, self._x1)), dtype=float)
-        out = np.where(t <= self._left_edge, self._left_value, out)
-        return np.where(t > self._x1, -np.inf, out)
-
-
-def _finite_nodes(nodes: Array, log_values: Array) -> tuple[Array, Array] | None:
-    """The nodes with finite log-values; None (probability 0) when none is."""
-    finite = np.isfinite(log_values)
-    if not np.any(finite):
-        return None
-    return nodes[finite], log_values[finite]
+        x = self._x
+        tc = np.clip(t, x[0], x[-1])
+        # Within rounding of a node this may pick the neighbouring interval,
+        # whose polynomial also passes through that node.
+        i = np.minimum(((tc - x[0]) / self._step).astype(np.intp), x.size - 2)
+        s = tc - x.take(i)
+        c0, c1, c2, c3 = (c.take(i) for c in self._c)
+        out = np.where(t <= self._left_edge, 0.0, c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s))
+        return np.where(t > x[-1], -np.inf, out)
 
 
 class _LogSurvival(_LogTable):
@@ -100,7 +117,7 @@ class _LogSurvival(_LogTable):
         panels = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs)
         tail = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
         keep = tail > 0.0
-        super().__init__(xs[keep], np.log(tail[keep]), float(xs[keep][0]), 0.0)
+        super().__init__(xs[keep], np.log(tail[keep]), float(xs[keep][0]))
 
 
 def _survival(model: PerturbedDensity) -> _LogSurvival:
@@ -115,46 +132,53 @@ def _log1mexp(delta: Array) -> Array:
     return np.where(delta >= 0.0, -np.inf, out)
 
 
+def _third_step(model: PerturbedDensity, t_grid: Array, two_step: Array, target: float,
+                lo: float, hi: float, breakpoints=(), left_edge: float = -math.inf) -> float:
+    """log of the integral over x in [lo, hi] of p(x) P2(target - x), where
+    log P2 is the table through the two-step values on t_grid.  P2 falls in
+    t, so only a trailing run of them can be -inf; with none finite, P = 0."""
+    m = np.count_nonzero(np.isfinite(two_step))
+    assert np.all(np.isfinite(two_step[:m])), "two-step table is not a finite run then -inf"
+    if m == 0:
+        return -math.inf
+    table = _LogTable(t_grid[:m], two_step[:m], left_edge)
+    return _log_quad(lambda x: _log_pdf(model, x) + table(target - x), lo, hi, breakpoints)
+
+
 def exact_log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
     """log P(S_n >= n a) by direct integration (n in {2, 3})."""
     _check_n(n)
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("sum level must be positive")
     cap = model.support_cap
     tail = _survival(model)
+
+    def two_tail(t: Array) -> Array:
+        """log P(X_1 + X_2 >= t), one quadrature row per level."""
+
+        def ell(xs: Array, rows: Array) -> Array:
+            need = t[rows, None] - xs
+            return _log_pdf(model, xs) + np.where(need <= 0.0, 0.0, tail(need))
+
+        return _log_quad(ell, np.zeros_like(t), np.full_like(t, cap), breakpoints=(t, t - cap))
+
     target = float(n) * a
-
     if n == 2:
-
-        def ell(x: Array) -> Array:
-            lp = _log_pdf(model, x)
-            need = target - x
-            return lp + np.where(need <= 0.0, 0.0, tail(need))
-
-        return _log_quad(ell, 0.0, cap, breakpoints=(target, target - cap))
-
-    t_lo = max(0.0, target - cap)
-    t_hi = min(2.0 * cap, target)
+        return float(two_tail(np.array([target]))[0])
+    t_lo, t_hi = max(0.0, target - cap), min(2.0 * cap, target)
     if t_hi <= t_lo:
-        return 0.0 if t_hi <= 0.0 else -math.inf
-    t_grid = np.linspace(t_lo, t_hi, 513)
-    two_tail_vals = np.array(
-        [exact_log_prob_exceed(model, 2, float(t) / 2.0) if t > 0.0 else 0.0
-         for t in t_grid]
-    )
-    finite = _finite_nodes(t_grid, two_tail_vals)
-    if finite is None:
         return -math.inf
-    two_tail = _LogTable(*finite, 0.0, 0.0)
-
-    def ell3(x: Array) -> Array:
-        return _log_pdf(model, x) + two_tail(target - x)
-
-    return _log_quad(ell3, 0.0, cap, breakpoints=(target - 2.0 * cap, target))
+    t_grid = np.linspace(t_lo, t_hi, 513)
+    two_step = np.where(t_grid > 0.0, two_tail(t_grid), 0.0)
+    return _third_step(model, t_grid, two_step, target, 0.0, cap,
+                       breakpoints=(target - 2.0 * cap, target), left_edge=0.0)
 
 
 def exact_log_prob_band(model: PerturbedDensity, n: int, a: float, eps: float) -> float:
-    """log P(all steps in (a-eps, a+eps) and S_n >= n a), n in {2, 3}."""
+    """log P(all steps in (a-eps, a+eps) and S_n >= n a), n in {2, 3}.
+
+    Each step is integrated over the band itself, so no integrand needs the
+    band's indicator."""
     _check_n(n)
     if eps <= 0.0:
         raise DomainError("band halfwidth must be positive for band probabilities")
@@ -172,48 +196,22 @@ def exact_log_prob_band(model: PerturbedDensity, n: int, a: float, eps: float) -
         """log P(X in band and X >= t), vectorised over t."""
         t_eff = np.maximum(np.asarray(t, dtype=float), lo_b)
         upper = tail(t_eff)
-        if log_tail_hi == -math.inf:
-            diff = upper
-        else:
-            diff = upper + _log1mexp(log_tail_hi - upper)
+        diff = upper if log_tail_hi == -math.inf else upper + _log1mexp(log_tail_hi - upper)
         return np.where(t_eff >= hi_b, -np.inf, diff)
 
+    def two_band(t: Array) -> Array:
+        """log P(X_1, X_2 in band and X_1 + X_2 >= t), one quadrature row per level."""
+        return _log_quad(lambda ys, rows: _log_pdf(model, ys) + band_tail(t[rows, None] - ys),
+                         np.full_like(t, lo_b), np.full_like(t, hi_b),
+                         breakpoints=(t - lo_b, t - hi_b))
+
     target = float(n) * a
-
     if n == 2:
-
-        def ell(x: Array) -> Array:
-            x = np.asarray(x, dtype=float)
-            inside = (x > lo_b) & (x < hi_b)
-            vals = _log_pdf(model, x) + band_tail(target - x)
-            return np.where(inside, vals, -np.inf)
-
-        return _log_quad(ell, lo_b, hi_b)
-
+        return float(two_band(np.array([target]))[0])
+    # The third step reads the table only at t = 3a - x > 2a - eps, right of
+    # its first node 2(a - eps), so it needs no left clamp.
     t_grid = np.linspace(2.0 * lo_b, 2.0 * hi_b, 513)
-
-    def two_band_tail_at(t: float) -> float:
-        def inner(y: Array) -> Array:
-            y = np.asarray(y, dtype=float)
-            inside = (y > lo_b) & (y < hi_b)
-            vals = _log_pdf(model, y) + band_tail(t - y)
-            return np.where(inside, vals, -np.inf)
-
-        return _log_quad(inner, lo_b, hi_b, breakpoints=(t - lo_b, t - hi_b))
-
-    vals = np.array([two_band_tail_at(float(t)) for t in t_grid])
-    finite = _finite_nodes(t_grid, vals)
-    if finite is None:
-        return -math.inf
-    two_band = _LogTable(*finite, 2.0 * lo_b, float(finite[1][0]))
-
-    def ell3(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        inside = (x > lo_b) & (x < hi_b)
-        vals3 = _log_pdf(model, x) + two_band(target - x)
-        return np.where(inside, vals3, -np.inf)
-
-    return _log_quad(ell3, lo_b, hi_b)
+    return _third_step(model, t_grid, two_band(t_grid), target, lo_b, hi_b)
 
 
 def exact_log_prob_escape(model: PerturbedDensity, n: int, a: float,

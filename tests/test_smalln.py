@@ -7,7 +7,10 @@ the gamma-sum closed form evaluated inline.
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from stretchwalk.density import (
     PowerExponent,
@@ -17,6 +20,9 @@ from stretchwalk.density import (
 )
 from stretchwalk.errors import DomainError
 from stretchwalk.smalln import (
+    _ROW_BLOCK,
+    _LogTable,
+    _log_quad,
     exact_localization,
     exact_log_prob_band,
     exact_log_prob_escape,
@@ -109,3 +115,95 @@ def test_band_requires_positive_width():
 def test_deep_level_returns_minus_inf():
     model = pure_density(PowerExponent(2.0))
     assert exact_log_prob_exceed(model, 2, model.support_cap * 2.0) == -math.inf
+
+
+def test_nan_level_raises_and_infinite_level_has_probability_zero():
+    model = pure_density(PowerExponent(2.0))
+    for n in (2, 3):
+        with pytest.raises(DomainError):
+            exact_log_prob_exceed(model, n, math.nan)
+        assert exact_log_prob_exceed(model, n, math.inf) == -math.inf
+
+
+def _irwin_hall_band3(a, eps):
+    """log P(all three Exp(1) steps in (a - eps, a + eps), S_3 >= 3a).
+
+    Given the band, the sum's surface measure is w^2 f_IH((s - 3l) / w) with
+    f_IH the Irwin-Hall density of three uniforms, so the probability is one
+    integral of e^-s against it, taken over f_IH's quadratic pieces."""
+
+    def f_ih(u):
+        if u < 1:
+            return u**2 / 2
+        if u < 2:
+            return (-2 * u**2 + 6 * u - 3) / 2
+        return (3 - u) ** 2 / 2
+
+    with mpmath.workdps(30):
+        lo, hi = mpmath.mpf(a) - mpmath.mpf(eps), mpmath.mpf(a) + mpmath.mpf(eps)
+        w = hi - lo
+        start = max(3 * mpmath.mpf(a), 3 * lo)
+        knots = [3 * lo + w, 3 * lo + 2 * w]
+        pieces = [start] + [k for k in knots if k > start] + [3 * hi]
+        total = mpmath.quad(lambda s: mpmath.exp(-s) * w**2 * f_ih((s - 3 * lo) / w), pieces)
+        return float(mpmath.log(total))
+
+
+@pytest.mark.parametrize("a, eps", [(1.6, 0.35), (2.0, 0.5), (2.5, 1.0), (3.0, 0.5)])
+def test_three_step_band_matches_irwin_hall(a, eps):
+    model = pure_density(PowerExponent(1.0))
+    assert exact_log_prob_band(model, 3, a, eps) == pytest.approx(_irwin_hall_band3(a, eps), abs=1e-6)
+
+
+def test_row_wise_log_quad_matches_scalar_rows():
+    rng = np.random.default_rng(11)
+    rows = 2 * _ROW_BLOCK + 9
+    lo = rng.uniform(0.0, 1.0, rows)
+    hi = lo + rng.uniform(0.5, 3.0, rows)
+    hi[3] = lo[3]  # an empty row
+    kink = rng.uniform(-0.5, 4.5, rows)  # inside some rows, outside others
+    stop = np.where(rng.random(rows) < 0.2, lo - 1.0, hi - 0.1)  # some rows all -inf
+    level = rng.uniform(-700.0, 700.0, rows)  # each row needs its own shift
+
+    def ell_rows(xs, r):
+        vals = level[r, None] - 40.0 * np.abs(xs - kink[r, None]) - xs
+        return np.where(xs < stop[r, None], vals, -np.inf)
+
+    got = _log_quad(ell_rows, lo, hi, breakpoints=(kink, stop))
+    assert got.shape == (rows,)
+    assert got[3] == -math.inf and np.any(got[4:] == -math.inf) and np.any(np.isfinite(got))
+    for k in range(rows):
+        want = _log_quad(lambda x: ell_rows(x[None, :], np.array([k]))[0], lo[k], hi[k],
+                         breakpoints=(kink[k], stop[k]))
+        assert isinstance(want, float)
+        assert got[k] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_log_table_matches_pchip():
+    # A survival-like grid: uniform, with node 0 moved right of the origin.
+    nodes = np.linspace(0.0, 10.0, 2001)
+    nodes[0] = 10.0 * 1e-12
+    values = -nodes**1.5 - 0.1 * np.log1p(nodes)
+    ref = PchipInterpolator(nodes, values)
+    rng = np.random.default_rng(3)
+    inside = np.concatenate([
+        nodes,
+        0.5 * (nodes[1:] + nodes[:-1]),
+        rng.uniform(nodes[0], nodes[-1], 5000),
+        rng.uniform(nodes[0], nodes[1], 500),  # the short first interval
+    ])
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+
+    clamped = _LogTable(nodes, values, left_edge=nodes[0])
+    plain = _LogTable(nodes, values)
+    right = inside[inside > nodes[0]]
+    for table, points in ((clamped, right), (plain, inside)):
+        assert close(table(points), ref(points))
+        grid = points[: points.size // 7 * 7].reshape(-1, 7)  # a 2-D read, as the quadrature makes
+        assert close(table(grid), ref(grid))
+        assert np.all(table(np.array([10.0 + 1e-9, 11.0, np.inf])) == -np.inf)
+    below = np.array([nodes[0], 0.5 * nodes[0], 0.0, -3.0])
+    assert np.all(clamped(below) == 0.0)
+    assert close(plain(below), ref(np.full(below.size, nodes[0])))
