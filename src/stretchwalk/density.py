@@ -389,26 +389,23 @@ def _solve_log_g_level(exponent: ExponentModel, level: float) -> float:
     return x
 
 
-def sin_perturbation(exponent: ExponentModel, lam: float = 0.5) -> Perturbation:
-    """Reference oscillatory perturbation q = lam * sin(x) * min(1, log g)+.
+def sin_perturbation(exponent: ExponentModel) -> Perturbation:
+    """Reference oscillatory perturbation q = 0.5 sin(x) min(1, log g)+.
 
     The envelope is M(x) = clip(log g(x), 0, 1): the raw min(1, log g) dips
     negative where g < 1, which no valid envelope may do, so it is clamped
     at zero (q vanishes there too).  N = 1 and y0 solves log g = 1, making
     M <= N log g automatic beyond y0.
     """
-    if not -1.0 <= lam <= 1.0:
-        raise InvalidModel("sin perturbation requires |lambda| <= 1")
-
     def M(x: Array) -> Array:
         return np.clip(exponent.log_g(np.asarray(x, dtype=float)), 0.0, 1.0)
 
     def q(x: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        return lam * np.sin(x) * M(x)
+        return 0.5 * np.sin(x) * M(x)
 
     y0 = _solve_log_g_level(exponent, 1.0)
-    return Perturbation(q=q, M=M, N=1.0, y0=y0, name=f"sin(lambda={lam:g})")
+    return Perturbation(q=q, M=M, N=1.0, y0=y0, name="sin(lambda=0.5)")
 
 
 def _tabulated_perturbation(exponent: ExponentModel, x: Array, qvals: Array) -> Perturbation:
@@ -436,8 +433,9 @@ class PerturbedDensity:
     Instances are immutable after construction and safe to share across
     threads; anything random takes an explicit seed.  The one mutable part
     is ``_derived``, a memo of deterministic values other modules compute
-    from the model on first use (see ``derived``): the ``smalln`` survival
-    table and one ``sampler.TiltedLaw`` per target mean a.
+    from the model on first use (see ``derived``): the plain law's
+    inverse-CDF table, the ``smalln`` survival table and one
+    ``sampler.TiltedLaw`` per target mean a.
     """
 
     exponent: ExponentModel
@@ -530,7 +528,6 @@ class PerturbedDensity:
         self.mean = mean
         self.variance = max(second - mean * mean, 0.0)
         self._check_tail(mass)
-        self._table = GridInverseCdf.build(self._log_kernel, 0.0, self.support_cap)
 
     def _check_tail(self, log_mass: float) -> None:
         cap = self.support_cap
@@ -549,6 +546,12 @@ class PerturbedDensity:
         pos = x > 0.0
         out[pos] = np.exp(self.log_c - self.exponent_value(x[pos]))
         return out
+
+    @property
+    def _table(self) -> GridInverseCdf:
+        """Inverse-CDF table of the plain law, built on first use."""
+        return self.derived(
+            "plain_table", lambda: GridInverseCdf.build(self._log_kernel, 0.0, self.support_cap))
 
     def cdf(self, x: Array) -> Array:
         """Quadrature-table CDF (exact to the table tolerance)."""
@@ -589,8 +592,8 @@ def pure_density(exponent: ExponentModel) -> PerturbedDensity:
     return PerturbedDensity(exponent=exponent)
 
 
-def sin_perturbed_density(exponent: ExponentModel, lam: float = 0.5) -> PerturbedDensity:
-    return PerturbedDensity(exponent=exponent, perturbation=sin_perturbation(exponent, lam))
+def sin_perturbed_density(exponent: ExponentModel) -> PerturbedDensity:
+    return PerturbedDensity(exponent=exponent, perturbation=sin_perturbation(exponent))
 
 
 def load_tabulated_csv(path: str) -> tuple[TabulatedExponent, Perturbation | None]:

@@ -71,7 +71,7 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
     """
     if n < 2:
         raise DomainError("a walk needs at least 2 increments")
-    if a <= model.mean:
+    if not a > model.mean:
         raise DomainError("conditioning level must exceed the mean")
     rng = np.random.default_rng(seed)
     note = ""

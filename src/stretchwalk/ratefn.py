@@ -1,11 +1,13 @@
 """Numeric Legendre transform of the log moment generating function.
 
 The rate I(x) = sup_t (t x - Lambda(t)) is computed by solving the
-stationarity condition Lambda'(t) = x with a safeguarded Newton iteration.
-Lambda, Lambda' and Lambda'' come together from one adaptive quadrature
-pass over the tilted mass window, never from differencing Lambda, so the
-iteration sees smooth derivatives.  A table type holds (x, I, t*) on a
-log-spaced grid together with its duality and derivative residual checks.
+stationarity condition Lambda'(t) = x with one safeguarded Newton loop
+started at t = 0, where Lambda'(0) and Lambda''(0) are the model's own mean
+and variance.  Lambda, Lambda' and Lambda'' come together from one
+adaptive quadrature pass over the tilted mass window, never from
+differencing Lambda, so the iteration sees smooth derivatives.  A table
+type holds (x, I, t*) on a log-spaced grid together with its duality and
+derivative residual checks.
 """
 
 from __future__ import annotations
@@ -49,73 +51,23 @@ def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, floa
     return lam, mean, var
 
 
-def _solve_tilt(model: PerturbedDensity, x: float,
-                t_guess: float | None = None) -> tuple[float, float]:
+def _solve_tilt(model: PerturbedDensity, x: float) -> tuple[float, float]:
     """Solve Lambda'(t) = x; returns (t*, Lambda(t*)).
 
-    Safeguarded Newton: the bracket [t_lo, t_hi] is maintained from the
-    monotonicity of Lambda', Newton steps landing outside it are replaced
-    by bisection.  A Divergent evaluation during bracketing caps the
-    upper end instead of aborting, so linear-exponent models still solve
-    for means reachable below the divergence threshold.
+    One safeguarded Newton loop from t = 0, where Lambda'(0) = EX and
+    Lambda''(0) = Var X are the model's own ``mean`` and ``variance``.  The
+    bracket starts as (0, inf) or (-inf, 0) on the side of x, and every
+    iterate narrows it by the sign of Lambda'(t) - x.  A Newton step that
+    leaves the bracket becomes a bisection; a step is clamped to
+    +-_BRACKET_LIMIT, and the solve fails once Lambda' there still falls
+    short of x.  A Divergent evaluation becomes the bracket's upper end, so
+    linear-exponent models still solve for means reachable below the
+    divergence threshold.
     """
     tol = _tilt_tol(x)
-    ex = model.mean
-    if abs(x - ex) <= tol:
-        return 0.0, 0.0
-
-    stats_cache: dict[float, tuple[float, float, float]] = {}
-
-    def stats(t: float) -> tuple[float, float, float]:
-        if t not in stats_cache:
-            stats_cache[t] = _tilted_stats(model, t)
-        return stats_cache[t]
-
-    # Bracket the root of Lambda'(t) - x.
-    if x > ex:
-        t_lo, f_lo = 0.0, ex - x
-        t_hi = abs(t_guess) if t_guess else 0.25
-        hard_hi = math.inf
-        while True:
-            if t_hi >= hard_hi:
-                t_hi = 0.5 * (t_lo + hard_hi)
-            try:
-                _, mean, _ = stats(t_hi)
-            except Divergent:
-                hard_hi = t_hi
-                continue
-            if mean >= x:
-                f_hi = mean - x
-                break
-            t_lo, f_lo = t_hi, mean - x
-            if math.isinf(hard_hi):
-                if t_hi >= _BRACKET_LIMIT:
-                    raise NoRoot(
-                        f"no tilt with mean {x:g} found for t up to {_BRACKET_LIMIT:g}"
-                    )
-                t_hi *= 2.0
-            else:
-                if hard_hi - t_lo < 1e-13 * max(1.0, hard_hi):
-                    raise NoRoot(
-                        f"tilted mean stays below {x:g} up to the MGF divergence point"
-                    )
-                t_hi = 0.5 * (t_lo + hard_hi)
-    else:
-        t_hi, f_hi = 0.0, ex - x
-        t_lo = -(abs(t_guess) if t_guess else 0.25)
-        while True:
-            _, mean, _ = stats(t_lo)
-            if mean <= x:
-                f_lo = mean - x
-                break
-            t_hi, f_hi = t_lo, mean - x
-            if t_lo <= -_BRACKET_LIMIT:
-                raise NoRoot(f"no tilt with mean {x:g} found for t down to -{_BRACKET_LIMIT:g}")
-            t_lo *= 2.0
-
-    t = t_lo + (t_hi - t_lo) * f_lo / (f_lo - f_hi) if f_lo != f_hi else 0.5 * (t_lo + t_hi)
+    t, lam, mean, var = 0.0, 0.0, model.mean, model.variance
+    t_lo, t_hi = (0.0, math.inf) if x > mean else (-math.inf, 0.0)
     for _ in range(_NEWTON_CAP):
-        lam, mean, var = stats(t)
         resid = mean - x
         if abs(resid) <= tol:
             return t, lam
@@ -123,21 +75,28 @@ def _solve_tilt(model: PerturbedDensity, x: float,
             t_hi = t
         else:
             t_lo = t
-        step = resid / var
-        t_new = t - step
-        if not (t_lo < t_new < t_hi):
-            t_new = 0.5 * (t_lo + t_hi)
-        t = t_new
+        if t_lo >= _BRACKET_LIMIT or t_hi <= -_BRACKET_LIMIT:
+            raise NoRoot(f"no tilt with mean {x:g} found for |t| up to {_BRACKET_LIMIT:g}")
+        t_new = min(max(t - resid / var, -_BRACKET_LIMIT), _BRACKET_LIMIT)
+        t = t_new if t_lo < t_new < t_hi else 0.5 * (t_lo + t_hi)
+        try:
+            lam, mean, var = _tilted_stats(model, t)
+        except Divergent:
+            if t - t_lo < 1e-13 * max(1.0, t):
+                raise NoRoot(
+                    f"tilted mean stays below {x:g} up to the MGF divergence point"
+                ) from None
+            # An infinite mean caps the bracket at t, and the next step bisects.
+            mean = math.inf
     raise NoConvergence(f"tilt solve for mean {x:g} stalled at residual {resid:g}")
 
 
-def cramer_rate(model: PerturbedDensity, x: float,
-                t_guess: float | None = None) -> tuple[float, float]:
+def cramer_rate(model: PerturbedDensity, x: float) -> tuple[float, float]:
     """(I(x), t*(x)) with |Lambda'(t*) - x| <= 1e-8 max(1, x)."""
     x = float(x)
-    if x <= 0.0:
-        raise DomainError("rate is defined only above the support infimum 0")
-    t_star, lam = _solve_tilt(model, x, t_guess)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"rate needs a finite x above the support infimum 0, got {x!r}")
+    t_star, lam = _solve_tilt(model, x)
     if t_star == 0.0:
         return 0.0, 0.0
     value = t_star * x - lam
@@ -181,10 +140,8 @@ class CramerRate:
         grid = np.geomspace(lo, x_max, points)
         rates = np.empty(points)
         tilts = np.empty(points)
-        guess = None
         for i, xv in enumerate(grid):
-            rates[i], tilts[i] = cramer_rate(model, float(xv), t_guess=guess)
-            guess = tilts[i]
+            rates[i], tilts[i] = cramer_rate(model, float(xv))
         table = cls(
             model=model,
             x=np.concatenate([[ex], grid]),

@@ -138,6 +138,8 @@ def tilted_table(model: PerturbedDensity, t: float) -> GridInverseCdf:
 def tilted_law(model: PerturbedDensity, a: float) -> TiltedLaw:
     """The law tilted to mean a (the plain law at or below the mean, with
     Lambda exactly 0), built once per (model, a) and memoised on the model."""
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"tilted law needs a finite mean a > 0, got {a!r}")
 
     def build() -> TiltedLaw:
         t = cramer_rate(model, a)[1] if a > model.mean else 0.0
@@ -248,8 +250,8 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
     """
     if n < 2:
         raise DomainError("fixed-sum Gibbs needs n >= 2")
-    if s_total <= 0.0:
-        raise DomainError("total must be positive")
+    if not 0.0 < s_total < math.inf:
+        raise DomainError(f"total must be positive and finite, got {s_total!r}")
     if sweeps < 1:
         raise DomainError("need at least one recorded sweep")
     rng = np.random.default_rng(seed)

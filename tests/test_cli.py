@@ -2,8 +2,11 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,3 +443,21 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+@pytest.mark.parametrize("command, lead", [
+    ("stretchwalk localize --model weibull:k=3", "The `TiltedIS` example above prints"),
+    ("stretchwalk paths", "The example above prints"),
+], ids=["localize", "paths"])
+def test_readme_output_matches_cli(command, lead, capsys):
+    # The README shows the output of two of its command examples; running
+    # the same argv must print those blocks byte for byte.
+    lines = re.sub(r"\\\n\s*", " ", _README).splitlines()
+    (argv,) = [shlex.split(line)[1:] for line in lines if line.startswith(command)]
+    (block,) = re.findall(re.escape(lead) + r"\n\n```\n(.*?)```", _README, re.S)
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    assert out == block

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from stretchwalk import cli
+from stretchwalk import cli, ratefn
 from stretchwalk.density import (
     PowerExponent,
     WeibullExponent,
@@ -76,6 +76,46 @@ class TestCramerRate:
             value, tilt = cramer_rate(expo, x)
             assert abs(value - (x - 1.0 - math.log(x))) <= 1e-6
             assert abs(tilt - (1.0 - 1.0 / x)) <= 1e-6
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 50.0, 100.0, 1000.0])
+    def test_exponential_closed_form_far_from_the_mean(self, expo, x):
+        # Both sides of the mean, up to t* = 0.999 next to the MGF's
+        # divergence at t = 1.
+        value, tilt = cramer_rate(expo, x)
+        assert abs(value - (x - 1.0 - math.log(x))) <= 1e-6
+        assert abs(tilt - (1.0 - 1.0 / x)) <= 1e-6
+
+    def test_cold_solves_stay_cheap(self, monkeypatch):
+        # 28 solves from t = 0, one quadrature pass per Newton or bisection
+        # step: about four passes a solve, every tilt within the residual
+        # tolerance.
+        passes = []
+
+        def counted(model, t):
+            passes.append(t)
+            return _tilted_stats(model, t)
+
+        monkeypatch.setattr(ratefn, "_tilted_stats", counted)
+        solved = []
+        for spec in ("power:beta=2", "power:beta=3", "weibull:k=3", "exp"):
+            model = parse_model(spec)
+            for ratio in np.geomspace(1.15, 3.4, 7):
+                x = ratio * model.mean
+                solved.append((model, x, cramer_rate(model, x)[1]))
+        assert len(solved) == 28 and len(passes) <= 130
+        for model, x, tilt in solved:
+            assert abs(_tilted_stats(model, tilt)[1] - x) <= 1e-8 * max(1.0, x)
+
+    def test_far_tail_newton_step_is_clamped(self):
+        # From t = 0 the first Newton step for x = 1e6 lands near t = 8e5,
+        # where the tilted quadrature loses its variance; clamped to the
+        # bracket limit, the solve reaches t* = g'(x) = 1.5 sqrt(x), and
+        # I(x) = g(x) = 1e9 up to terms of order log x.
+        model = pure_density(PowerExponent(1.5))
+        value, tilt = cramer_rate(model, 1e6)
+        assert tilt == pytest.approx(1500.0, rel=1e-6)
+        assert abs(_tilted_stats(model, tilt)[1] - 1e6) <= 1e-8 * 1e6
+        assert value == pytest.approx(1e9, rel=1e-8)
 
     def test_exponential_left_branch(self, expo):
         value, tilt = cramer_rate(expo, 0.25)

@@ -19,7 +19,7 @@ from stretchwalk.density import (
 from stretchwalk.quadrature import MASS_DROP, GridInverseCdf, gauss_legendre, mass_window
 from stretchwalk.errors import DegenerateWeights, DomainError, NoConvergence, NonIntegrable
 from stretchwalk import sampler
-from stretchwalk.paths import estimate_p_ak
+from stretchwalk.paths import estimate_p_ak, simulate_conditioned_path
 from stretchwalk.ratefn import _tilted_stats, cramer_rate
 from stretchwalk.sampler import (
     ConditionedSample,
@@ -82,12 +82,25 @@ class TestTiltedLaw:
         assert np.array_equal(law.table.x, plain.x)
         assert np.array_equal(law.table.cdf, plain.cdf)
 
+    @pytest.mark.parametrize("call", [
+        lambda m: cramer_rate(m, math.inf),
+        lambda m: cramer_rate(m, math.nan),
+        lambda m: tilted_law(m, math.inf),
+        lambda m: tilted_law(m, math.nan),
+        lambda m: simulate_conditioned_path(m, 5, math.nan, EndValueAtLeast(5.0), 1),
+        lambda m: gibbs_fixed_sum(m, 5, math.nan, sweeps=1, seed=1),
+        lambda m: gibbs_fixed_sum(m, 5, math.inf, sweeps=1, seed=1),
+    ], ids=["rate-inf", "rate-nan", "law-inf", "law-nan", "path-nan", "gibbs-nan", "gibbs-inf"])
+    def test_nonfinite_level_is_domain_error(self, weibull3, call):
+        with pytest.raises(DomainError):
+            call(weibull3)
+
     def test_built_once_per_model_and_mean(self, monkeypatch):
         calls = []
 
-        def counted(model, x, t_guess=None):
+        def counted(model, x):
             calls.append(x)
-            return cramer_rate(model, x, t_guess)
+            return cramer_rate(model, x)
 
         monkeypatch.setattr(sampler, "cramer_rate", counted)
         model = pure_density(WeibullExponent(3.0))
