@@ -13,7 +13,7 @@ round yields the mass and the first two moments from one ``ell`` call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -251,10 +251,22 @@ class GridInverseCdf:
     table is the scalar table on ``(lo[k], hi[k])`` followed by that padding.
     Node spacing at the default resolution keeps the inversion error well
     below 1e-6 in probability for the smooth densities used in this package.
+
+    A 1-D table inverts through a guide table (indexed search: Chen & Asau
+    1974; Devroye 1986, *Non-Uniform Random Variate Generation*, III.2.4),
+    built on first use: M = 4 x nodes buckets, a draw u in bucket
+    ``floor(u M)`` (clipped to [0, M]), and per bucket its start interval
+    and the cdf of the next node.  A bucket holding at most one node finds
+    a draw's interval with one comparison; draws in the rare bucket holding
+    two or more go to ``np.interp``, as do u outside [cdf[0], cdf[-1]),
+    NaN and +-inf.  The value is np.interp's own arithmetic on that
+    interval, so ``ppf`` returns ``np.interp(u, cdf, x)`` bit for bit.
     """
 
     x: Array
     cdf: Array
+    _guide: tuple[Array, Array, Array] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, ell: Callable[..., Array], lo: float | Array, hi: float | Array,
@@ -301,10 +313,13 @@ class GridInverseCdf:
         return cls(x=xs[0, :m], cdf=cdf[0, :m])
 
     def ppf(self, u: Array) -> Array:
-        """Inverse cdf: any shape of u for one density, one u per row for many."""
+        """Inverse cdf: any shape of u for one density, one u per row for many.
+
+        For one density this is ``np.interp(u, cdf, x)`` bit for bit, through
+        the guide (see the class docstring)."""
         u = np.asarray(u, dtype=float)
         if self.cdf.ndim == 1:
-            return np.interp(u, self.cdf, self.x)
+            return self._guided_ppf(u)
         # Node k is the first with cdf >= u; interpolate on [k - 1, k].
         rows, points = self.cdf.shape
         k = np.clip((self.cdf < u[:, None]).sum(axis=1), 1, points - 1) + np.arange(0, rows * points, points)
@@ -312,12 +327,61 @@ class GridInverseCdf:
         x0, x1 = self.x.take(k - 1), self.x.take(k)
         return x0 + (u - c0) / np.maximum(c1 - c0, np.finfo(float).tiny) * (x1 - x0)
 
+    def _guided_ppf(self, u: Array) -> Array:
+        if self._guide is None:
+            self._guide = _guide_table(self.cdf, self.x)
+        start, threshold, slope = self._guide
+        buckets = start.size - 1
+        flat = u.ravel()
+        # out, k and tmp are the draw-sized buffers, each reused where it can be.
+        out = flat * buckets
+        np.minimum(out, buckets, out=out)
+        with np.errstate(invalid="ignore"):  # NaN and -inf: any index, clipped by take
+            k = out.astype(np.intp)
+        # The interval k with cdf[k] <= u < cdf[k + 1]: -1 below the table or
+        # in a crowded bucket (threshold inf), len(cdf) - 1 at or past its end.
+        past = threshold.take(k, mode="clip", out=out) <= flat
+        k = start.take(k, mode="clip")
+        k += past
+        # slope * (u - cdf[k]) + x[k] as np.interp computes it; k = -1 wraps
+        # to the NaN slope, so every draw left over comes out non-finite.
+        np.subtract(flat, self.cdf.take(k, mode="wrap", out=out), out=out)
+        tmp = slope.take(k, mode="wrap")
+        out *= tmp
+        out += self.x.take(k, mode="wrap", out=tmp)
+        redo = np.flatnonzero(~np.isfinite(out))
+        if redo.size:
+            out[redo] = np.interp(flat[redo], self.cdf, self.x)
+        return out[0] if u.ndim == 0 else out.reshape(u.shape)
+
     def cdf_at(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         return np.interp(x, self.x, self.cdf, left=0.0, right=1.0)
 
     def sample(self, rng: np.random.Generator, size) -> Array:
         return self.ppf(rng.random(size))
+
+
+def _guide_table(cdf: Array, x: Array) -> tuple[Array, Array, Array]:
+    """The guide of a 1-D table, for 4 buckets per node plus one that holds
+    u = 1: per bucket the last node in a lower bucket and the cdf of the
+    node after it (-1 and inf where the bucket holds two or more nodes),
+    and np.interp's slopes followed by a NaN.
+
+    Nodes fall in buckets by the same map as draws, and u -> bucket does
+    not decrease, so a draw's interval is its bucket's start plus the count
+    of that bucket's nodes at or below it: exact at every bucket edge."""
+    n = cdf.size
+    buckets = 4 * n
+    count = np.bincount(np.clip(cdf * buckets, 0, buckets).astype(np.intp),
+                        minlength=buckets + 1)
+    start = np.cumsum(count) - count - 1
+    threshold = cdf[np.minimum(start + 1, n - 1)]
+    crowded = count > 1
+    start[crowded], threshold[crowded] = -1, np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # the flat cdf = 1 tail
+        slope = np.append(np.diff(x) / np.diff(cdf), np.nan)
+    return start, threshold, slope
 
 
 def _linspace_rows(lo: Array, hi: Array, ramp: Array) -> Array:

@@ -146,10 +146,17 @@ def _third_step(model: PerturbedDensity, t_grid: Array, two_step: Array, target:
 
 
 def exact_log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
-    """log P(S_n >= n a) by direct integration (n in {2, 3})."""
+    """log P(S_n >= n a) by direct integration (n in {2, 3}), memoised on the
+    model, so the escape and localization probabilities at the same level
+    reuse it."""
     _check_n(n)
     if not a > 0.0:
         raise DomainError("sum level must be positive")
+    return model.derived(("log_prob_exceed", n, float(a)),
+                         lambda: _log_prob_exceed(model, n, a))
+
+
+def _log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
     cap = model.support_cap
     tail = _survival(model)
 

@@ -11,6 +11,7 @@ from scipy.stats import binomtest, chi2_contingency, kstwo, norm
 
 from stretchwalk.density import (
     PowerExponent,
+    TabulatedExponent,
     WeibullExponent,
     parse_model,
     pure_density,
@@ -369,6 +370,75 @@ class TestTableResolution:
 
         with pytest.raises(NonIntegrable):
             GridInverseCdf.build(spike, 0.0, 1.0, points=9)
+
+
+_TAB_X = np.linspace(0.05, 12.0, 12)
+_GUIDE_SPECS = ("power:beta=1", "power:beta=2", "weibull:k=3", "exp", "tabulated",
+                "power:beta=3/sin")
+
+
+@pytest.fixture(scope="module")
+def guide_models():
+    models = {spec: parse_model(spec) for spec in _GUIDE_SPECS if spec != "tabulated"}
+    models["tabulated"] = pure_density(
+        TabulatedExponent(_TAB_X, (_TAB_X - 0.3) ** 2 + 0.1 * _TAB_X**3))
+    return models
+
+
+def _plain_interp_ppf(self, u):
+    """The 1-D inverse cdf as it was before the guide: np.interp alone."""
+    return np.interp(np.asarray(u, dtype=float), self.cdf, self.x)
+
+
+class TestGuidedPpf:
+    """The guided 1-D lookup returns np.interp(u, cdf, x), bit for bit."""
+
+    @pytest.mark.parametrize("level", [None, 1.2, 1.5, 3.0])
+    @pytest.mark.parametrize("spec", _GUIDE_SPECS)
+    def test_matches_interp_bit_for_bit(self, guide_models, spec, level):
+        model = guide_models[spec]
+        table = model._table if level is None else tilted_law(model, level * model.mean).table
+        cdf = table.cdf
+        edges = np.arange(4 * cdf.size + 1) / (4 * cdf.size)
+        rng = default_rng(17)
+        inputs = [
+            rng.random((64, 2000)),
+            cdf,
+            0.5 * (cdf[1:] + cdf[:-1]),
+            edges,
+            np.nextafter(edges, -1.0),
+            np.array([0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, 1.5, -0.1, 1e30, -1e30,
+                      np.inf, -np.inf, np.nan]),
+            np.asarray(0.3),
+            np.asarray(np.nan),
+            np.empty(0),
+            rng.random(7),
+        ]
+        for u in inputs:
+            got, want = table.ppf(u), np.interp(u, cdf, table.x)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True)
+        # The random draws reach both the one-comparison buckets and the
+        # np.interp fallback for buckets holding two or more nodes.
+        _, threshold, _ = table._guide
+        crowded = np.isinf(threshold)
+        assert crowded.any() and not crowded.all()
+
+    def test_consumers_draw_the_same(self, weibull3, monkeypatch):
+        a = 1.5 * weibull3.mean
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(GridInverseCdf, "ppf", _plain_interp_ppf)
+            paths = [simulate_conditioned_path(weibull3, n, a, EndValueAtLeast(n * a), seed=5)
+                     for n in (500, 2000)]
+            runs.append(([p.increments for p in paths], [p.note for p in paths],
+                         [importance_estimate(weibull3, n, a, 0.5, 4000, seed=9)
+                          for n in (2, 20)]))
+        (inc, notes, est), (inc_ref, notes_ref, est_ref) = runs
+        assert all(np.array_equal(x, y) for x, y in zip(inc, inc_ref))
+        assert notes == notes_ref == ["", ""]
+        assert est == est_ref
 
 
 class TestGibbsFixedSum:

@@ -18,6 +18,7 @@ from stretchwalk.density import (
     pure_density,
     sin_perturbed_density,
 )
+from stretchwalk import smalln
 from stretchwalk.errors import DomainError
 from stretchwalk.smalln import (
     _ROW_BLOCK,
@@ -123,6 +124,29 @@ def test_nan_level_raises_and_infinite_level_has_probability_zero():
         with pytest.raises(DomainError):
             exact_log_prob_exceed(model, n, math.nan)
         assert exact_log_prob_exceed(model, n, math.inf) == -math.inf
+
+
+def test_exceedance_is_shared_by_escape_and_localization(monkeypatch):
+    # At n = 3 exceedance and band take two _log_quad calls each (the
+    # two-step table, then the third step); the escape and localization
+    # probabilities at the same level reuse the exceedance, bit for bit.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _log_quad(*args, **kwargs)
+
+    model = pure_density(WeibullExponent(3.0))
+    fresh = pure_density(WeibullExponent(3.0))
+    monkeypatch.setattr(smalln, "_log_quad", counted)
+    log_c = exact_log_prob_exceed(model, 3, 1.6)
+    log_escape = exact_log_prob_escape(model, 3, 1.6, 0.35)
+    assert len(calls) == 4
+    exact_localization(model, 3, 1.6, 0.35)
+    assert len(calls) == 6
+    assert exact_log_prob_exceed(model, 3, 1.6) == log_c and len(calls) == 6
+    assert exact_log_prob_escape(fresh, 3, 1.6, 0.35) == log_escape
+    assert exact_log_prob_exceed(fresh, 3, 1.6) == log_c
 
 
 def _irwin_hall_band3(a, eps):
