@@ -480,8 +480,10 @@ class PerturbedDensity:
     def _log_kernel(self, x: Array) -> Array:
         """log of the unnormalised density, -inf off the support."""
         x = np.asarray(x, dtype=float)
-        out = np.full_like(x, -np.inf)
         pos = x > 0.0
+        if pos.all():
+            return -self.exponent_value(x)
+        out = np.full_like(x, -np.inf)
         if np.any(pos):
             out[pos] = -self.exponent_value(x[pos])
         return out
@@ -552,10 +554,6 @@ class PerturbedDensity:
         """Inverse-CDF table of the plain law, built on first use."""
         return self.derived(
             "plain_table", lambda: GridInverseCdf.build(self._log_kernel, 0.0, self.support_cap))
-
-    def cdf(self, x: Array) -> Array:
-        """Quadrature-table CDF (exact to the table tolerance)."""
-        return self._table.cdf_at(x)
 
     def log_tail(self, x: float) -> float:
         """log P(X > x); shift-stabilised so deep tails stay finite.

@@ -44,6 +44,8 @@ _START_PANELS = 4
 _RTOL = 1e-13
 _NOISE = 64.0 * np.finfo(float).eps
 _PANEL_CAP = 4096
+# A batched ppf divides by a cdf step no smaller than this (a flat interval).
+_TINY = np.finfo(float).tiny
 
 
 def gauss_legendre(lo: Array, hi: Array) -> tuple[Array, Array]:
@@ -242,15 +244,21 @@ class GridInverseCdf:
 
     Each row restricts itself to the region where its log-density is within
     ``MASS_DROP`` of its peak, places ``points`` equispaced nodes there, and
-    builds the cumulative by composite trapezoid.  A row whose mass region
-    is narrower than half the grid is re-gridded, as often as it takes, so a
-    sharply peaked density (a pair conditional at a large sum, say) still
-    gets at least ``points // 2`` nodes across its mass; only those rows
-    call ``ell`` again.  A row cropped to fewer than ``points`` nodes is
-    padded on the right with its last node (cdf 1), so row k of a batched
-    table is the scalar table on ``(lo[k], hi[k])`` followed by that padding.
-    Node spacing at the default resolution keeps the inversion error well
-    below 1e-6 in probability for the smooth densities used in this package.
+    builds the cumulative by composite trapezoid.  A row's first grid spans
+    ``(lo, hi)``, or ``[start, hi]`` where ``start`` is given: a caller that
+    knows where the mass lies (the pair conditionals of ``sampler`` know it
+    from Laplace's method) saves the passes that find it.  A row whose first
+    grid starts inside ``(lo, hi)`` and whose mass region, padded by one
+    node as below, reaches that start is laid again on ``(lo, hi)``, from
+    the first pass's own values.  A row whose mass region is narrower than
+    half the grid is re-gridded, as often as it takes, so a sharply peaked
+    density still gets at least ``points // 2`` nodes across its mass; only
+    those rows call ``ell`` again.  A row cropped to fewer than ``points``
+    nodes is padded on the right with its last node (cdf 1), so row k of a
+    batched table is the scalar table on ``(lo[k], hi[k])`` with
+    ``start[k]`` followed by that padding.  Node spacing at the default
+    resolution keeps the inversion error well below 1e-6 in probability for
+    the smooth densities used in this package.
 
     A 1-D table inverts through a guide table (indexed search: Chen & Asau
     1974; Devroye 1986, *Non-Uniform Random Variate Generation*, III.2.4),
@@ -270,17 +278,25 @@ class GridInverseCdf:
 
     @classmethod
     def build(cls, ell: Callable[..., Array], lo: float | Array, hi: float | Array,
-              points: int = 4097) -> "GridInverseCdf":
+              points: int = 4097, start: float | Array | None = None) -> "GridInverseCdf":
         batched = np.ndim(lo) > 0
         call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
         lo_r = np.atleast_1d(np.asarray(lo, dtype=float))
         hi_r = np.atleast_1d(np.asarray(hi, dtype=float))
+        first_lo = lo_r if start is None else np.atleast_1d(np.asarray(start, dtype=float))
         rows = np.arange(lo_r.size)
         ramp = np.arange(points)
-        xs = _linspace_rows(lo_r, hi_r, ramp)
+        xs = _linspace_rows(first_lo, hi_r, ramp)
         vals = np.asarray(call(xs, rows), dtype=float)
         peak, lo_i, hi_i = _mass_span(vals)
-        if not np.all(peak > -np.inf):
+        # Rows whose mass region, padded by a node, reaches the start of a
+        # first grid inside (lo, hi) are laid again on (lo, hi).
+        redo = rows[(first_lo > lo_r) & (lo_i == 0)]
+        if redo.size:
+            xs[redo] = _linspace_rows(lo_r[redo], hi_r[redo], ramp)
+            vals[redo] = call(xs[redo], redo)
+            peak[redo], lo_i[redo], hi_i[redo] = _mass_span(vals[redo])
+        if not (peak > -np.inf).all():
             raise NonIntegrable("log-density is not finite anywhere on the table grid")
         # Rows whose mass region spans half the table are cropped to it; the
         # rest are re-gridded at full resolution until it does, each pass
@@ -304,7 +320,7 @@ class GridInverseCdf:
         np.cumsum((xs[:, 1:] - xs[:, :-1]) * (w[:, 1:] + w[:, :-1]) / 2.0, axis=1,
                   out=cdf[:, 1:])
         total = cdf[:, -1:]
-        if not np.all((total > 0.0) & (total < np.inf)):
+        if not ((total > 0.0) & (total < np.inf)).all():
             raise NonIntegrable("density mass vanished on the table grid")
         cdf /= total
         if batched:
@@ -322,10 +338,11 @@ class GridInverseCdf:
             return self._guided_ppf(u)
         # Node k is the first with cdf >= u; interpolate on [k - 1, k].
         rows, points = self.cdf.shape
-        k = np.clip((self.cdf < u[:, None]).sum(axis=1), 1, points - 1) + np.arange(0, rows * points, points)
+        k = np.minimum(np.maximum((self.cdf < u[:, None]).sum(axis=1), 1), points - 1)
+        k += np.arange(0, rows * points, points)
         c0, c1 = self.cdf.take(k - 1), self.cdf.take(k)
         x0, x1 = self.x.take(k - 1), self.x.take(k)
-        return x0 + (u - c0) / np.maximum(c1 - c0, np.finfo(float).tiny) * (x1 - x0)
+        return x0 + (u - c0) / np.maximum(c1 - c0, _TINY) * (x1 - x0)
 
     def _guided_ppf(self, u: Array) -> Array:
         if self._guide is None:
@@ -353,10 +370,6 @@ class GridInverseCdf:
         if redo.size:
             out[redo] = np.interp(flat[redo], self.cdf, self.x)
         return out[0] if u.ndim == 0 else out.reshape(u.shape)
-
-    def cdf_at(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, self.x, self.cdf, left=0.0, right=1.0)
 
     def sample(self, rng: np.random.Generator, size) -> Array:
         return self.ppf(rng.random(size))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import PerturbedDensity
 from .errors import DegenerateWeights, DomainError, NoConvergence
-from .quadrature import Array, GridInverseCdf, mass_window
+from .quadrature import MASS_DROP, Array, GridInverseCdf, mass_window
 from .ratefn import _tilted_ell, _tilted_stats, cramer_rate
 
 METHODS = ("TiltedIS", "FixedSumGibbs")
@@ -226,14 +226,57 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
     (0, s_k / 2].  That density is symmetric about s_k / 2, so its cdf there
     is exactly 1/2, and reflecting a half-table draw u to s_k - u with
     probability 1/2 draws from the whole conditional on (0, s_k).
+
+    Its log-density peaks at s_k / 2 with curvature 2 g''(s_k / 2), so by
+    Laplace's method it falls ``MASS_DROP`` below its peak at about
+    sqrt(MASS_DROP / g''(s_k / 2)) from s_k / 2.  Each row's first grid is
+    that window with a margin, [s_k / 2 - w, s_k / 2] with
+    w = sqrt(1.25 MASS_DROP / g''(s_k / 2)), so one ``ell`` pass places
+    about 90% of the nodes across the mass.  A row whose mass still
+    reaches the window's left edge, such as a perturbed density bent away
+    from its Laplace shape, is laid again on (0, s_k / 2] within the same
+    build; so, from the start, is a row whose g'' there is not finite and
+    positive or whose window reaches past 0.  Where w is below
+    ``_PAIR_POINTS`` float spacings at s_k / 2, no grid of floats resolves
+    the conditional, which is a point mass at s_k / 2 on floats: the row
+    puts every node there and draws s_k / 2 exactly.
     """
     s = np.asarray(s, dtype=float)
+    half = s / 2.0
+    start = _pair_window_start(model, half)
+    point = start == half
+    if point.any():
+        x = np.repeat(half[:, None], _PAIR_POINTS, axis=1)
+        cdf = np.ones_like(x)
+        cdf[:, 0] = 0.0
+        if not point.all():
+            rest = pair_conditional_table(model, s[~point])
+            x[~point], cdf[~point] = rest.x, rest.cdf
+        return GridInverseCdf(x=x, cdf=cdf)
 
     def ell(us: Array, rows: Array) -> Array:
-        both = model._log_kernel(np.stack((us, s[rows, None] - us)))
+        # u and s - u in one array, so the kernel runs once (np.stack costs
+        # more than the subtraction at a matching's few rows).
+        both = np.empty((2, *us.shape))
+        both[0] = us
+        np.subtract(s[rows, None], us, out=both[1])
+        both = model._log_kernel(both)
         return both[0] + both[1]
 
-    return GridInverseCdf.build(ell, np.zeros_like(s), s / 2.0, points=_PAIR_POINTS)
+    return GridInverseCdf.build(ell, np.zeros_like(s), half, points=_PAIR_POINTS, start=start)
+
+
+def _pair_window_start(model: PerturbedDensity, half: Array) -> Array:
+    """Left edge of each pair half-table's first grid on (0, half]: the
+    Laplace window's half - w (see ``pair_conditional_table``), 0 where
+    g''(half) is not finite and positive or the window reaches past 0, and
+    half itself where the window is below float resolution."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        curvature = model.exponent.d2g(half)
+        # w is inf or NaN where g'' is not finite and positive, so fmax
+        # starts those rows at 0 and none of them is a point mass.
+        w = np.sqrt(1.25 * MASS_DROP / np.where(curvature < np.inf, curvature, 0.0))
+    return np.where(w < _PAIR_POINTS * np.spacing(half), half, np.fmax(half - w, 0.0))
 
 
 def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
@@ -306,10 +349,8 @@ def estimate_localization(model: PerturbedDensity, n: int, a: float, eps: float,
         return importance_estimate(model, n, a, eps, budget, seed).conditional
     if method == "FixedSumGibbs":
         states = gibbs_fixed_sum(model, n, n * a, sweeps=budget, seed=seed)
-        lo, hi = a - eps, a + eps
-        flags = np.array(
-            [float(np.all((s.values > lo) & (s.values < hi))) for s in states]
-        )
+        values = np.array([s.values for s in states])
+        flags = np.all((values > a - eps) & (values < a + eps), axis=1).astype(float)
         se, n_eff = _batch_means_std_err(flags)
         return LocalizationEstimate(
             p_hat=float(flags.mean()),

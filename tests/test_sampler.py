@@ -284,11 +284,22 @@ def _row(table, k):
     return GridInverseCdf(x=table.x[k, :m], cdf=table.cdf[k, :m])
 
 
+def _half_cdf(half, u):
+    """cdf at u of a 1-D half-table, 0 left of it and 1 right of it."""
+    return np.interp(u, half.x, half.cdf, left=0.0, right=1.0)
+
+
 def _pair_cdf(half, s, u):
     """cdf at u of the whole pair conditional on (0, s), from its half-table
     on (0, s/2] and the reflection u -> s - u."""
     u = np.asarray(u, dtype=float)
-    return np.where(u <= s / 2, half.cdf_at(u) / 2, 1.0 - half.cdf_at(s - u) / 2)
+    return np.where(u <= s / 2, _half_cdf(half, u) / 2, 1.0 - _half_cdf(half, s - u) / 2)
+
+
+def _cubic(kind):
+    """A fresh power beta=3 model, pure or sin-perturbed (tests may patch it)."""
+    exponent = PowerExponent(3.0)
+    return pure_density(exponent) if kind == "pure" else sin_perturbed_density(exponent)
 
 
 def _pair_ell(model, s):
@@ -313,31 +324,87 @@ class TestTableResolution:
 
     @pytest.mark.parametrize("kind", ["pure", "sin"])
     @pytest.mark.parametrize("s", [6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 199.9, 200.0])
-    def test_resolved_pair_tables_unchanged(self, kind, s):
-        # Where one re-grid resolves the mass, the half-table is the
-        # construction without repeated re-gridding, bit for bit.
-        exponent = PowerExponent(3.0)
-        model = pure_density(exponent) if kind == "pure" else sin_perturbed_density(exponent)
+    def test_pair_tables_accurate(self, kind, s):
+        # The half-table's cdf against a fine trapezoid cumulative on
+        # s/2 - 30 sd .. s/2, with sd = 1 / sqrt(6 s) for the cubic.  The
+        # bound is the worst error of the tables laid on (0, s/2] before
+        # Laplace windows (1.25e-4, at s = 6 with 312 nodes).
+        model = _cubic(kind)
+        half = _row(pair_conditional_table(model, [s]), 0)
+        assert half.x.size >= 512 // 2
+        sd = 1.0 / math.sqrt(6.0 * s)
+        us = np.linspace(max(s / 2 - 30 * sd, 0.0), s / 2, 200_001)
+        log_w = _pair_ell(model, s)(us)
+        ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_w - log_w.max()), us)])
+        assert np.max(np.abs(_half_cdf(half, us) - ref / ref[-1])) <= 1.25e-4
+
+    @pytest.mark.parametrize("kind", ["pure", "sin"])
+    def test_one_ell_pass_per_build(self, kind):
+        model = _cubic(kind)
+        calls = []
+        kernel = model._log_kernel
+        model._log_kernel = lambda x: calls.append(x.shape) or kernel(x)
+        sums = [6.0, 8.0, 10.0, 20.0, 50.0, 200.0, 800.0, 2000.0]
+        for s in sums:
+            pair_conditional_table(model, [s])
+        pair_conditional_table(model, sums)
+        assert calls == [(2, 1, 512)] * len(sums) + [(2, len(sums), 512)]
+
+    @pytest.mark.parametrize("kind", ["pure", "sin"])
+    @pytest.mark.parametrize("s", [6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 199.9, 200.0])
+    def test_resolved_pair_tables_unchanged(self, kind, s, monkeypatch):
+        # A row whose mass reaches the left edge of its Laplace window is
+        # laid again on (0, s/2]: a g'' a hundred times too large makes the
+        # window ten times too narrow.  Where one re-grid resolves the mass,
+        # that row is the construction without Laplace windows or repeated
+        # re-gridding, bit for bit.
+        model = _cubic(kind)
+        exponent = model.exponent
+        monkeypatch.setattr(exponent, "d2g", lambda x: 100.0 * type(exponent).d2g(exponent, x))
         xs, cdf = _one_regrid_table(_pair_ell(model, s), 0.0, s / 2, 512)
         half = _row(pair_conditional_table(model, [s]), 0)
         assert np.array_equal(half.x, xs)
         assert np.array_equal(half.cdf, cdf)
 
     @pytest.mark.parametrize("kind", ["pure", "sin"])
-    def test_batched_rows_match_scalar_builds(self, kind):
-        # Rows cropped at once, re-gridded once and re-gridded repeatedly,
-        # built together: each row is its scalar build plus right padding.
-        exponent = PowerExponent(3.0)
-        model = pure_density(exponent) if kind == "pure" else sin_perturbed_density(exponent)
+    def test_batched_rows_match_scalar_builds(self, kind, monkeypatch):
+        # Rows on their Laplace windows and rows that fall back to (0, s/2]
+        # and are then re-gridded (g'' made too large above s/2 = 300),
+        # built together: each row is the scalar build on its own window,
+        # or on (0, s/2], plus right padding.
+        model = _cubic(kind)
+        exponent = model.exponent
+        true_d2g = type(exponent).d2g
+        too_large = lambda x: np.where(x > 300.0, 100.0, 1.0) * true_d2g(exponent, x)
+        monkeypatch.setattr(exponent, "d2g", too_large)
         sums = np.array([6.0, 2000.0, 50.0, 800.0, 8.0, 199.9])
+        start = sampler._pair_window_start(model, sums / 2)
         table = pair_conditional_table(model, sums)
         assert table.x.shape == table.cdf.shape == (sums.size, 512)
         for k, s in enumerate(sums):
-            ref = GridInverseCdf.build(_pair_ell(model, s), 0.0, s / 2, points=512)
+            lo = 0.0 if s > 600.0 else start[k]
+            assert 0.0 < start[k] < s / 2
+            ref = GridInverseCdf.build(_pair_ell(model, s), lo, s / 2, points=512)
             m = ref.x.size
             assert np.array_equal(table.x[k, :m], ref.x)
             assert np.array_equal(table.cdf[k, :m], ref.cdf)
             assert np.all(table.x[k, m:] == ref.x[-1]) and np.all(table.cdf[k, m:] == 1.0)
+
+    def test_sub_resolution_pair_is_point_mass(self):
+        # For g = exp at pair sum 800 the conditional's sd is about 1e-87,
+        # far below the float spacing at 400: its row is a point mass at
+        # s/2, beside an ordinary row at sum 6.
+        model = parse_model("exp")
+        table = pair_conditional_table(model, [800.0, 6.0])
+        assert np.all(table.x[0] == 400.0)
+        assert table.x[1, 0] > 0.0 and table.x[1, -1] == 3.0
+        for u in [np.array([0.0, 0.5]), np.array([1.0, 0.5]), *default_rng(0).random((5, 2))]:
+            assert table.ppf(u)[0] == 400.0
+        for n in (2, 4):
+            states = gibbs_fixed_sum(model, n, n * 400.0, sweeps=5, seed=1)
+            assert all(np.all(st.values == 400.0) for st in states)
+            est = estimate_localization(model, n, 400.0, 0.5, "FixedSumGibbs", budget=100, seed=0)
+            assert est.p_hat == 1.0
 
     def test_batched_ppf_matches_row_interp(self, power3):
         sums = np.array([6.0, 2000.0, 50.0, 8.0])
@@ -486,7 +553,7 @@ class TestGibbsFixedSum:
         ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_ref - log_ref.max()), fine)])
         ref /= ref[-1]
         us = s_total / 2 + np.linspace(-2.7, 0.0, 41)
-        got = half.cdf_at(us)
+        got = _half_cdf(half, us)
         assert np.max(np.abs(got - np.interp(us, fine, ref))) <= 1e-4
 
     def test_exchangeable_coordinates(self, power2):
@@ -571,12 +638,13 @@ def _fixed_sum_n3(model, a, eps, lo, hi):
 class TestFixedSumOracle:
     """The Gibbs kernel against an exact law at n = 3.
 
-    At a = 2 the pair tables are cropped at once; at a = 25 every pair table
-    is re-gridded.  At a = 2 the box is the whole slice.  At a = 25 the
-    log-density falls by about 3a (d1^2 + d2^2 + d3^2) from (a, a, a), since
-    g'' = 6a and the offsets d sum to 0, so a coordinate one unit off costs
-    at least 3a * 1.5 = 112 and the box (a - 1, a + 1) misses only about
-    e^-112 of the mass.
+    At a = 2 a pair table's Laplace window reaches past 0, so it is laid on
+    (0, s/2] and cropped at once; at a = 25 it is laid on its Laplace
+    window, about 0.7 wide at s/2 = 25.  At a = 2 the box is the whole
+    slice.  At a = 25 the log-density falls by about 3a (d1^2 + d2^2 + d3^2)
+    from (a, a, a), since g'' = 6a and the offsets d sum to 0, so a
+    coordinate one unit off costs at least 3a * 1.5 = 112 and the box
+    (a - 1, a + 1) misses only about e^-112 of the mass.
     """
 
     _SEEDS = range(8)
