@@ -25,8 +25,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .errors import InvalidModel, NonIntegrable, OutOfSupport
-from .quadrature import (GridInverseCdf, first_reach, log_integral, log_moment_integrals,
-                         mass_window)
+from .quadrature import first_reach, log_integral, log_moment_integrals, mass_window
 
 Array = np.ndarray
 
@@ -431,11 +430,11 @@ class PerturbedDensity:
     """Normalised density c * exp(-(g + q)) on (0, support_cap].
 
     Instances are immutable after construction and safe to share across
-    threads; anything random takes an explicit seed.  The one mutable part
-    is ``_derived``, a memo of deterministic values other modules compute
-    from the model on first use (see ``derived``): the plain law's
-    inverse-CDF table, the ``smalln`` survival table and one
-    ``sampler.TiltedLaw`` per target mean a.
+    threads.  The one mutable part is ``_derived``, a memo of deterministic
+    values other modules compute from the model on first use (see
+    ``derived``): the ``smalln`` survival table and one
+    ``sampler.TiltedLaw`` per target mean a, which at a = ``mean`` is the
+    plain law that every unconditioned draw comes from.
     """
 
     exponent: ExponentModel
@@ -542,45 +541,17 @@ class PerturbedDensity:
 
     # -- evaluation --------------------------------------------------------
 
-    def pdf(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        out[pos] = np.exp(self.log_c - self.exponent_value(x[pos]))
-        return out
-
-    @property
-    def _table(self) -> GridInverseCdf:
-        """Inverse-CDF table of the plain law, built on first use."""
-        return self.derived(
-            "plain_table", lambda: GridInverseCdf.build(self._log_kernel, 0.0, self.support_cap))
-
     def log_tail(self, x: float) -> float:
         """log P(X > x); shift-stabilised so deep tails stay finite.
 
         The integration window tracks x instead of stopping at the
-        sampling cap, so tails far beyond the table (where the mass is
-        e.g. exp(-8000)) still come back accurate.
+        support cap, so tails far beyond it (where the mass is e.g.
+        exp(-8000)) still come back accurate.
         """
         if x <= 0.0:
             return 0.0
         _, hi, peak = mass_window(self._log_kernel, x, max(2.0 * x, x + 8.0))
         return self.log_c + log_integral(self._log_kernel, x, hi, peak_hint=peak)
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample(self, size: int, seed: int) -> Array:
-        """Draw ``size`` i.i.d. steps; deterministic for a given seed.
-
-        The pure Weibull kind uses the exact inverse transform
-        (-log U)**(1/k); everything else inverts the tabulated cumulative.
-        """
-        rng = np.random.default_rng(seed)
-        if self.is_pure and isinstance(self.exponent, WeibullExponent):
-            u = rng.random(size)
-            u[u == 0.0] = 0.5**53
-            return (-np.log(u)) ** (1.0 / self.exponent.k)
-        return self._table.sample(rng, size)
 
 
 # -- construction helpers ---------------------------------------------------

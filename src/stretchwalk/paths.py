@@ -110,8 +110,11 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
 
 
 def simulate_free_path(model: PerturbedDensity, n: int, seed: int) -> Trajectory:
-    """Unconditioned i.i.d. walk, the baseline for conditioned comparisons."""
-    increments = model.sample(n, seed)
+    """Unconditioned i.i.d. walk, the baseline for conditioned comparisons:
+    n draws from the plain law's table, ``tilted_law(model, model.mean)``;
+    deterministic for a given seed."""
+    rng = np.random.default_rng(seed)
+    increments = tilted_law(model, model.mean).table.ppf(rng.random(n))
     return Trajectory(
         increments=increments,
         partial_sums=np.cumsum(increments),

@@ -256,9 +256,12 @@ class GridInverseCdf:
     those rows call ``ell`` again.  A row cropped to fewer than ``points``
     nodes is padded on the right with its last node (cdf 1), so row k of a
     batched table is the scalar table on ``(lo[k], hi[k])`` with
-    ``start[k]`` followed by that padding.  Node spacing at the default
-    resolution keeps the inversion error well below 1e-6 in probability for
-    the smooth densities used in this package.
+    ``start[k]`` followed by that padding.  For the step-law tables of
+    ``sampler.tilted_table``, at the default resolution, the
+    piecewise-linear cdf that ``ppf`` inverts is within 3e-5 of an
+    independent quadrature cdf for unit-exponential steps (h^2 / 8 times
+    the density's slope at 0) and within 1e-6 for power beta = 2, 2/sin,
+    3/sin, ``exp`` and Weibull k = 3, plain and tilted to 1.2 EX.
 
     A 1-D table inverts through a guide table (indexed search: Chen & Asau
     1974; Devroye 1986, *Non-Uniform Random Variate Generation*, III.2.4),
@@ -370,9 +373,6 @@ class GridInverseCdf:
         if redo.size:
             out[redo] = np.interp(flat[redo], self.cdf, self.x)
         return out[0] if u.ndim == 0 else out.reshape(u.shape)
-
-    def sample(self, rng: np.random.Generator, size) -> Array:
-        return self.ppf(rng.random(size))
 
 
 def _guide_table(cdf: Array, x: Array) -> tuple[Array, Array, Array]:

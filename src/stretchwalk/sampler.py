@@ -17,7 +17,7 @@ import numpy as np
 from .density import PerturbedDensity
 from .errors import DegenerateWeights, DomainError, NoConvergence
 from .quadrature import MASS_DROP, Array, GridInverseCdf, mass_window
-from .ratefn import _tilted_ell, _tilted_stats, cramer_rate
+from .ratefn import _solve_tilt, _tilted_ell
 
 METHODS = ("TiltedIS", "FixedSumGibbs")
 
@@ -129,21 +129,28 @@ class TiltedLaw:
 
 
 def tilted_table(model: PerturbedDensity, t: float) -> GridInverseCdf:
-    """Inverse-CDF table of the tilted density; t=0 gives the plain law."""
+    """Inverse-CDF table of the tilted density; t=0 gives the plain law.
+
+    The one builder of a step-law table.  Its grid spans the mass window
+    but starts no lower than the first positive float: the support is open
+    at 0, where the log-density is -inf, so a node at 0 would give the
+    first trapezoid cell half its mass wherever p(0+) > 0.
+    """
     ell = _tilted_ell(model, t)
     lo, hi, _ = mass_window(ell, 0.0, 8.0)
-    return GridInverseCdf.build(ell, lo, hi)
+    return GridInverseCdf.build(ell, max(lo, np.nextafter(0.0, 1.0)), hi)
 
 
 def tilted_law(model: PerturbedDensity, a: float) -> TiltedLaw:
     """The law tilted to mean a (the plain law at or below the mean, with
-    Lambda exactly 0), built once per (model, a) and memoised on the model."""
+    Lambda exactly 0), built once per (model, a) and memoised on the model.
+    Every step draw, plain or tilted, comes from its table."""
     if not 0.0 < a < math.inf:
         raise DomainError(f"tilted law needs a finite mean a > 0, got {a!r}")
 
     def build() -> TiltedLaw:
-        t = cramer_rate(model, a)[1] if a > model.mean else 0.0
-        return TiltedLaw(t, _tilted_stats(model, t)[0] if t else 0.0, tilted_table(model, t))
+        t, lam = _solve_tilt(model, float(a)) if a > model.mean else (0.0, 0.0)
+        return TiltedLaw(t, lam, tilted_table(model, t))
 
     return model.derived(("tilted_law", float(a)), build)
 

@@ -23,7 +23,9 @@ from stretchwalk.density import (
     sin_perturbed_density,
 )
 from stretchwalk.errors import EnvelopeViolated, InvalidModel, OutOfSupport
+from stretchwalk.paths import simulate_free_path
 from stretchwalk.quadrature import log_integral
+from stretchwalk.sampler import tilted_law
 
 
 # -- normalisation and moments ----------------------------------------------
@@ -72,7 +74,7 @@ def test_density_integrates_to_one():
     for model in (pure_density(WeibullExponent(2.5)),
                   sin_perturbed_density(PowerExponent(3.0))):
         xs = np.linspace(1e-9, model.support_cap, 400_001)
-        mass = np.trapezoid(model.pdf(xs), xs)
+        mass = np.trapezoid(np.exp(model.log_c + model._log_kernel(xs)), xs)
         assert math.isclose(mass, 1.0, rel_tol=1e-6)
 
 
@@ -188,27 +190,33 @@ def test_envelope_violation_detected():
 
 
 # -- sampling ----------------------------------------------------------------
+# Every step draw comes from the plain law's table, tilted_law(model, EX).
+
+
+def _plain_draws(model, size, seed):
+    return tilted_law(model, model.mean).table.ppf(np.random.default_rng(seed).random(size))
 
 
 def test_sampling_deterministic():
     model = pure_density(WeibullExponent(3.0))
-    a = model.sample(1000, seed=42)
-    b = model.sample(1000, seed=42)
-    c = model.sample(1000, seed=43)
+    a = simulate_free_path(model, 1000, seed=42).increments
+    b = simulate_free_path(model, 1000, seed=42).increments
+    c = simulate_free_path(model, 1000, seed=43).increments
     np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a, _plain_draws(model, 1000, seed=42))
     assert not np.array_equal(a, c)
 
 
 def test_weibull_sampling_ks():
     model = pure_density(WeibullExponent(3.0))
-    draws = model.sample(200_000, seed=7)
+    draws = _plain_draws(model, 200_000, seed=7)
     result = stats.kstest(draws, lambda x: 1.0 - np.exp(-(x**3)))
     assert result.statistic < 0.004
 
 
 def test_power2_sampling_ks():
     model = pure_density(PowerExponent(2.0))
-    draws = model.sample(200_000, seed=11)
+    draws = _plain_draws(model, 200_000, seed=11)
     result = stats.kstest(draws, lambda x: stats.norm.cdf(x * math.sqrt(2.0)) * 2.0 - 1.0)
     assert result.statistic < 0.004
 
@@ -218,7 +226,7 @@ def test_perturbed_sampling_tracks_density():
     # kernel over (0, x) at 1001 nodes, summed cell by cell, and read between
     # nodes linearly (an error below 1e-4 at this spacing).
     model = sin_perturbed_density(PowerExponent(2.0))
-    draws = model.sample(200_000, seed=3)
+    draws = _plain_draws(model, 200_000, seed=3)
     edges = np.linspace(0.0, model.support_cap, 1001)
     cells = [log_integral(model._log_kernel, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     cdf = np.concatenate([[0.0], np.cumsum(np.exp(np.array(cells) + model.log_c))])
@@ -228,7 +236,7 @@ def test_perturbed_sampling_tracks_density():
 
 def test_inverse_cdf_roundtrip():
     model = pure_density(PowerExponent(2.5))
-    table = model._table
+    table = tilted_law(model, model.mean).table
     xs = np.linspace(0.2, 2.0, 50)
     cdf = np.interp(xs, table.x, table.cdf, left=0.0, right=1.0)
     np.testing.assert_allclose(table.ppf(cdf), xs, rtol=1e-4)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from stretchwalk.density import PowerExponent, WeibullExponent, pure_density
 from stretchwalk.errors import BadWindow, DomainError
@@ -18,6 +19,8 @@ from stretchwalk.paths import (
     simulate_free_path,
     sliding_slopes,
 )
+from stretchwalk.ratefn import cramer_rate
+from stretchwalk.sampler import tilted_law
 from stretchwalk.seeding import derive_seed
 from stretchwalk.smalln import exact_log_prob_exceed
 
@@ -228,6 +231,44 @@ class TestSimulateConditionedPath:
         exact = math.exp(exact_log_prob_exceed(weibull3, 2, a + 0.15)
                          - exact_log_prob_exceed(weibull3, 2, a))
         assert abs(hits / paths - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / paths)
+
+    def test_conditioned_windows_match_free_tilted_walks(self, weibull3):
+        """Gibbs conditioning at criterion 10's largest (n, k).
+
+        Given S_n > n a, short windows of the walk look like windows of an
+        i.i.d. walk under the law tilted to mean a (Dembo & Zeitouni, *Large
+        Deviations Techniques and Applications*, section 7.3).  Such a free
+        walk is one table draw per step, with no acceptance step and no
+        fixed-sum fallback, so comparing the two checks both.  Settings are
+        criterion 10's: Weibull k=3, a = 1.5 EX, alpha = 2 EX, n = 2000 and
+        k = floor(log n / (2 J(alpha))) = 3.
+
+        Tolerance, fixed before the data: the free walk's sum wanders by
+        about sigma sqrt(n) (about 15) around n a, while the conditioned
+        sum overshoots n a by only O(1/t) (about 0.24).  Each free walk thus
+        carries a mean shift per step of about sigma / sqrt(n) = 0.007, of
+        either sign, that the conditioned walk lacks; it blurs the law of
+        the largest window slope by that much, far below what a two-sample
+        KS test resolves with R paths a side.  So the KS distance between
+        the largest k-window slopes of R conditioned and R free tilted
+        walks must stay below the test's 1% critical value,
+        sqrt(-log(0.005) / 2) sqrt(2 / R) = 0.115 at R = 400.
+        """
+        n, paths = 2000, 400
+        a, alpha = 1.5 * weibull3.mean, 2.0 * weibull3.mean
+        rate_a, tilt_a = cramer_rate(weibull3, a)
+        j_alpha = cramer_rate(weibull3, alpha)[0] - rate_a - tilt_a * (alpha - a)
+        k = math.floor(math.log(n) / (2.0 * j_alpha))
+        assert k == 3
+        conditioned = [simulate_conditioned_path(weibull3, n, a, EndValueAtLeast(n * a),
+                                                 seed=derive_seed(90, r))
+                       for r in range(paths)]
+        assert all(traj.note == "" for traj in conditioned)
+        steps = tilted_law(weibull3, a).table.ppf(np.random.default_rng(91).random((paths, n)))
+        free = [_free_traj(row) for row in steps]
+        d = ks_2samp([detect_segments(t, k, alpha).max_slope for t in conditioned],
+                     [detect_segments(t, k, alpha).max_slope for t in free]).statistic
+        assert d < math.sqrt(-math.log(0.005) / 2.0) * math.sqrt(2.0 / paths)
 
 
 class TestEstimatePAk:

@@ -17,11 +17,12 @@ from stretchwalk.density import (
     pure_density,
     sin_perturbed_density,
 )
-from stretchwalk.quadrature import MASS_DROP, GridInverseCdf, gauss_legendre, mass_window
+from stretchwalk.quadrature import (MASS_DROP, GridInverseCdf, gauss_legendre, log_integral,
+                                   mass_window)
 from stretchwalk.errors import DegenerateWeights, DomainError, NoConvergence, NonIntegrable
 from stretchwalk import sampler
 from stretchwalk.paths import estimate_p_ak, simulate_conditioned_path
-from stretchwalk.ratefn import _tilted_stats, cramer_rate
+from stretchwalk.ratefn import _tilted_ell, _tilted_stats, cramer_rate
 from stretchwalk.sampler import (
     ConditionedSample,
     EndValueAtLeast,
@@ -83,6 +84,27 @@ class TestTiltedLaw:
         assert np.array_equal(law.table.x, plain.x)
         assert np.array_equal(law.table.cdf, plain.cdf)
 
+    @pytest.mark.parametrize("level", [1.0, 1.2])
+    @pytest.mark.parametrize("spec", ["power:beta=1", "power:beta=2", "power:beta=2/sin", "exp",
+                                      "power:beta=3/sin", "weibull:k=3"])
+    def test_table_cdf_matches_quadrature(self, spec, level):
+        # The piecewise-linear cdf the table draws from, at its nodes and at
+        # the midpoints of their cells (where linear interpolation errs
+        # most), against log_integral of the tilted density from 0.  The
+        # support is open at 0, so the grid starts at the first positive
+        # float: a node at 0, where the log-density is -inf, would count
+        # only half of the first cell for every model with p(0+) > 0.
+        model = parse_model(spec)
+        law = tilted_law(model, level * model.mean)
+        x, cdf = law.table.x, law.table.cdf
+        quantiles = np.searchsorted(cdf, np.linspace(1e-3, 0.999, 40))
+        k = np.unique(np.concatenate([[1, 2, 3], quantiles]))
+        points = np.concatenate([x[k], 0.5 * (x[k] + x[k + 1])])
+        ell = _tilted_ell(model, law.tilt)
+        total = log_integral(ell, 0.0, x[-1])
+        ref = np.exp(np.array([log_integral(ell, 0.0, p) for p in points]) - total)
+        assert np.max(np.abs(np.interp(points, x, cdf) - ref)) <= 5e-5
+
     @pytest.mark.parametrize("call", [
         lambda m: cramer_rate(m, math.inf),
         lambda m: cramer_rate(m, math.nan),
@@ -98,12 +120,13 @@ class TestTiltedLaw:
 
     def test_built_once_per_model_and_mean(self, monkeypatch):
         calls = []
+        solve = sampler._solve_tilt
 
         def counted(model, x):
             calls.append(x)
-            return cramer_rate(model, x)
+            return solve(model, x)
 
-        monkeypatch.setattr(sampler, "cramer_rate", counted)
+        monkeypatch.setattr(sampler, "_solve_tilt", counted)
         model = pure_density(WeibullExponent(3.0))
         a = 1.5 * model.mean
         estimate_p_ak(model, 50, a, 5, 2.0 * model.mean, replications=20, seed=1)
@@ -125,6 +148,16 @@ class TestImportanceEstimate:
         assert abs(res.p_c - p_c) <= 3.0 * res.p_c_std_err
         assert abs(res.p_band_and_c - p_band) <= 3.0 * res.p_band_and_c_std_err
         assert abs(res.conditional.p_hat - p_loc) <= 3.0 * res.conditional.std_err
+
+    def test_exponential_exceedance_closed_form(self, expo):
+        # For unit-exponential steps S_2 is Gamma(2), so P(S_2 > 2a) is
+        # e^{-2a} (1 + 2a).  The density is largest at 0, so a table whose
+        # first node sits at x = 0 (log-density -inf) biases P(C) by about
+        # 11 standard errors here.
+        a = 1.3
+        res = importance_estimate(expo, 2, a, 0.3, trials=2_000_000, seed=1)
+        exact = math.exp(-2.0 * a) * (1.0 + 2.0 * a)
+        assert abs(res.p_c - exact) <= 4.0 * res.p_c_std_err
 
     def test_deterministic(self, weibull3):
         a = importance_estimate(weibull3, 10, 2.0, 0.5, trials=20_000, seed=99)
@@ -464,7 +497,8 @@ class TestGuidedPpf:
     @pytest.mark.parametrize("spec", _GUIDE_SPECS)
     def test_matches_interp_bit_for_bit(self, guide_models, spec, level):
         model = guide_models[spec]
-        table = model._table if level is None else tilted_law(model, level * model.mean).table
+        # level None is the plain law, the law "tilted" to the mean.
+        table = tilted_law(model, (level or 1.0) * model.mean).table
         cdf = table.cdf
         edges = np.arange(4 * cdf.size + 1) / (4 * cdf.size)
         rng = default_rng(17)
