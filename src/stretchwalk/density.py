@@ -473,8 +473,8 @@ class PerturbedDensity:
         return np.asarray(self.perturbation.q(x), dtype=float)
 
     def exponent_value(self, x: Array) -> Array:
-        """g(x) + q(x)."""
-        return self.exponent.g(x) + self.q(x)
+        """g(x) + q(x); g(x) alone for a pure model."""
+        return self.exponent.g(x) if self.is_pure else self.exponent.g(x) + self.q(x)
 
     def _log_kernel(self, x: Array) -> Array:
         """log of the unnormalised density, -inf off the support."""

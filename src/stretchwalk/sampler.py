@@ -27,6 +27,8 @@ _WILSON_Z = 1.96
 # before it records states.
 _PAIR_POINTS = 512
 _BURN_IN = 100
+# Tables start here, not at 0, where the open support's log-density is -inf.
+_FIRST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ def tilted_table(model: PerturbedDensity, t: float) -> GridInverseCdf:
     """
     ell = _tilted_ell(model, t)
     lo, hi, _ = mass_window(ell, 0.0, 8.0)
-    return GridInverseCdf.build(ell, max(lo, np.nextafter(0.0, 1.0)), hi)
+    return GridInverseCdf.build(ell, max(lo, _FIRST_POSITIVE), hi)
 
 
 def tilted_law(model: PerturbedDensity, a: float) -> TiltedLaw:
@@ -149,7 +151,7 @@ def tilted_law(model: PerturbedDensity, a: float) -> TiltedLaw:
         raise DomainError(f"tilted law needs a finite mean a > 0, got {a!r}")
 
     def build() -> TiltedLaw:
-        t, lam = _solve_tilt(model, float(a)) if a > model.mean else (0.0, 0.0)
+        t, lam = _solve_tilt(model, float(a))[:2] if a > model.mean else (0.0, 0.0)
         return TiltedLaw(t, lam, tilted_table(model, t))
 
     return model.derived(("tilted_law", float(a)), build)
@@ -243,7 +245,8 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
     reaches the window's left edge, such as a perturbed density bent away
     from its Laplace shape, is laid again on (0, s_k / 2] within the same
     build; so, from the start, is a row whose g'' there is not finite and
-    positive or whose window reaches past 0.  Where w is below
+    positive or whose window reaches past 0.  As in ``tilted_table``, no
+    grid starts below the first positive float.  Where w is below
     ``_PAIR_POINTS`` float spacings at s_k / 2, no grid of floats resolves
     the conditional, which is a point mass at s_k / 2 on floats: the row
     puts every node there and draws s_k / 2 exactly.
@@ -270,20 +273,21 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
         both = model._log_kernel(both)
         return both[0] + both[1]
 
-    return GridInverseCdf.build(ell, np.zeros_like(s), half, points=_PAIR_POINTS, start=start)
+    return GridInverseCdf.build(ell, np.full_like(s, _FIRST_POSITIVE), half,
+                                points=_PAIR_POINTS, start=start)
 
 
 def _pair_window_start(model: PerturbedDensity, half: Array) -> Array:
     """Left edge of each pair half-table's first grid on (0, half]: the
-    Laplace window's half - w (see ``pair_conditional_table``), 0 where
-    g''(half) is not finite and positive or the window reaches past 0, and
-    half itself where the window is below float resolution."""
+    Laplace window's half - w (see ``pair_conditional_table``), the first
+    positive float where g''(half) is not finite and positive or the
+    window reaches past it, and half where w is below float resolution."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         curvature = model.exponent.d2g(half)
         # w is inf or NaN where g'' is not finite and positive, so fmax
-        # starts those rows at 0 and none of them is a point mass.
+        # starts those rows at the first positive float, none a point mass.
         w = np.sqrt(1.25 * MASS_DROP / np.where(curvature < np.inf, curvature, 0.0))
-    return np.where(w < _PAIR_POINTS * np.spacing(half), half, np.fmax(half - w, 0.0))
+    return np.where(w < _PAIR_POINTS * np.spacing(half), half, np.fmax(half - w, _FIRST_POSITIVE))
 
 
 def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,

@@ -32,8 +32,10 @@ Array = np.ndarray
 _SMALL_N = (2, 3)
 _SURVIVAL_POINTS = 262_145
 _PANELS = 32
-# Rows per batch of a row-wise _log_quad: about 1 MB per temporary at three pieces.
-_ROW_BLOCK = 64
+# Rows per batch of a row-wise _log_quad: about 0.4 MB per temporary at three
+# pieces.  At 64 rows a batch's temporaries (about 4 MB) could reach glibc's heap
+# trim threshold and be faulted in again every batch: 1.5x the time of n = 3 values.
+_ROW_BLOCK = 32
 
 
 def _check_n(n: int) -> None:

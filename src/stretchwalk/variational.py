@@ -33,10 +33,10 @@ Array = np.ndarray
 
 REGIONS = ("C", "AcapC", "BcapC", "IccC")
 
-# brute_force_infimum stops when two resolutions agree to _REFINE_TOL
-# relative, and raises after _REFINE_CAP halvings of the grid spacing.
+# brute_force_infimum stops once two consecutive levels agree to _REFINE_TOL
+# relative, and raises if none have by level _FINEST_LEVEL.
 _REFINE_TOL = 1e-5
-_REFINE_CAP = 8
+_FINEST_LEVEL = 3
 
 # convex_minorant searches its thresholds on a geometric grid up to here.
 _MINORANT_HI = 1e6
@@ -179,14 +179,14 @@ def _smallest(total: Array, m: int) -> Array:
     return near[np.argsort(total[near], kind="stable")][:m]
 
 
-def _coarse_candidates(w, ev: BandEvent, region: str, lo: float, hi: float,
-                       axis_points: int, keep: int) -> list[np.ndarray]:
-    """Grid the n-1 free coordinates, complete the last coordinate optimally
-    over its feasible interval, and return the best few full points."""
+def _coarse_candidates(w, ev: BandEvent, region: str, axis: Array, sum_w: Array,
+                       sum_x: Array, keep: int) -> list[np.ndarray]:
+    """Complete each point of the free grid (``axis`` in each of the n-1 free
+    coordinates; sum_w, sum_x its flat sums) optimally in the last coordinate
+    over its feasible interval in ``region``; return the best few points."""
     n, a, eps = ev.n, ev.a, ev.eps
     floor = n * a
-    axis = np.linspace(lo, hi, axis_points)
-    w_axis = np.asarray(w(axis), dtype=float)
+    lo, hi = axis[0], axis[-1]
 
     # Completion grid for the last coordinate, with running minima from the
     # right so "min over u >= threshold" is a table lookup.
@@ -198,20 +198,13 @@ def _coarse_candidates(w, ev: BandEvent, region: str, lo: float, hi: float,
         ugrid = np.linspace(lo, hi, 8193)
     suffix_min, suffix_arg = _suffix_min(np.asarray(w(ugrid), dtype=float))
 
-    shape = (axis_points,) * (n - 1)
-    sum_w = functools.reduce(np.add.outer, [w_axis] * (n - 1)).ravel()
-    sum_x = functools.reduce(np.add.outer, [axis] * (n - 1)).ravel()
-
     d_lo = floor - sum_x
     np.clip(d_lo, lo, None, out=d_lo)
     if region == "AcapC":
         np.clip(d_lo, a + eps, None, out=d_lo)
     feasible = d_lo <= u_hi
-    if not np.any(feasible):
-        return []
     d_lo = d_lo[feasible]
     sum_w = sum_w[feasible]
-    sum_x = sum_x[feasible]
 
     idx = np.searchsorted(ugrid, d_lo, side="left")
     np.clip(idx, 0, ugrid.size - 1, out=idx)
@@ -221,7 +214,8 @@ def _coarse_candidates(w, ev: BandEvent, region: str, lo: float, hi: float,
     total = sum_w + completion
 
     order = _smallest(total, keep * 4)
-    free_idx = np.array(np.unravel_index(np.flatnonzero(feasible)[order], shape)).T
+    free = np.flatnonzero(feasible)[order]
+    free_idx = np.array(np.unravel_index(free, (axis.size,) * (n - 1))).T
     out = []
     seen = set()
     for row, flat in zip(free_idx, order):
@@ -253,29 +247,24 @@ def _round_robin(n: int) -> list[tuple[Array, Array]]:
     return rounds
 
 
-def _descend(w, ev: BandEvent, region: str, starts: Array, lo: float, hi: float,
-             coarse: int) -> float:
-    """Polish the feasible starts at once and return the best value.  Pair
-    moves keep the sum, travelling along the active constraint; single moves
-    let a point leave it.  sum w(x_i) is separable, so the pairs of a
-    round-robin matching move independently, each round one row-wise search
-    over (start, pair); single moves couple through the sum floor and go one
-    coordinate at a time.  A start retires once a sweep gains at most
-    1e-12 (1 + |f|)."""
-    n, a, eps = ev.n, ev.a, ev.eps
-    floor = n * a
-    lb, ub = np.full(n, lo), np.full(n, hi)
-    if region == "AcapC":
-        lb[-1] = a + eps
-    elif region == "BcapC":
-        ub[-1] = a - eps
+def _descend(w, ev: BandEvent, starts: Array, lb: Array, ub: Array, coarse: int) -> float:
+    """Polish the feasible starts at once, row k inside the box [lb[k], ub[k]],
+    and return the best value.  Pair moves keep the sum, travelling along
+    the active constraint; single moves let a point leave it.  sum w(x_i) is
+    separable, so the pairs of a round-robin matching move independently,
+    each round one row-wise search over (start, pair); single moves couple
+    through the sum floor and go one coordinate at a time.  Each start moves
+    as it would alone, and retires once a sweep gains at most 1e-12 (1 + |f|)."""
+    n = ev.n
+    floor = n * ev.a
     x = np.clip(starts, lb, ub)
     # Restore feasibility by topping up each point's most spacious coordinate.
     deficit = floor - x.sum(axis=1)
     short = np.flatnonzero(deficit > 0.0)
-    j = (ub - x[short]).argmax(axis=1)
-    x[short, j] = np.minimum(ub[j], x[short, j] + deficit[short])
-    x = x[x.sum(axis=1) >= floor - 1e-9]
+    j = (ub[short] - x[short]).argmax(axis=1)
+    x[short, j] = np.minimum(ub[short, j], x[short, j] + deficit[short])
+    feasible = x.sum(axis=1) >= floor - 1e-9
+    x, lb, ub = x[feasible], lb[feasible], ub[feasible]
     if not x.size:
         return math.inf
 
@@ -288,8 +277,8 @@ def _descend(w, ev: BandEvent, region: str, starts: Array, lo: float, hi: float,
             rows = np.repeat(live, pi.size)
             i, j = np.tile(pi, live.size), np.tile(pj, live.size)
             xi, xj = x[rows, i], x[rows, j]
-            t_lo = np.maximum(lb[i] - xi, xj - ub[j])
-            t_hi = np.minimum(ub[i] - xi, xj - lb[j])
+            t_lo = np.maximum(lb[rows, i] - xi, xj - ub[rows, j])
+            t_hi = np.minimum(ub[rows, i] - xi, xj - lb[rows, j])
             move = t_hi > t_lo
             rows, i, j, xi, xj = rows[move], i[move], j[move], xi[move], xj[move]
             t, f_pair = _min1d(lambda ts, k: w(xi[k, None] + ts) + w(xj[k, None] - ts),
@@ -299,11 +288,10 @@ def _descend(w, ev: BandEvent, region: str, starts: Array, lo: float, hi: float,
             x[rows[ok], i[ok]] = xi[ok] + t[ok]
             x[rows[ok], j[ok]] = xj[ok] - t[ok]
         for i in range(n):
-            u_lo = np.maximum(lb[i], floor - (x[live].sum(axis=1) - x[live, i]))
-            move = ub[i] > u_lo
+            u_lo = np.maximum(lb[live, i], floor - (x[live].sum(axis=1) - x[live, i]))
+            move = ub[live, i] > u_lo
             rows = live[move]
-            u, f_new = _min1d(lambda us, k: w(us), u_lo[move], np.full(rows.size, ub[i]),
-                              coarse)
+            u, f_new = _min1d(lambda us, k: w(us), u_lo[move], ub[rows, i], coarse)
             base = w(x[rows, i])
             ok = f_new < base - 1e-15 * (1.0 + np.abs(base))
             x[rows[ok], i] = u[ok]
@@ -314,29 +302,34 @@ def _descend(w, ev: BandEvent, region: str, starts: Array, lo: float, hi: float,
     return float(f.min())
 
 
-def _search_region(model: PerturbedDensity, ev: BandEvent, region: str,
-                   level: int) -> float:
+def _search(model: PerturbedDensity, ev: BandEvent, regions: tuple[str, ...],
+            level: int) -> float:
+    """Best value over the regions at one grid resolution.  The n-1 free
+    coordinates are gridded once; each region completes that grid in the
+    last coordinate for its candidates (none is ever empty: hi leaves room),
+    and one descent polishes them all, each start's last coordinate bounded
+    by its own region."""
     n, a, eps = ev.n, ev.a, ev.eps
-    axis_points = _axis_points(n, level)
-    if axis_points ** (n - 1) > _GRID_CAP:
-        raise NoConvergence(f"region {region} did not stabilise within {_GRID_CAP} grid points")
-    exponent = model.exponent
-
-    def w(x):
-        x = np.asarray(x, dtype=float)
-        return exponent.g(x) + model.q(x)
-
+    w = model.exponent_value
     lo = min(1e-3, 0.5 * (a - eps)) if eps > 0.0 else min(1e-3, 0.5 * a)
     hi = a + n * eps + 5.0
-    coarse_1d = 65 * (2 ** min(level, 2))
-    keep = 6
+    axis = np.linspace(lo, hi, _axis_points(n, level))
+    if axis.size ** (n - 1) > _GRID_CAP:
+        raise NoConvergence(f"{'/'.join(regions)} did not stabilise in {_GRID_CAP} grid points")
+    sum_w = functools.reduce(np.add.outer, [w(axis)] * (n - 1)).ravel()
+    sum_x = functools.reduce(np.add.outer, [axis] * (n - 1)).ravel()
 
-    starts = _coarse_candidates(w, ev, region, lo, hi, axis_points, keep)
-    if region == "C":
-        starts.append(np.full(n, a))
-    if not starts:
-        raise DomainError(f"region {region} is empty for {ev}")
-    return _descend(w, ev, region, np.array(starts), lo, hi, coarse_1d)
+    starts, last = [], []
+    for region in regions:
+        found = _coarse_candidates(w, ev, region, axis, sum_w, sum_x, keep=6)
+        if region == "C":
+            found.append(np.full(n, a))
+        starts += found
+        last += [(a + eps if region == "AcapC" else lo,
+                  a - eps if region == "BcapC" else hi)] * len(found)
+    lb, ub = np.full((len(starts), n), lo), np.full((len(starts), n), hi)
+    lb[:, -1], ub[:, -1] = np.array(last).T
+    return _descend(w, ev, np.array(starts), lb, ub, coarse=65 * 2 ** min(level, 2))
 
 
 def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str) -> float:
@@ -344,28 +337,25 @@ def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str) -> 
 
     Regions: "C" (sum >= n a), "AcapC" (C and some step >= a+eps), "BcapC"
     (C and some step <= a-eps), "IccC" (C and some step outside the open
-    band; the min of the previous two).  By exchangeability the exit
-    constraint is pinned to the last coordinate.
+    band; the min of the previous two, searched as one on a shared grid and
+    descent).  By exchangeability the exit constraint is pinned to the last
+    coordinate.
 
     The value is certified by re-running at halved grid spacing until two
-    consecutive resolutions agree to 1e-5 relative; failure to stabilise
-    within 8 refinements, or before the grid passes 2**24 points, raises
-    NoConvergence.  The first two resolutions always run, so n is limited
-    to 6: larger n raises DomainError before any search.
+    consecutive resolutions agree to 1e-5 relative; failure to agree by
+    level 3 (eight times the first resolution), or before the grid passes
+    2**24 points, raises NoConvergence.  The first two resolutions always
+    run, so n is limited to 6: larger n raises DomainError before any search.
     """
     if region not in REGIONS:
         raise DomainError(f"unknown region {region!r}")
     if ev.n not in _BASE_AXIS or _axis_points(ev.n, 1) ** (ev.n - 1) > _GRID_CAP:
         raise DomainError(f"brute-force search is limited to n <= 6, got n={ev.n}")
     _check_compensation(ev)
-    if region == "IccC":
-        va = brute_force_infimum(model, ev, "AcapC")
-        vb = brute_force_infimum(model, ev, "BcapC")
-        return min(va, vb)
-
-    prev = _search_region(model, ev, region, 0)
-    for level in range(1, _REFINE_CAP + 1):
-        cur = _search_region(model, ev, region, min(level, 3))
+    regions = ("AcapC", "BcapC") if region == "IccC" else (region,)
+    prev = _search(model, ev, regions, 0)
+    for level in range(1, _FINEST_LEVEL + 1):
+        cur = _search(model, ev, regions, level)
         if abs(cur - prev) <= _REFINE_TOL * max(abs(cur), 1e-12):
             return min(cur, prev)
         prev = min(cur, prev)

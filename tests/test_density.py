@@ -254,6 +254,17 @@ def test_log_kernel_positive_fast_path_bitwise(spec):
     assert masked[0, 0] == -np.inf
 
 
+@pytest.mark.parametrize("spec", ["power:beta=1", "power:beta=3", "weibull:k=3", "exp"])
+def test_pure_log_kernel_is_minus_g_bitwise(spec, monkeypatch):
+    # A pure model's exponent is g itself: no zero perturbation is built
+    # or added.
+    model = parse_model(spec)
+    monkeypatch.setattr(PerturbedDensity, "q", lambda self, x: pytest.fail("q evaluated"))
+    x = np.random.default_rng(5).random((2, 129)) * 12.0 + 1e-9
+    assert np.array_equal(model._log_kernel(x), -model.exponent.g(x))
+    assert np.array_equal(model.exponent_value(x[0]), model.exponent.g(x[0]))
+
+
 # -- tabulated models and parsing -------------------------------------------
 
 

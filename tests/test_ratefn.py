@@ -209,6 +209,18 @@ class TestRateTable:
         assert value_resid <= 1e-6
         assert grad_resid <= 1e-6
 
+    def test_table_keeps_the_solves_last_pass(self, weibull_table, monkeypatch):
+        # Lambda(t*) and Lambda'(t*) are the pass that stopped each solve, so
+        # integrating again at t* repeats them bit for bit, and the duality
+        # residuals read them without a quadrature pass.
+        t = weibull_table
+        for k in range(1, t.x.size, 17):
+            lam, mean, _ = _tilted_stats(t.model, float(t.t_star[k]))
+            assert (t.log_mgf[k], t.tilted_mean[k]) == (lam, mean)
+        assert (t.log_mgf[0], t.tilted_mean[0]) == (0.0, t.model.mean)
+        monkeypatch.setattr(ratefn, "_tilted_stats", lambda *args: pytest.fail("integrated"))
+        assert t.duality_residuals()[1] <= 1e-8
+
     def test_derivative_matches_tilt(self, weibull_table):
         assert weibull_table.derivative_residual() <= 1e-4
 

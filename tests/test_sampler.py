@@ -371,6 +371,27 @@ class TestTableResolution:
         ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_w - log_w.max()), us)])
         assert np.max(np.abs(_half_cdf(half, us) - ref / ref[-1])) <= 1.25e-4
 
+    @pytest.mark.parametrize("spec, s", [
+        ("power:beta=1", 0.5), ("power:beta=1", 4.0), ("power:beta=1", 40.0),
+        ("exp", 0.5), ("exp", 1.0), ("power:beta=2", 0.5), ("power:beta=3/sin", 0.5)])
+    def test_pair_rows_from_the_origin_match_quadrature(self, spec, s):
+        # Rows whose grid starts at the left end of the support, where
+        # p(0+) p(s) is not negligible against the peak at s/2.  The pair
+        # log-density is -inf at u = 0, so a node there would count only
+        # half of the first cell; from the first positive float the
+        # half-table's cdf, at its nodes and cell midpoints, matches
+        # log_integral of the pair density from 0.
+        model = parse_model(spec)
+        half = _row(pair_conditional_table(model, [s]), 0)
+        assert half.x[0] < 1e-300
+        k = np.unique(np.concatenate([[1, 2, 3], np.searchsorted(half.cdf, np.linspace(
+            1e-3, 0.999, 40))]))
+        points = np.concatenate([half.x[k], 0.5 * (half.x[k] + half.x[k - 1])])
+        ell = _pair_ell(model, s)
+        total = log_integral(ell, 0.0, s / 2)
+        ref = np.exp(np.array([log_integral(ell, 0.0, p) for p in points]) - total)
+        assert np.max(np.abs(_half_cdf(half, points) - ref)) <= 1e-6
+
     @pytest.mark.parametrize("kind", ["pure", "sin"])
     def test_one_ell_pass_per_build(self, kind):
         model = _cubic(kind)

@@ -6,7 +6,9 @@ comparisons are live searches so the closed forms are checked, not assumed.
 """
 
 import dataclasses
+import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from stretchwalk.density import (
     Perturbation,
     PerturbedDensity,
     WeibullExponent,
+    parse_model,
     pure_density,
     sin_perturbed_density,
 )
@@ -203,7 +206,10 @@ def test_coarse_candidates_match_full_stable_sort(monkeypatch, region):
     # keep the stable order of a full argsort through every tie.
     g = PowerExponent(2.0).g
     ev = BandEvent(4, 2.0, 0.5)
-    args = (g, ev, region, 1e-3, 2.0 + 4 * 0.5 + 5.0, 65, 6)
+    axis = np.linspace(1e-3, 2.0 + 4 * 0.5 + 5.0, 65)
+    sum_w = functools.reduce(np.add.outer, [g(axis)] * 3).ravel()
+    sum_x = functools.reduce(np.add.outer, [axis] * 3).ravel()
+    args = (g, ev, region, axis, sum_w, sum_x, 6)
     got = variational._coarse_candidates(*args)
     monkeypatch.setattr(variational, "_smallest",
                         lambda total, m: np.argsort(total, kind="stable")[:m])
@@ -211,6 +217,50 @@ def test_coarse_candidates_match_full_stable_sort(monkeypatch, region):
     assert len(got) == len(want) == 6
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_refinement_ladder_runs_each_level_once(monkeypatch):
+    # When no two resolutions agree, levels 0..3 each run one search and
+    # the fourth disagreement raises: no level is searched twice.
+    levels = []
+    search = variational._search
+    monkeypatch.setattr(variational, "_search",
+                        lambda *args: levels.append(args[-1]) or search(*args))
+    monkeypatch.setattr(variational, "_REFINE_TOL", -1.0)
+    with pytest.raises(NoConvergence):
+        brute_force_infimum(pure_density(PowerExponent(2.0)), BandEvent(2, 3.0, 0.5), "IccC")
+    assert levels == [0, 1, 2, 3]
+
+
+def test_escape_search_is_one_search_per_level(monkeypatch):
+    # Both exit regions share one free grid (two outer-sum reductions: w
+    # and x) and one descent per level, with no recursion into the regions.
+    reduces, descents = [], []
+    descend = variational._descend
+    monkeypatch.setattr(variational, "functools", types.SimpleNamespace(
+        reduce=lambda *args: reduces.append(1) or functools.reduce(*args)))
+    monkeypatch.setattr(variational, "_descend",
+                        lambda *args, **kw: descents.append(len(args[2])) or descend(*args, **kw))
+    monkeypatch.setattr(variational, "_REFINE_TOL", -1.0)
+    with pytest.raises(NoConvergence):
+        brute_force_infimum(pure_density(PowerExponent(2.0)), BandEvent(3, 2.0, 0.5), "IccC")
+    assert len(reduces) == 2 * 4 and len(descents) == 4
+    # Each descent polishes the candidates of both regions together.
+    assert all(count > 6 for count in descents)
+
+
+@pytest.mark.parametrize("spec, ev", [
+    ("power:beta=2", BandEvent(3, 2.0, 0.5)),
+    ("weibull:k=3", BandEvent(2, 1.8, 0.3)),
+    ("exp", BandEvent(3, 2.5, 0.4)),
+    ("power:beta=2/sin", BandEvent(3, 3.0, 0.5)),
+    ("power:beta=3/sin", BandEvent(4, 2.0, 0.5)),
+])
+def test_escape_search_is_min_of_exit_regions_bit_for_bit(spec, ev):
+    model = parse_model(spec)
+    both = brute_force_infimum(model, ev, "IccC")
+    assert both == min(brute_force_infimum(model, ev, "AcapC"),
+                       brute_force_infimum(model, ev, "BcapC"))
 
 
 def test_suffix_min_matches_scan():
