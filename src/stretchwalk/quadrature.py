@@ -9,6 +9,16 @@ searches, such as a window's two edges, runs as the rows of one grid),
 and integrals by a locally adaptive composite 16-point Gauss-Legendre
 rule (Davis & Rabinowitz, *Methods of Numerical Integration*) whose every
 round yields the mass and the first two moments from one ``ell`` call.
+
+A nested-grid search stops at a share of its range, near float
+resolution, unless it knows what it resolves.  A mass window does: it
+only bounds the adaptive rule, which sets the accuracy, so its peak
+search stops once the grid resolves the peak's own width (the bracket
+within 1e-3 nats of its maximum) and each edge once its bracket is within
+1e-3 of the edge's distance from the peak.  An edge node always lies at
+or outside the crossing, so the coarser stop can only widen the window,
+by at most that share.  The brute-force oracle's peak searches and
+``first_reach`` keep the share-of-range stop.
 """
 
 from __future__ import annotations
@@ -30,11 +40,17 @@ MASS_DROP = 60.0
 _HI_LIMIT = 1e12
 
 # Nested grids shrink their bracket 32-fold a level and stop at this share
-# of the searched range; the level cap only binds at float resolution.
+# of the searched range; the level cap only binds at float resolution.  A
+# peak search starts on a finer probe grid.
 _GRID = 65
 _ZOOM_STOP = 1e-13
 _ZOOM_LEVELS = 16
 _RAMP = np.arange(_GRID, dtype=float)
+_PEAK_PROBES = 2048
+# mass_window's own stops (see its docstring): the peak to within this many
+# nats, each edge to this share of its distance from the peak.
+_PEAK_NATS = 1e-3
+_EDGE_SHARE = 1e-3
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _START_PANELS = 4
@@ -58,12 +74,13 @@ def gauss_legendre(lo: Array, hi: Array) -> tuple[Array, Array]:
 
 
 def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probes: int,
-          bracket: Callable[[Array, Array], tuple[Array, Array, Array]]):
+          bracket: Callable[[Array, Array, Array], tuple[Array, Array, Array, Array | bool]]):
     """Nested grids on [lo, hi], or on every row's bounds (see find_peak):
-    ``bracket(vals, rows)`` names per row the nodes (i, j) whose span holds the
-    target and the node to report, and each level regrids that span.  A row
-    stops once its span falls to _ZOOM_STOP of its own range.  Returns the
-    reported node and its value."""
+    ``bracket(xs, vals, rows)`` names per row the nodes (i, j) whose span
+    holds the target, the node to report and whether the row is resolved,
+    and each level regrids that span.  A row stops once it is resolved or
+    its span falls to _ZOOM_STOP of its own range.  Returns the reported
+    node and its value."""
     batched = np.ndim(lo) > 0
     call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
@@ -73,9 +90,9 @@ def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probe
     live = r = np.arange(lo.size)
     for _ in range(_ZOOM_LEVELS):
         vals = call(xs, live)
-        i, j, pick = bracket(vals, live)
+        i, j, pick, resolved = bracket(xs, vals, live)
         x_i, x_j = xs[r, i], xs[r, j]
-        done = x_j - x_i <= stop
+        done = (x_j - x_i <= stop) | resolved
         if np.count_nonzero(done):
             out_x[live[done]], out_v[live[done]] = xs[r, pick][done], vals[r, pick][done]
             live, stop, x_i, x_j, pick, vals = (
@@ -92,21 +109,32 @@ def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probe
 
 
 def find_peak(ell: Callable[..., Array], lo: float | Array, hi: float | Array,
-              probes: int = 2048) -> tuple[float, float] | tuple[Array, Array]:
+              probes: int = _PEAK_PROBES) -> tuple[float, float] | tuple[Array, Array]:
     """(argmax, max) of ``ell`` on [lo, hi]: a probe grid, then nested-grid polish.
 
     With array bounds each row is its own search: ``ell(xs, rows)`` gets a
     (len(rows), points) grid whose row i lies in [lo[rows[i]], hi[rows[i]]],
     each row stops at its own zoom level, and entry k of the two result
     arrays equals, bit for bit, the scalar call on (lo[k], hi[k])."""
+    return _zoom(ell, lo, hi, probes, _around_max(None))
 
-    def around_max(vals, rows):
+
+def _around_max(nats: float | None):
+    """Bracket of a peak search: the nodes either side of the largest value.
+    Given ``nats``, a row is resolved once both ends lie within ``nats`` of
+    that value; otherwise only _ZOOM_STOP ends the search."""
+
+    def bracket(xs, vals, rows):
         k = vals.argmax(axis=1)
         if np.isnan(vals).any():  # argmax stops at the first NaN
             k = np.nanargmax(vals, axis=1)
-        return np.maximum(k - 1, 0), np.minimum(k + 1, vals.shape[1] - 1), k
+        i, j = np.maximum(k - 1, 0), np.minimum(k + 1, vals.shape[1] - 1)
+        if nats is None:
+            return i, j, k, False
+        r = np.arange(k.size)
+        return i, j, k, np.minimum(vals[r, i], vals[r, j]) >= vals[r, k] - nats
 
-    return _zoom(ell, lo, hi, probes, around_max)
+    return bracket
 
 
 def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
@@ -121,9 +149,9 @@ def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
     if reached.size == 0:
         return math.inf
 
-    def first_reached(vals, rows):
+    def first_reached(xs, vals, rows):
         k = (~(vals < level)).argmax(axis=1)
-        return np.maximum(k - 1, 0), k, k
+        return np.maximum(k - 1, 0), k, k, False
 
     return _zoom(f, lo, float(his[reached[0]]), _GRID, first_reached)[0]
 
@@ -135,9 +163,29 @@ def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, flo
     The upper edge grows by doubling until ell falls ``MASS_DROP`` below the
     peak; all doublings up to 1e12 are probed in one call, and failure to
     decay by then raises :class:`Divergent`.
+
+    Each search stops on the mass it bounds, not on a share of its range,
+    which at large tilts can be orders of magnitude wider than the mass:
+
+    - the peak, once both ends of its bracket lie within ``_PEAK_NATS`` of
+      the bracket's largest value.  The grid then resolves the peak's own
+      width: the split point is inside the peak, and the reported maximum,
+      hence the ``peak - MASS_DROP`` level, is within a fraction of
+      ``_PEAK_NATS`` of the true one;
+    - each edge, once its bracket is within ``_EDGE_SHARE`` of the edge's
+      distance from the peak.  The reported edge node is always at or
+      outside the crossing, so stopping sooner can only widen the window,
+      and only by that share.
+
+    The window only bounds the adaptive rule of ``log_moment_integrals``,
+    and that rule sets the accuracy.
     """
+
+    def peak_in(a: float, b: float) -> tuple[float, float]:
+        return _zoom(ell, a, b, _PEAK_PROBES, _around_max(_PEAK_NATS))
+
     hi = max(hi_start, lo * 2 + 1.0)
-    peak_x, peak = find_peak(ell, lo, hi)
+    peak_x, peak = peak_in(lo, hi)
     while True:
         his = hi * 2.0 ** np.arange(max(0, math.ceil(math.log2(_HI_LIMIT / hi))) + 1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -148,19 +196,22 @@ def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, flo
         if decayed[0] == 0:
             break
         hi = float(his[decayed[0]])
-        new_peak_x, new_peak = find_peak(ell, peak_x, hi)
+        new_peak_x, new_peak = peak_in(peak_x, hi)
         if new_peak <= peak:
             break
         peak_x, peak = new_peak_x, new_peak
 
     # Tighten both edges to the last points at or below peak - MASS_DROP,
     # as two rows of one search: the lower edge in row 0, the upper in row 1.
-    def edges(vals, rows):
+    def edges(xs, vals, rows):
         above, end = vals > peak - MASS_DROP, vals.shape[1] - 1
         first, last = above.argmax(axis=1), end - above[:, ::-1].argmax(axis=1)
         i = np.where(rows == 0, np.maximum(first - 1, 0), last)
         j = np.where(rows == 0, first, np.minimum(last + 1, end))
-        return i, j, np.where(rows == 0, i, j)
+        pick = np.where(rows == 0, i, j)
+        r = np.arange(rows.size)
+        span, reach = xs[r, j] - xs[r, i], np.abs(xs[r, pick] - peak_x)
+        return i, j, pick, span <= _EDGE_SHARE * reach
 
     (w_lo, w_hi), _ = _zoom(
         lambda xs, rows: np.asarray(ell(xs.ravel()), dtype=float).reshape(xs.shape),

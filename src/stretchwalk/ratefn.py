@@ -22,14 +22,31 @@ from .errors import Divergent, DomainError, NoConvergence, NoRoot
 from .quadrature import log_moment_integrals, mass_window
 
 _NEWTON_CAP = 200
-# Wide enough that every diagnostic point of interest solves; Weibull k=3
-# at x=20 already needs a tilt near 1.2e3.
-_BRACKET_LIMIT = 1e4
+# The tilt bracket for mean x is +-_BRACKET_SCALE max(1, |g'(x)|, 1/x); see
+# _bracket_limit.
+_BRACKET_SCALE = 4.0
 
 
 def _tilt_tol(x: float) -> float:
     """Residual |Lambda'(t) - x| at which a tilt solve for mean x stops."""
     return 1e-8 * max(1.0, abs(x))
+
+
+def _bracket_limit(model: PerturbedDensity, x: float) -> float:
+    """Largest |t| the solve for mean x tries: _BRACKET_SCALE max(1, |g'(x)|, 1/x).
+
+    Far in the tail the tilted law is a narrow peak at its mode m, where
+    g'(m) = t, so t* is close to g'(x) (t* = 3 x^2 = g'(x) to four digits
+    for the cubic at x = 58).  Towards 0 the tilted mean of a density that
+    behaves like x^k there is (k + 1) / |t|, so t* is near -(k + 1) / x,
+    while |g'(x)| is near k / x.  A non-finite g'(x), as for ``exp`` past
+    x = 709, leaves no bracket and raises NoRoot.
+    """
+    with np.errstate(over="ignore"):
+        slope = abs(float(model.exponent.dg(x)))
+    if not math.isfinite(slope):
+        raise NoRoot(f"g'(x) is not finite at x={x:g}, so no tilt bracket can be set")
+    return _BRACKET_SCALE * max(1.0, slope, 1.0 / x)
 
 
 def _tilted_ell(model: PerturbedDensity, t: float):
@@ -59,12 +76,13 @@ def _solve_tilt(model: PerturbedDensity, x: float) -> tuple[float, float, float]
     bracket starts as (0, inf) or (-inf, 0) on the side of x, and every
     iterate narrows it by the sign of Lambda'(t) - x.  A Newton step that
     leaves the bracket becomes a bisection; a step is clamped to
-    +-_BRACKET_LIMIT, and the solve fails once Lambda' there still falls
-    short of x.  A Divergent evaluation becomes the bracket's upper end, so
-    linear-exponent models still solve for means reachable below the
-    divergence threshold.
+    +-``_bracket_limit(model, x)``, and the solve fails once Lambda' there
+    still falls short of x.  A Divergent evaluation becomes the bracket's
+    upper end, so linear-exponent models still solve for means reachable
+    below the divergence threshold.
     """
     tol = _tilt_tol(x)
+    limit = _bracket_limit(model, x)
     t, lam, mean, var = 0.0, 0.0, model.mean, model.variance
     t_lo, t_hi = (0.0, math.inf) if x > mean else (-math.inf, 0.0)
     for _ in range(_NEWTON_CAP):
@@ -75,9 +93,9 @@ def _solve_tilt(model: PerturbedDensity, x: float) -> tuple[float, float, float]
             t_hi = t
         else:
             t_lo = t
-        if t_lo >= _BRACKET_LIMIT or t_hi <= -_BRACKET_LIMIT:
-            raise NoRoot(f"no tilt with mean {x:g} found for |t| up to {_BRACKET_LIMIT:g}")
-        t_new = min(max(t - resid / var, -_BRACKET_LIMIT), _BRACKET_LIMIT)
+        if t_lo >= limit or t_hi <= -limit:
+            raise NoRoot(f"no tilt with mean {x:g} found for |t| up to {limit:g}")
+        t_new = min(max(t - resid / var, -limit), limit)
         t = t_new if t_lo < t_new < t_hi else 0.5 * (t_lo + t_hi)
         try:
             lam, mean, var = _tilted_stats(model, t)
@@ -174,10 +192,33 @@ class CramerRate:
 
     def derivative_residual(self) -> float:
         """max |dI/dx - t*| / max(1, t*) over interior nodes, with dI/dx
-        taken from the cubic spline through (x, I)."""
-        from scipy.interpolate import CubicSpline
-
-        xs = self.x[1:-1]
-        deriv = CubicSpline(self.x, self.I).derivative()(xs)
+        taken from the not-a-knot cubic spline through (x, I)."""
+        deriv = _spline_slopes(self.x, self.I)[1:-1]
         ref = self.t_star[1:-1]
         return float(np.max(np.abs(deriv - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Slopes at the nodes of the not-a-knot cubic spline through (x, y),
+    at least 4 nodes: scipy's ``CubicSpline(x, y).derivative()(x)``.
+
+    Interior rows are the spline's slope equations, continuity of the
+    second derivative (de Boor, *A Practical Guide to Splines*, ch. IV);
+    the end rows make the third derivative continuous at x[1] and x[-2].
+    A rate table has a few hundred nodes at most, so the system is solved
+    densely.
+    """
+    h = np.diff(x)
+    d = np.diff(y) / h
+    n = x.size
+    a = np.zeros((n, n))
+    rhs = np.empty(n)
+    i = np.arange(1, n - 1)
+    a[i, i - 1], a[i, i], a[i, i + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    rhs[1:-1] = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+    w0, w1 = x[2] - x[0], x[-1] - x[-3]
+    a[0, :2] = h[1], w0
+    rhs[0] = ((h[0] + 2.0 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0
+    a[-1, -2:] = w1, h[-2]
+    rhs[-1] = (h[-1] ** 2 * d[-2] + (2.0 * w1 + h[-1]) * h[-2] * d[-1]) / w1
+    return np.linalg.solve(a, rhs)

@@ -189,9 +189,11 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
                    if np.any(in_band) else -math.inf)
 
     # Shift by the exceedance mean so the per-draw weight terms are O(1).
-    shifted = np.exp(log_w - log_m1_c)
-    c_terms = np.where(in_c, shifted, 0.0)
-    band_terms = np.where(in_band, shifted, 0.0)
+    # Only draws in C are exponentiated: a draw far below n a has a weight
+    # that overflows, and its term is zero anyway.
+    c_terms = np.zeros(trials)
+    c_terms[in_c] = np.exp(log_w[in_c] - log_m1_c)
+    band_terms = np.where(in_band, c_terms, 0.0)
 
     n_eff = float(c_terms.sum() ** 2 / (c_terms**2).sum())
     if n_eff < 30.0:

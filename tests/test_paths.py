@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.special import gammaincc
+from scipy.stats import ks_2samp, kstest, kstwo
 
-from stretchwalk.density import PowerExponent, WeibullExponent, pure_density
+from stretchwalk.density import PowerExponent, WeibullExponent, parse_model, pure_density
 from stretchwalk.errors import BadWindow, DomainError
 from stretchwalk.paths import (
     EndValueAtLeast,
@@ -269,6 +270,30 @@ class TestSimulateConditionedPath:
         d = ks_2samp([detect_segments(t, k, alpha).max_slope for t in conditioned],
                      [detect_segments(t, k, alpha).max_slope for t in free]).statistic
         assert d < math.sqrt(-math.log(0.005) / 2.0) * math.sqrt(2.0 / paths)
+
+    @pytest.mark.parametrize("n, a", [(20, 2.0), (200, 1.5)])
+    def test_exponential_end_values_are_truncated_gamma(self, n, a):
+        """Exact end law for unit-exponential steps (power beta = 1).
+
+        S_n is Gamma(n, 1), so given S_n >= T = n a it has the cdf
+        1 - Q(n, s) / Q(n, T) on s >= T, with Q the regularised upper
+        incomplete gamma function; the survival form keeps the ratio exact
+        where 1 - P(n, s) would cancel.  Each path runs the tilt solve,
+        the mass window, the tilted table and the acceptance step end to
+        end.  Under that law the KS distance D of R = 400 end values
+        follows the Kolmogorov law of R points, so the test fails with
+        probability 0.005 per case when D exceeds its 0.995 quantile
+        (about 0.086).
+        """
+        model = parse_model("power:beta=1")
+        paths = 400
+        total = n * a
+        ends = [simulate_conditioned_path(model, n, a, EndValueAtLeast(total),
+                                          seed=derive_seed(110 + n, r)).partial_sums[-1]
+                for r in range(paths)]
+        tail = gammaincc(n, total)
+        d = kstest(ends, lambda s: 1.0 - gammaincc(n, np.maximum(s, total)) / tail).statistic
+        assert d < kstwo.isf(0.005, paths)
 
 
 class TestEstimatePAk:

@@ -25,7 +25,7 @@ from stretchwalk.density import (
     sin_perturbed_density,
 )
 from stretchwalk.errors import NonIntegrable
-from stretchwalk.quadrature import find_peak, log_integral, mass_window
+from stretchwalk.quadrature import MASS_DROP, find_peak, log_integral, mass_window
 from stretchwalk.ratefn import _tilted_ell, _tilted_stats
 
 DPS = 40
@@ -183,3 +183,22 @@ def test_batched_find_peak_rows_match_scalar_calls(probes):
         assert x_rows[k] == x and v_rows[k] == v
     assert levels[-1] == 1 and levels[4] == 16
     assert len(set(levels.tolist())) >= 4
+
+
+@pytest.mark.parametrize("spec, t", [("power:beta=2", 0.0), ("weibull:k=3", 1.0),
+                                     ("weibull:k=3", 1200.0), ("power:beta=3", 3e4),
+                                     ("exp", 5.0), ("power:beta=1", -3.0)])
+def test_window_stops_on_the_mass_it_bounds(spec, t):
+    # The window's peak is within 1e-3 nats of the fully resolved maximum,
+    # and each edge lies at or outside its crossing of peak - MASS_DROP
+    # (or at lo), by at most 1e-3 of its distance from the peak.
+    ell = _tilted_ell(parse_model(spec), t)
+    lo, hi, peak_x = mass_window(ell, 0.0, 8.0)
+    top = find_peak(ell, lo, hi)[1]
+    peak = float(ell(np.array([peak_x]))[0])
+    assert abs(peak - top) <= 1e-3
+    level = peak - MASS_DROP
+    ends = ell(np.array([lo, hi]))
+    assert (lo == 0.0 or ends[0] <= level) and ends[1] <= level
+    inner = np.array([lo + 1e-3 * (peak_x - lo), hi - 1e-3 * (hi - peak_x)])
+    assert np.all(ell(inner) > level)

@@ -8,10 +8,12 @@ Frozen reference values for the other models were computed offline with
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from stretchwalk import cli, ratefn
+from stretchwalk.conditions import PRESETS
 from stretchwalk.density import (
     PowerExponent,
     WeibullExponent,
@@ -108,6 +110,37 @@ class TestCramerRate:
         for model, x, tilt in solved:
             assert abs(_tilted_stats(model, tilt)[1] - x) <= 1e-8 * max(1.0, x)
 
+    def test_cold_solves_call_the_integrand_sparingly(self, monkeypatch):
+        """Integrand calls over the 32 cold solves of one pass of the
+        benchmark's ``rate`` workload, without its jitter: power beta=1 at
+        x = 1.6, 2.8 and 3.2; power beta=2, beta=3, Weibull k=3 and exp at
+        1.15 to 3.4 times EX; the /sin cubic at 1.5 EX.  With each window
+        search resolved to float resolution they took 2,867 calls, 90 a
+        solve; with its stops tied to the mass it bounds, 1,069."""
+        calls = 0
+        tilted_ell = ratefn._tilted_ell
+
+        def counted(model, t):
+            ell = tilted_ell(model, t)
+
+            def call(xs):
+                nonlocal calls
+                calls += 1
+                return ell(xs)
+
+            return call
+
+        monkeypatch.setattr(ratefn, "_tilted_ell", counted)
+        points = [(parse_model("power:beta=1"), x) for x in (1.6, 2.8, 3.2)]
+        for spec in ("power:beta=2", "power:beta=3", "weibull:k=3", "exp"):
+            model = parse_model(spec)
+            points += [(model, f * model.mean) for f in (1.15, 1.4, 1.7, 2.1, 2.5, 2.9, 3.4)]
+        sin = parse_model("power:beta=3/sin")
+        points.append((sin, 1.5 * sin.mean))
+        for model, x in points:
+            cramer_rate(model, x)
+        assert calls <= 40 * len(points)
+
     def test_far_tail_newton_step_is_clamped(self):
         # From t = 0 the first Newton step for x = 1e6 lands near t = 8e5,
         # where the tilted quadrature loses its variance; clamped to the
@@ -159,10 +192,34 @@ class TestCramerRate:
         with pytest.raises(DomainError):
             cramer_rate(weibull3, -1.0)
 
-    def test_no_root_past_bracket_limit(self, weibull3):
-        # The tilt needed for x=100 is about 3e4, beyond the search cap.
-        with pytest.raises(NoRoot):
-            cramer_rate(weibull3, 100.0)
+    def test_no_root_where_the_slope_is_not_finite(self):
+        # The bracket scales with g'(x), which overflows for exp past x = 709.
+        with pytest.raises(NoRoot, match="not finite"):
+            cramer_rate(parse_model("exp"), 800.0)
+
+    @pytest.mark.parametrize("a", [100.0, 400.0])
+    def test_far_levels_match_mpmath(self, a):
+        """Criterion 8's levels for the cubic, where t* = 3 a^2 (3e4 and
+        4.8e5) lies past any fixed bracket of 1e4.  The tilted mass has
+        sd 1 / sqrt(6 a), under 0.041, against a window search that starts
+        on (0, 8] and doubles past a: the mass is narrow against the
+        searched range, so this also checks the window's stops there.  The
+        reference is mpmath on [m - 1, m + 1] about the mode m = sqrt(t/3),
+        25 sd either side, with c = 1 / Gamma(4/3)."""
+        t, lam, mean = ratefn._solve_tilt(parse_model("power:beta=3"), a)
+        assert t == pytest.approx(3.0 * a * a, rel=1e-6)
+        with mp.workdps(30):
+            tt = mp.mpf(t)
+            m = mp.sqrt(tt / 3)
+            top = tt * m - m**3
+            cuts = [m - 1, m - mp.mpf("0.1"), m, m + mp.mpf("0.1"), m + 1]
+            m0, m1 = (mp.quad(lambda x, j=j: x**j * mp.exp(tt * x - x**3 - top), cuts)
+                      for j in range(2))
+            ref_lam = float(top + mp.log(m0) - mp.loggamma(mp.mpf(4) / 3))
+            ref_mean = float(m1 / m0)
+        assert abs(ref_mean - a) <= 1e-8 * a
+        assert abs(mean - ref_mean) <= 1e-10 * a
+        assert abs(lam - ref_lam) <= 1e-10 * ref_lam
 
     def test_mean_cached(self, weibull3):
         # The solver anchors at the mean the model computed at construction.
@@ -223,6 +280,18 @@ class TestRateTable:
 
     def test_derivative_matches_tilt(self, weibull_table):
         assert weibull_table.derivative_residual() <= 1e-4
+
+    @pytest.mark.parametrize("preset, x_max", [("example1-case1", 5.0), ("example1-case2", 4.0),
+                                               ("example2", 2.5), ("weibull-corollary", 5.0)])
+    def test_spline_slopes_match_scipy(self, preset, x_max):
+        # Criterion 5's tables: the numpy slopes are scipy's not-a-knot
+        # CubicSpline derivative at the nodes.
+        from scipy.interpolate import CubicSpline
+
+        table = CramerRate.build(pure_density(PRESETS[preset].exponent()), x_max)
+        ref = CubicSpline(table.x, table.I).derivative()(table.x)
+        got = ratefn._spline_slopes(table.x, table.I)
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
 
     @pytest.mark.parametrize("spec", ["power:beta=2", "power:beta=2/sin", "weibull:k=3",
                                       "weibull:k=3/sin", "exp", "exp/sin",

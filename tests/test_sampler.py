@@ -1,6 +1,7 @@
 """Tests for conditioned sampling: tilted importance sampling and fixed-sum Gibbs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from stretchwalk.sampler import (
     EndValueAtLeast,
     EndValueEquals,
     LocalizationEstimate,
+    _FIRST_POSITIVE,
     _batch_means_std_err,
     estimate_localization,
     gibbs_fixed_sum,
@@ -233,6 +235,17 @@ class TestImportanceEstimate:
         res = importance_estimate(weibull3, 10, 2.0, 0.0, trials=2000, seed=0)
         assert res.conditional.p_hat == 0.0
         assert res.log_p_band_and_c == -math.inf
+
+    def test_draws_outside_c_do_not_overflow(self):
+        # For the cubic at a = 20 the tilt is 3 a^2 = 1200, so a draw whose
+        # sum falls short of n a by more than 709 / 1200 has a relative
+        # weight past exp(709).  Such draws lie outside C, where the weight
+        # terms are zero; only draws in C may be exponentiated.
+        model = parse_model("power:beta=3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = importance_estimate(model, 5, 20.0, 0.5, trials=20_000, seed=7)
+        assert res.conditional.p_hat == 1.0 and res.conditional.n_eff > 30.0
 
 
 class TestLocalizationEstimateInvariants:
@@ -479,7 +492,7 @@ class TestTableResolution:
             return t * xs + weibull3.log_c + weibull3._log_kernel(xs)
 
         lo, hi, _ = mass_window(ell, 0.0, 8.0)
-        xs, cdf = _one_regrid_table(ell, lo, hi, 4097)
+        xs, cdf = _one_regrid_table(ell, max(lo, _FIRST_POSITIVE), hi, 4097)
         assert np.array_equal(law.table.x, xs)
         assert np.array_equal(law.table.cdf, cdf)
 
