@@ -369,7 +369,9 @@ class Perturbation:
     """Bounded exponent perturbation q with envelope M, scale N, threshold y0.
 
     Contract: |q(x)| <= M(x) everywhere and M(x) <= N log g(x) for x >= y0.
-    Both are spot-checked on probe grids when a density is built.
+    Both are spot-checked on probe grids when a density is built.  ``kinks``
+    lists the points where q is not smooth; quadrature puts a panel end at
+    each (see ``quadrature.log_moment_integrals``).
     """
 
     q: Callable[[Array], Array]
@@ -377,6 +379,7 @@ class Perturbation:
     N: float
     y0: float
     name: str = "custom"
+    kinks: tuple[float, ...] = ()
 
 
 def _solve_log_g_level(exponent: ExponentModel, level: float) -> float:
@@ -388,13 +391,32 @@ def _solve_log_g_level(exponent: ExponentModel, level: float) -> float:
     return x
 
 
+def _level_crossings(f: Callable[[Array], Array], lo: float, hi: float,
+                     levels: tuple[float, ...]) -> tuple[float, ...]:
+    """Points of (lo, hi) where f crosses one of ``levels``: the sign changes
+    of f - level on a 4,097-point grid, each resolved by ``first_reach`` (a
+    falling crossing as a rise of -f), in increasing order."""
+    xs = np.linspace(lo, hi, 4097)
+    fx = np.asarray(f(xs), dtype=float)
+    found = []
+    for level in levels:
+        above = fx >= level
+        for i in np.flatnonzero(above[1:] != above[:-1]):
+            if above[i + 1]:
+                found.append(first_reach(f, xs[i], xs[i + 1], level, 1))
+            else:
+                found.append(first_reach(lambda v: -f(v), xs[i], xs[i + 1], -level, 1))
+    return tuple(sorted(found))
+
+
 def sin_perturbation(exponent: ExponentModel) -> Perturbation:
     """Reference oscillatory perturbation q = 0.5 sin(x) min(1, log g)+.
 
     The envelope is M(x) = clip(log g(x), 0, 1): the raw min(1, log g) dips
     negative where g < 1, which no valid envelope may do, so it is clamped
     at zero (q vanishes there too).  N = 1 and y0 solves log g = 1, making
-    M <= N log g automatic beyond y0.
+    M <= N log g automatic beyond y0.  q has a kink wherever log g crosses
+    0 or 1; beyond y0, where g no longer decreases, log g stays above 1.
     """
     def M(x: Array) -> Array:
         return np.clip(exponent.log_g(np.asarray(x, dtype=float)), 0.0, 1.0)
@@ -404,7 +426,8 @@ def sin_perturbation(exponent: ExponentModel) -> Perturbation:
         return 0.5 * np.sin(x) * M(x)
 
     y0 = _solve_log_g_level(exponent, 1.0)
-    return Perturbation(q=q, M=M, N=1.0, y0=y0, name="sin(lambda=0.5)")
+    kinks = _level_crossings(exponent.log_g, 1e-6, 2.0 * y0, (0.0, 1.0))
+    return Perturbation(q=q, M=M, N=1.0, y0=y0, name="sin(lambda=0.5)", kinks=kinks)
 
 
 def _tabulated_perturbation(exponent: ExponentModel, x: Array, qvals: Array) -> Perturbation:
@@ -422,7 +445,9 @@ def _tabulated_perturbation(exponent: ExponentModel, x: Array, qvals: Array) -> 
         return np.full_like(np.asarray(xs, dtype=float), bound)
 
     y0 = _solve_log_g_level(exponent, bound)
-    return Perturbation(q=q, M=M, N=1.0, y0=y0, name="tabulated")
+    # q is zero outside the grid, so it may jump at either end.
+    return Perturbation(q=q, M=M, N=1.0, y0=y0, name="tabulated",
+                        kinks=(float(x[0]), float(x[-1])))
 
 
 @dataclass
@@ -465,6 +490,11 @@ class PerturbedDensity:
     @property
     def is_pure(self) -> bool:
         return self.perturbation is None
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """Points where the log-density is not smooth: the perturbation's."""
+        return () if self.perturbation is None else self.perturbation.kinks
 
     def q(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -523,7 +553,8 @@ class PerturbedDensity:
         if math.isinf(self.support_cap):
             raise NonIntegrable("exponent never rises enough to truncate the support")
 
-        mass, mean, second = log_moment_integrals(self._log_kernel, 0.0, self.support_cap)
+        mass, mean, second = log_moment_integrals(self._log_kernel, 0.0, self.support_cap,
+                                                  kinks=self.kinks)
         self.log_c = -mass
         self.c = math.exp(self.log_c)
         self.mean = mean
@@ -532,12 +563,20 @@ class PerturbedDensity:
 
     def _check_tail(self, log_mass: float) -> None:
         cap = self.support_cap
-        t1 = log_integral(self._log_kernel, cap, 2.0 * cap)
-        t2 = log_integral(self._log_kernel, 2.0 * cap, 4.0 * cap)
+        t1 = self._log_mass_on(cap, 2.0 * cap)
+        t2 = self._log_mass_on(2.0 * cap, 4.0 * cap)
         if not (t1 - log_mass < math.log(1e-12)):
             raise NonIntegrable("truncated tail mass is not negligible")
         if not (t2 < t1):
             raise NonIntegrable("tail mass fails to decrease under cap doubling")
+
+    def _log_mass_on(self, lo: float, hi: float) -> float:
+        """log of the kernel's integral over [lo, hi], taken on its mass
+        window there: past the support cap a steep exponent (power beta = 20)
+        leaves all of it in a sliver at lo that panels on [lo, hi] miss."""
+        w_lo, w_hi, peak = mass_window(self._log_kernel, lo, hi)
+        return log_integral(self._log_kernel, w_lo, min(w_hi, hi), peak_hint=peak,
+                            kinks=self.kinks)
 
     # -- evaluation --------------------------------------------------------
 
@@ -551,7 +590,8 @@ class PerturbedDensity:
         if x <= 0.0:
             return 0.0
         _, hi, peak = mass_window(self._log_kernel, x, max(2.0 * x, x + 8.0))
-        return self.log_c + log_integral(self._log_kernel, x, hi, peak_hint=peak)
+        return self.log_c + log_integral(self._log_kernel, x, hi, peak_hint=peak,
+                                         kinks=self.kinks)
 
 
 # -- construction helpers ---------------------------------------------------

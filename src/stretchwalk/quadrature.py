@@ -9,6 +9,8 @@ searches, such as a window's two edges, runs as the rows of one grid),
 and integrals by a locally adaptive composite 16-point Gauss-Legendre
 rule (Davis & Rabinowitz, *Methods of Numerical Integration*) whose every
 round yields the mass and the first two moments from one ``ell`` call.
+The rule assumes ell smooth on each panel, so a caller names the points
+where it is not (a perturbation's kinks), and each becomes a panel end.
 
 A nested-grid search stops at a share of its range, near float
 resolution, unless it knows what it resolves.  A mass window does: it
@@ -74,13 +76,14 @@ def gauss_legendre(lo: Array, hi: Array) -> tuple[Array, Array]:
 
 
 def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probes: int,
-          bracket: Callable[[Array, Array, Array], tuple[Array, Array, Array, Array | bool]]):
+          bracket: Callable[[Array, Array], tuple[Array, Array, Array]],
+          resolved: Callable[..., Array] | None = None):
     """Nested grids on [lo, hi], or on every row's bounds (see find_peak):
-    ``bracket(xs, vals, rows)`` names per row the nodes (i, j) whose span
-    holds the target, the node to report and whether the row is resolved,
-    and each level regrids that span.  A row stops once it is resolved or
-    its span falls to _ZOOM_STOP of its own range.  Returns the reported
-    node and its value."""
+    ``bracket(vals, rows)`` names per row the nodes (i, j) whose span holds the
+    target and the node to report, and each level regrids that span.  A row
+    stops once its span falls to _ZOOM_STOP of its own range, or once
+    ``resolved(xs, vals, i, j, pick)``, where given, is true for it.  Returns
+    the reported node and its value."""
     batched = np.ndim(lo) > 0
     call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
@@ -90,9 +93,11 @@ def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probe
     live = r = np.arange(lo.size)
     for _ in range(_ZOOM_LEVELS):
         vals = call(xs, live)
-        i, j, pick, resolved = bracket(xs, vals, live)
+        i, j, pick = bracket(vals, live)
         x_i, x_j = xs[r, i], xs[r, j]
-        done = (x_j - x_i <= stop) | resolved
+        done = x_j - x_i <= stop
+        if resolved is not None:
+            done |= resolved(xs, vals, i, j, pick)
         if np.count_nonzero(done):
             out_x[live[done]], out_v[live[done]] = xs[r, pick][done], vals[r, pick][done]
             live, stop, x_i, x_j, pick, vals = (
@@ -116,25 +121,15 @@ def find_peak(ell: Callable[..., Array], lo: float | Array, hi: float | Array,
     (len(rows), points) grid whose row i lies in [lo[rows[i]], hi[rows[i]]],
     each row stops at its own zoom level, and entry k of the two result
     arrays equals, bit for bit, the scalar call on (lo[k], hi[k])."""
-    return _zoom(ell, lo, hi, probes, _around_max(None))
+    return _zoom(ell, lo, hi, probes, _around_max)
 
 
-def _around_max(nats: float | None):
-    """Bracket of a peak search: the nodes either side of the largest value.
-    Given ``nats``, a row is resolved once both ends lie within ``nats`` of
-    that value; otherwise only _ZOOM_STOP ends the search."""
-
-    def bracket(xs, vals, rows):
-        k = vals.argmax(axis=1)
-        if np.isnan(vals).any():  # argmax stops at the first NaN
-            k = np.nanargmax(vals, axis=1)
-        i, j = np.maximum(k - 1, 0), np.minimum(k + 1, vals.shape[1] - 1)
-        if nats is None:
-            return i, j, k, False
-        r = np.arange(k.size)
-        return i, j, k, np.minimum(vals[r, i], vals[r, j]) >= vals[r, k] - nats
-
-    return bracket
+def _around_max(vals: Array, rows: Array) -> tuple[Array, Array, Array]:
+    """Bracket of a peak search: the nodes either side of the largest value."""
+    k = vals.argmax(axis=1)
+    if np.isnan(vals).any():  # argmax stops at the first NaN
+        k = np.nanargmax(vals, axis=1)
+    return np.maximum(k - 1, 0), np.minimum(k + 1, vals.shape[1] - 1), k
 
 
 def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
@@ -149,9 +144,9 @@ def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
     if reached.size == 0:
         return math.inf
 
-    def first_reached(xs, vals, rows):
+    def first_reached(vals, rows):
         k = (~(vals < level)).argmax(axis=1)
-        return np.maximum(k - 1, 0), k, k, False
+        return np.maximum(k - 1, 0), k, k
 
     return _zoom(f, lo, float(his[reached[0]]), _GRID, first_reached)[0]
 
@@ -181,8 +176,12 @@ def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, flo
     and that rule sets the accuracy.
     """
 
+    def flat(xs, vals, i, j, k):
+        r = np.arange(k.size)
+        return np.minimum(vals[r, i], vals[r, j]) >= vals[r, k] - _PEAK_NATS
+
     def peak_in(a: float, b: float) -> tuple[float, float]:
-        return _zoom(ell, a, b, _PEAK_PROBES, _around_max(_PEAK_NATS))
+        return _zoom(ell, a, b, _PEAK_PROBES, _around_max, flat)
 
     hi = max(hi_start, lo * 2 + 1.0)
     peak_x, peak = peak_in(lo, hi)
@@ -203,19 +202,20 @@ def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, flo
 
     # Tighten both edges to the last points at or below peak - MASS_DROP,
     # as two rows of one search: the lower edge in row 0, the upper in row 1.
-    def edges(xs, vals, rows):
+    def edges(vals, rows):
         above, end = vals > peak - MASS_DROP, vals.shape[1] - 1
         first, last = above.argmax(axis=1), end - above[:, ::-1].argmax(axis=1)
         i = np.where(rows == 0, np.maximum(first - 1, 0), last)
         j = np.where(rows == 0, first, np.minimum(last + 1, end))
-        pick = np.where(rows == 0, i, j)
-        r = np.arange(rows.size)
-        span, reach = xs[r, j] - xs[r, i], np.abs(xs[r, pick] - peak_x)
-        return i, j, pick, span <= _EDGE_SHARE * reach
+        return i, j, np.where(rows == 0, i, j)
+
+    def near(xs, vals, i, j, pick):
+        r = np.arange(i.size)
+        return xs[r, j] - xs[r, i] <= _EDGE_SHARE * np.abs(xs[r, pick] - peak_x)
 
     (w_lo, w_hi), _ = _zoom(
         lambda xs, rows: np.asarray(ell(xs.ravel()), dtype=float).reshape(xs.shape),
-        np.array([lo, peak_x]), np.array([peak_x, hi]), _GRID, edges)
+        np.array([lo, peak_x]), np.array([peak_x, hi]), _GRID, edges, near)
     return float(w_lo), float(w_hi), peak_x
 
 
@@ -231,15 +231,25 @@ def log_moment_integrals(
     lo: float,
     hi: float,
     peak_hint: float | None = None,
+    kinks: Array | tuple[float, ...] = (),
 ) -> tuple[float, float, float]:
     """Return (log m0, m1, m2): log mass plus first two moments of the
     normalised density exp(ell)/m0 on [lo, hi], split at the peak.  All
     three come from the same nodes and shift, so the moment ratios are
-    exact."""
+    exact.
+
+    ``kinks`` are points where ell is not smooth; those inside (lo, hi)
+    become panel ends.  Left inside a panel, a kink between the panel's end
+    and its outermost node is seen by neither estimate of the adaptive
+    rule, which then agree and settle the panel without its contribution."""
     if peak_hint is None:
         peak_hint, _ = find_peak(ell, lo, hi)
     cuts = np.array([lo, peak_hint, hi]) if lo < peak_hint < hi else np.array([lo, hi])
     edges = np.append(np.linspace(cuts[:-1], cuts[1:], _START_PANELS, endpoint=False).T, hi)
+    kinks = np.asarray(kinks, dtype=float)
+    kinks = kinks[(kinks > lo) & (kinks < hi)]
+    if kinks.size:
+        edges = np.union1d(edges, kinks)
     a, b = edges[:-1], edges[1:]
     x, w = gauss_legendre(a, b)
     vals = np.asarray(ell(np.append(x.ravel(), peak_hint)), dtype=float)
@@ -277,11 +287,12 @@ def log_integral(
     lo: float,
     hi: float,
     peak_hint: float | None = None,
+    kinks: Array | tuple[float, ...] = (),
 ) -> float:
     """log of integral of exp(ell) over [lo, hi], computed with a peak shift."""
     if hi <= lo:
         return -np.inf
-    return log_moment_integrals(ell, lo, hi, peak_hint)[0]
+    return log_moment_integrals(ell, lo, hi, peak_hint, kinks)[0]
 
 
 @dataclass

@@ -22,8 +22,10 @@ from .errors import Divergent, DomainError, NoConvergence, NoRoot
 from .quadrature import log_moment_integrals, mass_window
 
 _NEWTON_CAP = 200
-# The tilt bracket for mean x is +-_BRACKET_SCALE max(1, |g'(x)|, 1/x); see
-# _bracket_limit.
+# The tilt bracket for mean x is +-max(_BRACKET_FLOOR, _BRACKET_SCALE
+# max(|g'(x)|, 1/x)); see _bracket_limit.  Weibull k=3 at x=20 already
+# needs a tilt near 1.2e3.
+_BRACKET_FLOOR = 1e4
 _BRACKET_SCALE = 4.0
 
 
@@ -33,20 +35,25 @@ def _tilt_tol(x: float) -> float:
 
 
 def _bracket_limit(model: PerturbedDensity, x: float) -> float:
-    """Largest |t| the solve for mean x tries: _BRACKET_SCALE max(1, |g'(x)|, 1/x).
+    """Largest |t| the solve for mean x tries: _BRACKET_FLOOR, raised to
+    _BRACKET_SCALE max(|g'(x)|, 1/x) where that is larger.
 
-    Far in the tail the tilted law is a narrow peak at its mode m, where
-    g'(m) = t, so t* is close to g'(x) (t* = 3 x^2 = g'(x) to four digits
-    for the cubic at x = 58).  Towards 0 the tilted mean of a density that
-    behaves like x^k there is (k + 1) / |t|, so t* is near -(k + 1) / x,
-    while |g'(x)| is near k / x.  A non-finite g'(x), as for ``exp`` past
-    x = 709, leaves no bracket and raises NoRoot.
+    The floor does not depend on the model's shape, and it covers means
+    whose tilt has nothing to do with g'(x): a nearly flat density that
+    ends in a steep wall, such as power beta = 20, needs t* near
+    1 / (wall - x) where g'(x) is about 1.  Far in the tail the tilted law
+    is a narrow peak at its mode m, where g'(m) = t, so t* is close to
+    g'(x) (t* = 3 x^2 = g'(x) to four digits for the cubic at x = 58) and
+    outgrows any fixed floor.  Towards 0 the tilted mean of a density that
+    behaves like x^k there is (k + 1) / |t|, so t* is near -(k + 1) / x.
+    A non-finite g'(x), as for ``exp`` past x = 709, leaves no bracket and
+    raises NoRoot.
     """
     with np.errstate(over="ignore"):
         slope = abs(float(model.exponent.dg(x)))
     if not math.isfinite(slope):
         raise NoRoot(f"g'(x) is not finite at x={x:g}, so no tilt bracket can be set")
-    return _BRACKET_SCALE * max(1.0, slope, 1.0 / x)
+    return max(_BRACKET_FLOOR, _BRACKET_SCALE * max(slope, 1.0 / x))
 
 
 def _tilted_ell(model: PerturbedDensity, t: float):
@@ -61,7 +68,7 @@ def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, floa
     where the MGF is infinite (a linear exponent at t >= 1)."""
     ell = _tilted_ell(model, t)
     lo, hi, peak = mass_window(ell, 0.0, 8.0)
-    lam, mean, second = log_moment_integrals(ell, lo, hi, peak_hint=peak)
+    lam, mean, second = log_moment_integrals(ell, lo, hi, peak_hint=peak, kinks=model.kinks)
     var = second - mean * mean
     if var <= 0.0:
         raise NoConvergence(f"tilted variance {var:g} not positive at t={t:g}")

@@ -313,3 +313,16 @@ def test_parse_model_rejects_unknown_kind():
 def test_nonfinite_parameters_rejected(make):
     with pytest.raises(InvalidModel):
         make()
+
+
+@pytest.mark.parametrize("spec, count", [("power:beta=3/sin", 2), ("weibull:k=3/sin", 4),
+                                         ("exp/sin", 1)])
+def test_sin_kinks_are_where_the_envelope_bends(spec, count):
+    # clip(log g, 0, 1) bends where log g crosses 0 or 1: at 1 and e^(1/3)
+    # for the cubic, on both sides of the Weibull exponent's minimum (where
+    # g is 0.94), and only at 1 for exp, whose log g is 0 at the origin.
+    model = parse_model(spec)
+    kinks = np.array(model.kinks)
+    assert kinks.size == count and np.all(np.diff(kinks) > 0.0)
+    log_g = model.exponent.log_g(kinks)
+    assert np.all(np.minimum(abs(log_g), abs(log_g - 1.0)) <= 1e-12)

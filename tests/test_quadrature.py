@@ -105,11 +105,37 @@ def test_tilted_moments_match_mpmath(case):
         assert abs(got[2] - var) <= TOL * var, (t, got, var)
 
 
+# A scan of tilts for the sin-perturbed cubic; see test_sin_kinks_are_panel_ends.
+_TILT_SCAN = np.linspace(-1.0, 12.0, 301)
+
+
+@pytest.mark.parametrize("k", [76, 99, 100, 104, 198])
+def test_sin_kinks_are_panel_ends(k):
+    """Tilts at which Lambda of the sin-perturbed cubic was off by 5e-10 to
+    8e-8 (t = 2.29, 3.29, 3.33, 3.51, 7.62) while its envelope's kinks lay
+    inside panels: on some panel layouts a kink sits between a panel's end
+    and its outermost node, where neither estimate of the adaptive rule sees
+    it.  With the kinks as panel ends, Lambda and the mean agree to 1e-12."""
+    make, G, kinks = CASES["power3_sin"]
+    model, t = make(), float(_TILT_SCAN[k])
+    lam, mean, _ = _tilted_stats(model, t)
+    _, hi, peak = mass_window(_tilted_ell(model, t), 0.0, 8.0)
+    with mp.workdps(DPS):
+        log_z = mp.log(_mp_integral(lambda x: mp.exp(-G(x)), 0, model.support_cap, kinks()))
+        m0, m1 = (_mp_integral(lambda x, j=j: x**j * mp.exp(t * x - G(x)), 0, 1.5 * hi + 1.0,
+                               [*kinks(), mp.mpf(peak)]) for j in range(2))
+        ref_lam, ref_mean = float(mp.log(m0) - log_z), float(m1 / m0)
+    assert abs(lam - ref_lam) <= 1e-12 * max(1.0, abs(ref_lam))
+    assert abs(mean - ref_mean) <= 1e-12 * ref_mean
+
+
 @pytest.mark.parametrize("spec, G, kinks", [
     ("power:beta=2/sin",
      lambda x: x**2 + mp.mpf("0.5") * mp.sin(x) * min(max(2 * mp.log(x), 0), 1),
      lambda: [mp.mpf(1), mp.exp(mp.mpf("0.5"))]),
     ("power:beta=1.5", lambda x: x ** mp.mpf("1.5"), _no_kinks),
+    # All the mass past the support cap lies within 1e-6 of it.
+    ("power:beta=20", lambda x: x**20, _no_kinks),
 ])
 def test_mean_matches_mpmath(spec, G, kinks):
     # EX is computed once, from the moments that normalise the model.

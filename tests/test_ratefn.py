@@ -116,7 +116,8 @@ class TestCramerRate:
         x = 1.6, 2.8 and 3.2; power beta=2, beta=3, Weibull k=3 and exp at
         1.15 to 3.4 times EX; the /sin cubic at 1.5 EX.  With each window
         search resolved to float resolution they took 2,867 calls, 90 a
-        solve; with its stops tied to the mass it bounds, 1,069."""
+        solve; with its stops tied to the mass it bounds, and the sin
+        envelope's kinks as panel ends, 1,005."""
         calls = 0
         tilted_ell = ratefn._tilted_ell
 
@@ -191,6 +192,34 @@ class TestCramerRate:
             cramer_rate(weibull3, 0.0)
         with pytest.raises(DomainError):
             cramer_rate(weibull3, -1.0)
+
+    def test_no_root_past_bracket_limit(self, weibull3, monkeypatch):
+        # Held at its floor of 1e4, the bracket stops short of the tilt of
+        # about 3e4 that x = 100 needs, and the solve says so.
+        monkeypatch.setattr(ratefn, "_BRACKET_SCALE", 0.0)
+        with pytest.raises(NoRoot, match="up to 10000"):
+            cramer_rate(weibull3, 100.0)
+
+    def test_steep_wall_solves_past_the_slope(self):
+        """power beta=20 is nearly uniform on (0, 1) and ends in a steep
+        wall, so the tilt for mean x = 0.85 (about 1.74 EX) is set by the
+        wall, t* = 6.85, not by g'(0.85) = 0.91: a bracket of 4 max(1,
+        |g'(x)|, 1/x) = 4.71 alone would miss it.  Reference: mpmath on
+        [0, 1.5], where exp(t x - x^20) has fallen by e^-3300, split at 1."""
+        model = parse_model("power:beta=20")
+        x = 0.85
+        t, lam, mean = ratefn._solve_tilt(model, x)
+        assert t > 4.0 * max(1.0, float(model.exponent.dg(x)), 1.0 / x)
+        with mp.workdps(30):
+            tt = mp.mpf(t)
+            cuts = [0, 1, mp.mpf("1.5")]
+            z = mp.quad(lambda v: mp.exp(-v**20), cuts)
+            m0, m1 = (mp.quad(lambda v, j=j: v**j * mp.exp(tt * v - v**20), cuts)
+                      for j in range(2))
+            ref_lam, ref_mean = float(mp.log(m0 / z)), float(m1 / m0)
+        assert abs(ref_mean - x) <= 1e-8
+        assert abs(mean - ref_mean) <= 1e-12
+        assert abs(lam - ref_lam) <= 1e-12 * ref_lam
 
     def test_no_root_where_the_slope_is_not_finite(self):
         # The bracket scales with g'(x), which overflows for exp past x = 709.

@@ -150,6 +150,11 @@ def test_tabulated_spec(tabulated_files):
     assert parse_model(f"tabulated:path={with_q}").perturbation.name == "tabulated"
 
 
+def test_tabulated_q_kinks_are_the_grid_ends(tabulated_files):
+    # q is zero off its grid, so it may jump at either end.
+    assert parse_model(f"tabulated:path={tabulated_files[1]}").kinks == (1e-3, 14.0)
+
+
 def test_tabulated_spec_rejections(tabulated_files, tmp_path):
     plain, with_q = tabulated_files
     junk = tmp_path / "junk.csv"
