@@ -32,6 +32,10 @@ Array = np.ndarray
 # Bump in g beyond its minimum at which the support is truncated; the mass
 # beyond the cap is below exp(-100) of the total and is checked at build time.
 SUPPORT_CAP_RISE = 100.0
+# The first point of the open support (0, inf): every tilted window, step-law
+# table, pair half-table and survival grid starts here, not at 0, where the
+# log-density is -inf.
+FIRST_POSITIVE = np.nextafter(0.0, 1.0)
 
 _SERIES_TERMS = 12
 _SERIES_SWITCH = 0.01
@@ -40,10 +44,10 @@ _SERIES_SWITCH = 0.01
 class ExponentModel:
     """Base class for the convex exponent g.
 
-    Subclasses provide vectorised ``g``/``dg``/``d2g``, a stable ``log_g``,
-    a stable finite difference ``gap`` and high-order derivatives for the
-    band-gap series.  ``increase_threshold`` is the point beyond which g is
-    increasing.
+    Subclasses provide a vectorised ``g``, a stable ``log_g``, a stable
+    finite difference ``gap`` and the derivatives of every order in
+    ``derivative``, which ``dg`` and ``d2g`` evaluate on arrays.
+    ``increase_threshold`` is the point beyond which g is increasing.
     """
 
     kind: str = "abstract"
@@ -56,10 +60,10 @@ class ExponentModel:
         raise NotImplementedError
 
     def dg(self, x: Array) -> Array:
-        raise NotImplementedError
+        return self.derivative(1, np.asarray(x, dtype=float))
 
     def d2g(self, x: Array) -> Array:
-        raise NotImplementedError
+        return self.derivative(2, np.asarray(x, dtype=float))
 
     def log_g(self, x: Array) -> Array:
         """log(g(x)) computed without forming g when g would overflow."""
@@ -67,8 +71,11 @@ class ExponentModel:
         with np.errstate(divide="ignore"):
             return np.log(self.g(x))
 
-    def derivative(self, order: int, x: float) -> float:
-        """d^order g / dx^order at a scalar point, for the series expansions."""
+    def derivative(self, order: int, x: float | Array) -> float | Array:
+        """d^order g / dx^order, elementwise on an array.  ``dg`` and ``d2g``
+        pass it arrays and the band-gap series Python floats, so each keeps
+        its own arithmetic: numpy's and Python's pow and exp differ in the
+        last bit on a few percent of inputs."""
         raise NotImplementedError
 
     def gap(self, x: float, delta: float) -> float:
@@ -151,27 +158,17 @@ class PowerExponent(ExponentModel):
     def g(self, x: Array) -> Array:
         return np.asarray(x, dtype=float) ** self.beta
 
-    def dg(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return self.beta * x ** (self.beta - 1.0)
-
-    def d2g(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        if self.beta == 1.0:
-            return np.zeros_like(x)
-        return self.beta * (self.beta - 1.0) * x ** (self.beta - 2.0)
-
     def log_g(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             return self.beta * np.log(x)
 
-    def derivative(self, order: int, x: float) -> float:
+    def derivative(self, order: int, x: float | Array) -> float | Array:
         coef = 1.0
         for i in range(order):
             coef *= self.beta - i
         if coef == 0.0:
-            return 0.0
+            return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
         return coef * x ** (self.beta - order)
 
     def gap(self, x: float, delta: float) -> float:
@@ -198,11 +195,7 @@ class ExpExponent(ExponentModel):
     def g(self, x: Array) -> Array:
         return np.exp(np.asarray(x, dtype=float))
 
-    def dg(self, x: Array) -> Array:
-        return np.exp(np.asarray(x, dtype=float))
-
-    def d2g(self, x: Array) -> Array:
-        return np.exp(np.asarray(x, dtype=float))
+    dg = d2g = g
 
     def log_g(self, x: Array) -> Array:
         return np.asarray(x, dtype=float)
@@ -245,14 +238,6 @@ class WeibullExponent(ExponentModel):
         with np.errstate(divide="ignore"):
             return x**self.k - (self.k - 1.0) * np.log(x)
 
-    def dg(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return self.k * x ** (self.k - 1.0) - (self.k - 1.0) / x
-
-    def d2g(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return self.k * (self.k - 1.0) * x ** (self.k - 2.0) + (self.k - 1.0) / x**2
-
     def log_g(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         t = self.k * np.log(x)
@@ -264,7 +249,7 @@ class WeibullExponent(ExponentModel):
         out[~small] = t[~small]
         return out
 
-    def derivative(self, order: int, x: float) -> float:
+    def derivative(self, order: int, x: float | Array) -> float | Array:
         coef = 1.0
         for i in range(order):
             coef *= self.k - i
@@ -309,22 +294,22 @@ class TabulatedExponent(ExponentModel):
         self.g_grid = gvals
         self._interp = PchipInterpolator(x, gvals, extrapolate=True)
         dg = np.gradient(gvals, x)
-        d2g = np.gradient(dg, x)
+        self._d2_grid = np.gradient(dg, x)
         self._dinterp = PchipInterpolator(x, dg, extrapolate=True)
-        self._d2interp = lambda xs: np.interp(xs, x, d2g)
+        # Steps above this go to direct differences of g, which are fine down
+        # to the grid spacing; smaller ones to the two-term series.
+        self._direct_delta = 1e-3 * float(np.min(np.diff(x)))
         # Increase threshold: first node from which g never decreases again.
         dec = np.flatnonzero(np.diff(gvals) < 0.0)
         self._X = float(x[dec[-1] + 1]) if dec.size else float(x[0])
         self.validate()
 
     def validate(self) -> None:
-        d2 = np.gradient(np.gradient(self.g_grid, self.x_grid), self.x_grid)
         scale = max(1.0, float(np.max(np.abs(self.g_grid))))
         mask = self.x_grid >= self._X
-        if np.any(d2[mask] < -1e-6 * scale):
+        if np.any(self._d2_grid[mask] < -1e-6 * scale):
             raise InvalidModel("tabulated exponent fails the convexity probe")
-        tail = self.g_grid[self.x_grid >= self._X]
-        if np.any(np.diff(tail) < 0.0):
+        if np.any(np.diff(self.g_grid[mask]) < 0.0):
             raise InvalidModel("tabulated exponent decreases beyond its threshold")
 
     @property
@@ -338,7 +323,8 @@ class TabulatedExponent(ExponentModel):
         return np.asarray(self._dinterp(np.asarray(x, dtype=float)), dtype=float)
 
     def d2g(self, x: Array) -> Array:
-        return np.asarray(self._d2interp(np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(np.interp(np.asarray(x, dtype=float), self.x_grid, self._d2_grid),
+                          dtype=float)
 
     def derivative(self, order: int, x: float) -> float:
         if order == 1:
@@ -348,13 +334,10 @@ class TabulatedExponent(ExponentModel):
         return 0.0
 
     def _gap_series_scale(self, x: float, delta: float) -> float:
-        # Direct differences are fine down to the grid spacing.
-        h = float(np.min(np.diff(self.x_grid)))
-        return _SERIES_SWITCH * (2.0 if abs(delta) > 1e-3 * h else 0.5)
+        return _SERIES_SWITCH * (2.0 if abs(delta) > self._direct_delta else 0.5)
 
     def gap(self, x: float, delta: float) -> float:
-        h = float(np.min(np.diff(self.x_grid)))
-        if abs(delta) > 1e-3 * h:
+        if abs(delta) > self._direct_delta:
             return float(self.g(np.array([x + delta]))[0] - self.g(np.array([x]))[0])
         d1 = self.derivative(1, x)
         d2 = self.derivative(2, x)

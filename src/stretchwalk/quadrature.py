@@ -173,7 +173,9 @@ def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, flo
       and only by that share.
 
     The window only bounds the adaptive rule of ``log_moment_integrals``,
-    and that rule sets the accuracy.
+    and that rule sets the accuracy.  Start it where ell is finite: from an
+    lo where ell is -inf, such as 0 for a density with p(0+) > 0, a peak at
+    lo is found only at float resolution.
     """
 
     def flat(xs, vals, i, j, k):

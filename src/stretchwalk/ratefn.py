@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PerturbedDensity
+from .density import FIRST_POSITIVE, PerturbedDensity
 from .errors import Divergent, DomainError, NoConvergence, NoRoot
 from .quadrature import log_moment_integrals, mass_window
 
@@ -67,7 +67,7 @@ def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, floa
     """(Lambda(t), Lambda'(t), Lambda''(t)) from one quadrature pass; Divergent
     where the MGF is infinite (a linear exponent at t >= 1)."""
     ell = _tilted_ell(model, t)
-    lo, hi, peak = mass_window(ell, 0.0, 8.0)
+    lo, hi, peak = mass_window(ell, FIRST_POSITIVE, 8.0)
     lam, mean, second = log_moment_integrals(ell, lo, hi, peak_hint=peak, kinks=model.kinks)
     var = second - mean * mean
     if var <= 0.0:

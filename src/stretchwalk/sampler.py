@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PerturbedDensity
+from .density import FIRST_POSITIVE, PerturbedDensity
 from .errors import DegenerateWeights, DomainError, NoConvergence
 from .quadrature import MASS_DROP, Array, GridInverseCdf, mass_window
 from .ratefn import _solve_tilt, _tilted_ell
@@ -27,8 +27,6 @@ _WILSON_Z = 1.96
 # before it records states.
 _PAIR_POINTS = 512
 _BURN_IN = 100
-# Tables start here, not at 0, where the open support's log-density is -inf.
-_FIRST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -133,14 +131,14 @@ class TiltedLaw:
 def tilted_table(model: PerturbedDensity, t: float) -> GridInverseCdf:
     """Inverse-CDF table of the tilted density; t=0 gives the plain law.
 
-    The one builder of a step-law table.  Its grid spans the mass window
-    but starts no lower than the first positive float: the support is open
-    at 0, where the log-density is -inf, so a node at 0 would give the
-    first trapezoid cell half its mass wherever p(0+) > 0.
+    The one builder of a step-law table.  Its grid spans the mass window,
+    searched from ``FIRST_POSITIVE``: the support is open at 0, where the
+    log-density is -inf, so a node at 0 would give the first trapezoid
+    cell half its mass wherever p(0+) > 0.
     """
     ell = _tilted_ell(model, t)
-    lo, hi, _ = mass_window(ell, 0.0, 8.0)
-    return GridInverseCdf.build(ell, max(lo, _FIRST_POSITIVE), hi)
+    lo, hi, _ = mass_window(ell, FIRST_POSITIVE, 8.0)
+    return GridInverseCdf.build(ell, lo, hi)
 
 
 def tilted_law(model: PerturbedDensity, a: float) -> TiltedLaw:
@@ -166,8 +164,6 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
     one), with weights exp(n Lambda(t) - t S).  Band membership uses strict
     inequalities.  Deterministic for a given seed.
     """
-    from scipy.special import logsumexp
-
     if trials < 1000:
         raise DomainError("importance sampling needs at least 1000 trials")
     if n < 1 or a <= 0.0 or eps < 0.0:
@@ -184,9 +180,8 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
     if not np.any(in_c):
         raise DegenerateWeights("no draw satisfied the exceedance event")
     log_trials = math.log(trials)
-    log_m1_c = float(logsumexp(log_w[in_c])) - log_trials
-    log_m1_band = (float(logsumexp(log_w[in_band])) - log_trials
-                   if np.any(in_band) else -math.inf)
+    log_m1_c = _log_sum_exp(log_w[in_c]) - log_trials
+    log_m1_band = _log_sum_exp(log_w[in_band]) - log_trials if np.any(in_band) else -math.inf
 
     # Shift by the exceedance mean so the per-draw weight terms are O(1).
     # Only draws in C are exponentiated: a draw far below n a has a weight
@@ -228,6 +223,18 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
         log_mgf_at_tilt=law.log_mgf,
         trials=trials,
     )
+
+
+def _log_sum_exp(a: Array) -> float:
+    """log(sum(exp(a))) of a nonempty finite array, in the arithmetic of
+    ``scipy.special.logsumexp`` (scipy 1.17): the maxima, ties included, are
+    factored out, and the other terms, shifted by the maximum, are summed in
+    place and added through log1p."""
+    top = a.max()
+    tied = a == top
+    rest = np.exp(np.where(tied, -np.inf, a) - top).sum()
+    ties = np.float64(np.count_nonzero(tied))
+    return float(np.log1p(rest / ties) + np.log(ties) + top)
 
 
 def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
@@ -275,7 +282,7 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
         both = model._log_kernel(both)
         return both[0] + both[1]
 
-    return GridInverseCdf.build(ell, np.full_like(s, _FIRST_POSITIVE), half,
+    return GridInverseCdf.build(ell, np.full_like(s, FIRST_POSITIVE), half,
                                 points=_PAIR_POINTS, start=start)
 
 
@@ -289,7 +296,7 @@ def _pair_window_start(model: PerturbedDensity, half: Array) -> Array:
         # w is inf or NaN where g'' is not finite and positive, so fmax
         # starts those rows at the first positive float, none a point mass.
         w = np.sqrt(1.25 * MASS_DROP / np.where(curvature < np.inf, curvature, 0.0))
-    return np.where(w < _PAIR_POINTS * np.spacing(half), half, np.fmax(half - w, _FIRST_POSITIVE))
+    return np.where(w < _PAIR_POINTS * np.spacing(half), half, np.fmax(half - w, FIRST_POSITIVE))
 
 
 def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
@@ -324,8 +331,7 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
             # conditional's inverse cdf.
             v = 2.0 * rng.random(pairs)
             upper = v > 1.0
-            u = np.maximum(pair_conditional_table(model, s).ppf(np.where(upper, 2.0 - v, v)),
-                           1e-300)
+            u = pair_conditional_table(model, s).ppf(np.where(upper, 2.0 - v, v))
             x[i] = np.where(upper, s - u, u)
             x[j] = np.where(upper, u, s - u)
         if sweep >= _BURN_IN:

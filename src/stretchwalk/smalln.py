@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .density import PerturbedDensity
+from .density import FIRST_POSITIVE, PerturbedDensity
 from .errors import DomainError
 from .quadrature import gauss_legendre
 
@@ -114,7 +114,7 @@ class _LogSurvival(_LogTable):
     def __init__(self, model: PerturbedDensity):
         cap = model.support_cap
         xs = np.linspace(0.0, cap, _SURVIVAL_POINTS)
-        xs[0] = cap * 1e-12
+        xs[0] = FIRST_POSITIVE
         pdf = np.exp(_log_pdf(model, xs))
         panels = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs)
         tail = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])

@@ -433,8 +433,8 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy loads only where it is used: tabulated models, importance
-    # weights, and verify's acceptance layer.
+    # scipy loads only where it is used: tabulated models, smalln and
+    # verify's acceptance layer.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import stretchwalk.cli, sys; "
@@ -446,16 +446,20 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_rate_command_leaves_scipy_unloaded():
-    # The rate table's derivative check solves its spline in numpy.
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from stretchwalk import cli; "
-         "code = cli.main(['rate', '--model', 'power:beta=2', '--a', '6']); "
-         "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    # The rate table's derivative check solves its spline in numpy, and
+    # importance sampling sums its weights with a numpy log-sum-exp.
+    for argv in (["rate", "--model", "power:beta=2", "--a", "6"],
+                 ["localize", "--model", "weibull:k=3", "--n", "5", "--a", "2", "--eps", "0.5",
+                  "--method", "TiltedIS", "--trials", "2000"]):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from stretchwalk import cli; "
+             f"code = cli.main({argv!r}); "
+             "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 []", argv
 
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from stretchwalk.density import (
+    FIRST_POSITIVE,
     ExpExponent,
     PowerExponent,
     TabulatedExponent,
@@ -217,14 +218,34 @@ def test_batched_find_peak_rows_match_scalar_calls(probes):
 def test_window_stops_on_the_mass_it_bounds(spec, t):
     # The window's peak is within 1e-3 nats of the fully resolved maximum,
     # and each edge lies at or outside its crossing of peak - MASS_DROP
-    # (or at lo), by at most 1e-3 of its distance from the peak.
+    # (or at the support's first point), by at most 1e-3 of its distance
+    # from the peak.
     ell = _tilted_ell(parse_model(spec), t)
-    lo, hi, peak_x = mass_window(ell, 0.0, 8.0)
+    lo, hi, peak_x = mass_window(ell, FIRST_POSITIVE, 8.0)
     top = find_peak(ell, lo, hi)[1]
     peak = float(ell(np.array([peak_x]))[0])
     assert abs(peak - top) <= 1e-3
     level = peak - MASS_DROP
     ends = ell(np.array([lo, hi]))
-    assert (lo == 0.0 or ends[0] <= level) and ends[1] <= level
+    assert (lo == FIRST_POSITIVE or ends[0] <= level) and ends[1] <= level
     inner = np.array([lo + 1e-3 * (peak_x - lo), hi - 1e-3 * (hi - peak_x)])
     assert np.all(ell(inner) > level)
+
+
+def test_window_of_a_peak_at_the_support_start():
+    # The plain power law's density is largest at 0+.  Searched from the
+    # first positive float, whose log-density is finite, the peak search
+    # stops by its nats rule on the support's first point, and so does the
+    # lower edge: no search zooms towards an endpoint where ell is -inf.
+    calls = 0
+    ell = _tilted_ell(parse_model("power:beta=2"), 0.0)
+
+    def counted(xs):
+        nonlocal calls
+        calls += 1
+        return ell(xs)
+
+    lo, hi, peak_x = mass_window(counted, FIRST_POSITIVE, 8.0)
+    assert lo == peak_x == FIRST_POSITIVE
+    assert ell(np.array([hi]))[0] <= ell(np.array([peak_x]))[0] - MASS_DROP
+    assert calls <= 4

@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 from scipy.stats import binomtest, chi2_contingency, kstwo, norm
 
 from stretchwalk.density import (
+    FIRST_POSITIVE,
     PowerExponent,
     TabulatedExponent,
     WeibullExponent,
@@ -29,8 +30,8 @@ from stretchwalk.sampler import (
     EndValueAtLeast,
     EndValueEquals,
     LocalizationEstimate,
-    _FIRST_POSITIVE,
     _batch_means_std_err,
+    _log_sum_exp,
     estimate_localization,
     gibbs_fixed_sum,
     importance_estimate,
@@ -190,6 +191,20 @@ class TestImportanceEstimate:
         log_p_band = logsumexp(log_w[in_band]) - math.log(trials)
         assert log_p_c == res.log_p_c
         assert log_p_band == res.log_p_band_and_c
+
+    def test_log_sum_exp_matches_scipy(self):
+        # Bit for bit against scipy.special.logsumexp: random arrays of
+        # lengths on both sides of numpy's pairwise-summation blocks, tied
+        # maxima, one element, and a 1e3-nat spread.
+        rng = default_rng(11)
+        cases = [np.array([-3.25]), np.array([7.0, 7.0]), np.full(300, -2.5)]
+        for size in (2, 3, 8, 9, 127, 128, 129, 1000, 20_000):
+            cases += [rng.normal(-400.0, 30.0, size), rng.uniform(-1e3, 0.0, size)]
+            tied = rng.normal(0.0, 1.0, size)
+            tied[rng.integers(0, size, 3)] = tied.max()
+            cases += [tied, np.round(rng.normal(0.0, 1.0, size), 1)]
+        for a in cases:
+            assert _log_sum_exp(a).hex() == float(logsumexp(a)).hex()
 
     def test_ratio_consistency(self, weibull3):
         res = importance_estimate(weibull3, 10, 2.0, 0.5, trials=20_000, seed=5)
@@ -491,8 +506,8 @@ class TestTableResolution:
         def ell(xs):
             return t * xs + weibull3.log_c + weibull3._log_kernel(xs)
 
-        lo, hi, _ = mass_window(ell, 0.0, 8.0)
-        xs, cdf = _one_regrid_table(ell, max(lo, _FIRST_POSITIVE), hi, 4097)
+        lo, hi, _ = mass_window(ell, FIRST_POSITIVE, 8.0)
+        xs, cdf = _one_regrid_table(ell, lo, hi, 4097)
         assert np.array_equal(law.table.x, xs)
         assert np.array_equal(law.table.cdf, cdf)
 
