@@ -106,8 +106,10 @@ class PlanPreset:
 
 
 def _log_grid(lo: float, hi: float, count: int) -> tuple[int, ...]:
-    raw = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
-    return tuple(int(v) for v in raw if v >= 2)
+    # The rounded geomspace does not decrease, so dropping repeats in order
+    # sorts as np.unique would, without np.unique's import of numpy.ma.
+    raw = dict.fromkeys(int(v) for v in np.round(np.geomspace(lo, hi, count)))
+    return tuple(v for v in raw if v >= 2)
 
 
 PRESETS: dict[str, PlanPreset] = {

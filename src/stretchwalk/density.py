@@ -453,6 +453,7 @@ class PerturbedDensity:
     support_cap: float = field(init=False, default=float("nan"))
     mean: float = field(init=False, default=float("nan"))
     variance: float = field(init=False, default=float("nan"))
+    third_cumulant: float = field(init=False, default=float("nan"))
     _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -536,8 +537,8 @@ class PerturbedDensity:
         if math.isinf(self.support_cap):
             raise NonIntegrable("exponent never rises enough to truncate the support")
 
-        mass, mean, second = log_moment_integrals(self._log_kernel, 0.0, self.support_cap,
-                                                  kinks=self.kinks)
+        mass, mean, second, self.third_cumulant = log_moment_integrals(
+            self._log_kernel, 0.0, self.support_cap, kinks=self.kinks)
         self.log_c = -mass
         self.c = math.exp(self.log_c)
         self.mean = mean

@@ -8,7 +8,8 @@ edges and level crossings are found by nested 65-point grids (a batch of
 searches, such as a window's two edges, runs as the rows of one grid),
 and integrals by a locally adaptive composite 16-point Gauss-Legendre
 rule (Davis & Rabinowitz, *Methods of Numerical Integration*) whose every
-round yields the mass and the first two moments from one ``ell`` call.
+round yields the mass, the first two moments and the third central moment
+from one ``ell`` call.
 The rule assumes ell smooth on each panel, so a caller names the points
 where it is not (a perturbation's kinks), and each becomes a panel end.
 
@@ -221,11 +222,15 @@ def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, flo
     return float(w_lo), float(w_hi), peak_x
 
 
-def _moments(x: Array, w: Array, f: Array) -> Array:
-    """Per-panel Gauss-Legendre sums of f, x f and x^2 f, shape (panels, 3)."""
+def _moments(x: Array, w: Array, f: Array, centre: float) -> Array:
+    """Per-panel Gauss-Legendre sums of f, x f, x^2 f, (x - centre)^2 f and
+    (x - centre)^3 f, shape (panels, 5)."""
     wf = w * f
     wxf = wf * x
-    return np.stack([wf.sum(axis=1), wxf.sum(axis=1), (wxf * x).sum(axis=1)], axis=1)
+    dx = x - centre
+    wdf = wf * dx * dx
+    return np.stack([wf.sum(axis=1), wxf.sum(axis=1), (wxf * x).sum(axis=1),
+                     wdf.sum(axis=1), (wdf * dx).sum(axis=1)], axis=1)
 
 
 def log_moment_integrals(
@@ -234,11 +239,16 @@ def log_moment_integrals(
     hi: float,
     peak_hint: float | None = None,
     kinks: Array | tuple[float, ...] = (),
-) -> tuple[float, float, float]:
-    """Return (log m0, m1, m2): log mass plus first two moments of the
-    normalised density exp(ell)/m0 on [lo, hi], split at the peak.  All
-    three come from the same nodes and shift, so the moment ratios are
-    exact.
+) -> tuple[float, float, float, float]:
+    """Return (log m0, m1, m2, mu3): log mass, first two moments and third
+    central moment of the normalised density exp(ell)/m0 on [lo, hi], split
+    at the peak.  All four come from the same nodes and shift, so the moment
+    ratios are exact.  mu3 comes from second and third moments summed about
+    the peak, not the origin: in a law much narrower than its distance from
+    0, the raw m3 - 3 m1 m2 + 2 m1^3, or a variance m2 - m1^2 in its place,
+    cancels to noise.  A panel settles on the first three sums alone, so mu3
+    costs no extra ``ell`` call and leaves the other three values as they
+    were without it.
 
     ``kinks`` are points where ell is not smooth; those inside (lo, hi)
     become panel ends.  Left inside a panel, a kink between the panel's end
@@ -258,30 +268,35 @@ def log_moment_integrals(
     shift = float(np.max(vals))
     if not math.isfinite(shift):
         raise NonIntegrable("integrand has no finite maximum on the window")
-    coarse = _moments(x, w, np.exp(vals[:-1].reshape(x.shape) - shift))
+    coarse = _moments(x, w, np.exp(vals[:-1].reshape(x.shape) - shift), peak_hint)
     floor = _NOISE * (1.0 + abs(shift))
-    total, total_abs, settled = np.zeros(3), np.zeros(3), 0
+    total, total_abs, settled = np.zeros(5), np.zeros(5), 0
     while a.size:
         if settled + a.size > _PANEL_CAP:
             raise NonIntegrable(f"quadrature did not settle within {_PANEL_CAP} panels")
         mid = 0.5 * (a + b)
         x, w = gauss_legendre(np.concatenate([a, mid]), np.concatenate([mid, b]))
         vals = np.asarray(ell(x.ravel()), dtype=float).reshape(x.shape)
-        fine = _moments(x, w, np.exp(vals - shift))
+        fine = _moments(x, w, np.exp(vals - shift), peak_hint)
         left, right = fine[: a.size], fine[a.size :]
         split = left + right
         tol = _RTOL * (total_abs + np.abs(split).sum(axis=0)) + floor * np.abs(split)
-        ok = np.all(np.abs(split - coarse) <= tol, axis=1)
+        ok = np.all((np.abs(split - coarse) <= tol)[:, :3], axis=1)
         total += split[ok].sum(axis=0)
         total_abs += np.abs(split[ok]).sum(axis=0)
         settled += int(ok.sum())
         a, b, mid = a[~ok], b[~ok], mid[~ok]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         coarse = np.concatenate([left[~ok], right[~ok]])
-    m0, m1, m2 = total
+    m0, m1, m2, c2, c3 = total
     if not np.isfinite(m0) or m0 <= 0.0:
         raise NonIntegrable("quadrature returned a non-positive mass")
-    return shift + math.log(m0), float(m1 / m0), float(m2 / m0)
+    mean = float(m1 / m0)
+    # E(X - mean)^3 from the peak-centred sums: with d = mean - peak,
+    # E(X - peak)^3 - 3 d E(X - peak)^2 + 2 d^3.
+    d = mean - peak_hint
+    mu3 = float(c3 / m0) - d * (3.0 * float(c2 / m0) - 2.0 * d * d)
+    return shift + math.log(m0), mean, float(m2 / m0), mu3
 
 
 def log_integral(

@@ -1,13 +1,13 @@
 """Numeric Legendre transform of the log moment generating function.
 
 The rate I(x) = sup_t (t x - Lambda(t)) is computed by solving the
-stationarity condition Lambda'(t) = x with one safeguarded Newton loop
-started at t = 0, where Lambda'(0) and Lambda''(0) are the model's own mean
-and variance.  Lambda, Lambda' and Lambda'' come together from one
-adaptive quadrature pass over the tilted mass window, never from
-differencing Lambda, so the iteration sees smooth derivatives.  A table
-type holds (x, I, t*) on a log-spaced grid together with its duality and
-derivative residual checks.
+stationarity condition Lambda'(t) = x with one safeguarded Halley loop
+started at t = 0, where Lambda'(0), Lambda''(0) and Lambda'''(0) are the
+model's own mean, variance and third cumulant.  Lambda and its first three
+derivatives come together from one adaptive quadrature pass over the
+tilted mass window, never from differencing Lambda, so the iteration sees
+smooth derivatives.  A table type holds (x, I, t*) on a log-spaced grid
+together with its duality and derivative residual checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .density import FIRST_POSITIVE, PerturbedDensity
 from .errors import Divergent, DomainError, NoConvergence, NoRoot
 from .quadrature import log_moment_integrals, mass_window
 
-_NEWTON_CAP = 200
+_STEP_CAP = 200
 # The tilt bracket for mean x is +-max(_BRACKET_FLOOR, _BRACKET_SCALE
 # max(|g'(x)|, 1/x)); see _bracket_limit.  Weibull k=3 at x=20 already
 # needs a tilt near 1.2e3.
@@ -63,36 +63,44 @@ def _tilted_ell(model: PerturbedDensity, t: float):
     return ell
 
 
-def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, float]:
-    """(Lambda(t), Lambda'(t), Lambda''(t)) from one quadrature pass; Divergent
-    where the MGF is infinite (a linear exponent at t >= 1)."""
+def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, float, float]:
+    """(Lambda(t), Lambda'(t), Lambda''(t), Lambda'''(t)) from one quadrature
+    pass, the last the tilted law's third central moment; Divergent where
+    the MGF is infinite (a linear exponent at t >= 1)."""
     ell = _tilted_ell(model, t)
     lo, hi, peak = mass_window(ell, FIRST_POSITIVE, 8.0)
-    lam, mean, second = log_moment_integrals(ell, lo, hi, peak_hint=peak, kinks=model.kinks)
+    lam, mean, second, third = log_moment_integrals(ell, lo, hi, peak_hint=peak,
+                                                    kinks=model.kinks)
     var = second - mean * mean
     if var <= 0.0:
         raise NoConvergence(f"tilted variance {var:g} not positive at t={t:g}")
-    return lam, mean, var
+    return lam, mean, var, third
 
 
 def _solve_tilt(model: PerturbedDensity, x: float) -> tuple[float, float, float]:
     """Solve Lambda'(t) = x; returns (t*, Lambda(t*), Lambda'(t*)) from its last pass.
 
-    One safeguarded Newton loop from t = 0, where Lambda'(0) = EX and
-    Lambda''(0) = Var X are the model's own ``mean`` and ``variance``.  The
-    bracket starts as (0, inf) or (-inf, 0) on the side of x, and every
-    iterate narrows it by the sign of Lambda'(t) - x.  A Newton step that
-    leaves the bracket becomes a bisection; a step is clamped to
-    +-``_bracket_limit(model, x)``, and the solve fails once Lambda' there
-    still falls short of x.  A Divergent evaluation becomes the bracket's
-    upper end, so linear-exponent models still solve for means reachable
-    below the divergence threshold.
+    One safeguarded Halley loop from t = 0, where Lambda'(0) = EX,
+    Lambda''(0) = Var X and Lambda'''(0) are the model's own ``mean``,
+    ``variance`` and ``third_cumulant``.  With f = Lambda' - x, each step is
+    the Newton step -f / f' divided by 1 - f f'' / (2 f'^2) (Traub,
+    *Iterative Methods for the Solution of Equations*, 1964, sec. 5).  It is
+    exact on a Moebius f such as the unit exponential's 1 / (1 - t) - x, so
+    that model solves in one pass.  Where the divisor is not finite or falls
+    below 1/2, which would more than double the Newton step or turn it
+    round, the step stays a Newton step.  The bracket starts as (0, inf) or
+    (-inf, 0) on the side of x, and every iterate narrows it by the sign of
+    f.  A step that leaves the bracket becomes a bisection; a step is
+    clamped to +-``_bracket_limit(model, x)``, and the solve fails once
+    Lambda' there still falls short of x.  A Divergent evaluation becomes
+    the bracket's upper end, so linear-exponent models still solve for
+    means reachable below the divergence threshold.
     """
     tol = _tilt_tol(x)
     limit = _bracket_limit(model, x)
-    t, lam, mean, var = 0.0, 0.0, model.mean, model.variance
+    t, lam, mean, var, third = 0.0, 0.0, model.mean, model.variance, model.third_cumulant
     t_lo, t_hi = (0.0, math.inf) if x > mean else (-math.inf, 0.0)
-    for _ in range(_NEWTON_CAP):
+    for _ in range(_STEP_CAP):
         resid = mean - x
         if abs(resid) <= tol:
             return t, lam, mean
@@ -102,10 +110,15 @@ def _solve_tilt(model: PerturbedDensity, x: float) -> tuple[float, float, float]
             t_lo = t
         if t_lo >= limit or t_hi <= -limit:
             raise NoRoot(f"no tilt with mean {x:g} found for |t| up to {limit:g}")
-        t_new = min(max(t - resid / var, -limit), limit)
+        step = -resid / var
+        # 1 - f f'' / (2 f'^2), with f = resid, f' = var and f'' = third.
+        factor = 1.0 + 0.5 * step * third / var
+        if math.isfinite(factor) and factor >= 0.5:
+            step /= factor
+        t_new = min(max(t + step, -limit), limit)
         t = t_new if t_lo < t_new < t_hi else 0.5 * (t_lo + t_hi)
         try:
-            lam, mean, var = _tilted_stats(model, t)
+            lam, mean, var, third = _tilted_stats(model, t)
         except Divergent:
             if t - t_lo < 1e-13 * max(1.0, t):
                 raise NoRoot(

@@ -2,9 +2,14 @@
 
 At n = 2 or 3 the events {S_n >= n a} and {all steps in the band, S_n >=
 n a} are low-dimensional enough to integrate directly, entirely in the
-log domain so that values at the e^-30 scale keep full relative accuracy.
-These numbers anchor the certified bounds and the samplers at desk scale,
-where nothing asymptotic can hide.
+log domain so that values at the e^-30 scale do not underflow.  These
+numbers anchor the certified bounds and the samplers at desk scale, where
+nothing asymptotic can hide.  Their accuracy is that of the survival
+table's trapezoid rule: on a grid step h, a log survival value is off by
+about h^2 / 12 times the mean of (g')^2 over the integrated range.  For
+unit-exponential steps that is 1.2e-8, and every log probability is high
+by about that much against the Irwin-Hall closed form.  Nothing here
+estimates that error yet (ROADMAP.md, item 5).
 
 The survival function is tabulated once per model by a right-to-left
 cumulative trapezoid over a quarter-million-point grid (positive panels

@@ -434,15 +434,17 @@ def test_module_entry_point():
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy loads only where it is used: tabulated models, smalln and
-    # verify's acceptance layer.
+    # verify's acceptance layer.  numpy.ma, which np.unique imports, does
+    # not load at all.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import stretchwalk.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')), "
+         "'numpy.ma' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] False"
 
 
 def test_rate_command_leaves_scipy_unloaded():

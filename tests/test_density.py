@@ -45,6 +45,16 @@ def test_weibull3_is_standard_weibull():
     assert math.isclose(model.variance, 0.10533288486847873, rel_tol=1e-6)
 
 
+def test_third_cumulant_closed_forms():
+    # Unit exponential: kappa3 = 2.  Weibull(3): Gamma(2) - 3 Gamma(4/3)
+    # Gamma(5/3) + 2 Gamma(4/3)^3, a difference of terms near 1 that is
+    # itself 0.0057, so it is held to a tolerance of that absolute scale.
+    assert math.isclose(pure_density(PowerExponent(1.0)).third_cumulant, 2.0, rel_tol=1e-12)
+    g1, g2 = math.gamma(4.0 / 3.0), math.gamma(5.0 / 3.0)
+    third = 1.0 - 3.0 * g1 * g2 + 2.0 * g1**3
+    assert abs(pure_density(WeibullExponent(3.0)).third_cumulant - third) <= 1e-12
+
+
 def test_exp_kind_normalisation():
     # 1 / E_1(1) and the first moment, 50-digit arithmetic.
     model = pure_density(ExpExponent())

@@ -90,20 +90,25 @@ def case(request):
             # Far past the engine's window, so the reference sees all the mass.
             _, hi, peak = mass_window(_tilted_ell(model, float(t)), 0.0, 8.0)
             cuts = [*kinks, mp.mpf(peak)]
-            m0, m1, m2 = (_mp_integral(lambda x, j=j: x**j * mp.exp(t * x - G(x)),
-                                       0, 1.5 * hi + 1.0, cuts) for j in range(3))
+            m0, m1, m2, m3 = (_mp_integral(lambda x, j=j: x**j * mp.exp(t * x - G(x)),
+                                           0, 1.5 * hi + 1.0, cuts) for j in range(4))
             mean = m1 / m0
-            refs[t] = (float(mp.log(m0) - log_z), float(mean), float(m2 / m0 - mean**2))
+            var = m2 / m0 - mean**2
+            third = m3 / m0 - 3 * mean * var - mean**3
+            refs[t] = (float(mp.log(m0) - log_z), float(mean), float(var), float(third))
     return model, refs
 
 
 def test_tilted_moments_match_mpmath(case):
+    # The third cumulant is held to TOL of its own scale, Var^(3/2): near
+    # a symmetric tilted law it is a small difference of that size.
     model, refs = case
-    for t, (lam, mean, var) in refs.items():
+    for t, (lam, mean, var, third) in refs.items():
         got = _tilted_stats(model, float(t))
         assert abs(got[0] - lam) <= TOL * max(1.0, abs(lam)), (t, got, lam)
         assert abs(got[1] - mean) <= TOL * mean, (t, got, mean)
         assert abs(got[2] - var) <= TOL * var, (t, got, var)
+        assert abs(got[3] - third) <= TOL * var**1.5, (t, got, third)
 
 
 # A scan of tilts for the sin-perturbed cubic; see test_sin_kinks_are_panel_ends.
@@ -119,7 +124,7 @@ def test_sin_kinks_are_panel_ends(k):
     it.  With the kinks as panel ends, Lambda and the mean agree to 1e-12."""
     make, G, kinks = CASES["power3_sin"]
     model, t = make(), float(_TILT_SCAN[k])
-    lam, mean, _ = _tilted_stats(model, t)
+    lam, mean, _, _ = _tilted_stats(model, t)
     _, hi, peak = mass_window(_tilted_ell(model, t), 0.0, 8.0)
     with mp.workdps(DPS):
         log_z = mp.log(_mp_integral(lambda x: mp.exp(-G(x)), 0, model.support_cap, kinks()))

@@ -76,7 +76,7 @@ class TestTiltedLaw:
 
     def test_self_consistency(self, weibull3):
         law = tilted_law(weibull3, 2.0)
-        lam, mean, _ = _tilted_stats(weibull3, law.tilt)
+        lam, mean, _, _ = _tilted_stats(weibull3, law.tilt)
         assert abs(mean - 2.0) <= 1e-3
         assert law.log_mgf == lam
 
