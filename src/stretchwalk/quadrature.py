@@ -327,21 +327,27 @@ class GridInverseCdf:
     builds the cumulative by composite trapezoid.  A row's first grid spans
     ``(lo, hi)``, or ``[start, hi]`` where ``start`` is given: a caller that
     knows where the mass lies (the pair conditionals of ``sampler`` know it
-    from Laplace's method) saves the passes that find it.  A row whose first
-    grid starts inside ``(lo, hi)`` and whose mass region, padded by one
-    node as below, reaches that start is laid again on ``(lo, hi)``, from
-    the first pass's own values.  A row whose mass region is narrower than
-    half the grid is re-gridded, as often as it takes, so a sharply peaked
-    density still gets at least ``points // 2`` nodes across its mass; only
-    those rows call ``ell`` again.  A row cropped to fewer than ``points``
-    nodes is padded on the right with its last node (cdf 1), so row k of a
-    batched table is the scalar table on ``(lo[k], hi[k])`` with
-    ``start[k]`` followed by that padding.  For the step-law tables of
-    ``sampler.tilted_table``, at the default resolution, the
-    piecewise-linear cdf that ``ppf`` inverts is within 3e-5 of an
-    independent quadrature cdf for unit-exponential steps (h^2 / 8 times
-    the density's slope at 0) and within 1e-6 for power beta = 2, 2/sin,
-    3/sin, ``exp`` and Weibull k = 3, plain and tilted to 1.2 EX.
+    from Laplace's method) saves the passes that find it.  A row on such a
+    window whose first cell lies more than ``MASS_DROP`` below its peak and
+    whose upper half lies within it is kept whole: its mass stays clear of
+    the start and spans at least half the grid, so the first pass is its
+    table, neither cropped nor padded; each node outside the mass carries
+    under e^-``MASS_DROP`` of the peak density.  Every other row is resolved
+    from the first pass's own values.  A row on a window whose mass region,
+    padded by one node as below, reaches the start is laid again on
+    ``(lo, hi)``.  A row whose mass region is narrower than half the grid is
+    re-gridded, as often as it takes, so a sharply peaked density still gets
+    at least ``points // 2`` nodes across its mass; only those rows call
+    ``ell`` again.  The rest are cropped to their mass region, and a row
+    cropped to fewer than ``points`` nodes is padded on the right with its
+    last node (cdf 1).  So row k of a batched table is the scalar table on
+    ``(lo[k], hi[k])`` with ``start[k]``, followed by that padding where it
+    is cropped.  For the step-law tables of ``sampler.tilted_table``, at
+    the default resolution, the piecewise-linear cdf that ``ppf`` inverts is
+    within 3e-5 of an independent quadrature cdf for unit-exponential steps
+    (h^2 / 8 times the density's slope at 0) and within 1e-6 for power
+    beta = 2, 2/sin, 3/sin, ``exp`` and Weibull k = 3, plain and tilted to
+    1.2 EX.
 
     A 1-D table inverts through a guide table (indexed search: Chen & Asau
     1974; Devroye 1986, *Non-Uniform Random Variate Generation*, III.2.4),
@@ -371,60 +377,81 @@ class GridInverseCdf:
         ramp = np.arange(points)
         xs = _linspace_rows(first_lo, hi_r, ramp)
         vals = np.asarray(call(xs, rows), dtype=float)
-        peak, lo_i, hi_i = _mass_span(vals)
-        # Rows whose mass region, padded by a node, reaches the start of a
-        # first grid inside (lo, hi) are laid again on (lo, hi).
-        redo = rows[(first_lo > lo_r) & (lo_i == 0)]
-        if redo.size:
-            xs[redo] = _linspace_rows(lo_r[redo], hi_r[redo], ramp)
-            vals[redo] = call(xs[redo], redo)
-            peak[redo], lo_i[redo], hi_i[redo] = _mass_span(vals[redo])
-        if not (peak > -np.inf).all():
-            raise NonIntegrable("log-density is not finite anywhere on the table grid")
-        # Rows whose mass region spans half the table are cropped to it; the
-        # rest are re-gridded at full resolution until it does, each pass
-        # narrowing the row's grid at least twofold.
-        cropped = hi_i - lo_i + 1 >= points // 2
-        narrow = rows[~cropped]
-        while narrow.size:
-            x_lo, x_hi = xs[narrow, lo_i[narrow]], xs[narrow, hi_i[narrow]]
-            if np.any(x_hi - x_lo < points * np.spacing(np.maximum(abs(x_lo), abs(x_hi)))):
-                raise NonIntegrable("density mass narrower than float resolution")
-            xs[narrow] = _linspace_rows(x_lo, x_hi, ramp)
-            vals[narrow] = call(xs[narrow], narrow)
-            peak[narrow], lo_i[narrow], hi_i[narrow] = _mass_span(vals[narrow])
-            narrow = narrow[hi_i[narrow] - lo_i[narrow] + 1 < points // 2]
-        lo_i[~cropped], hi_i[~cropped] = 0, points - 1
-        if cropped.any():
-            flat = np.minimum(lo_i[:, None] + ramp, hi_i[:, None]) + (rows * points)[:, None]
-            xs, vals = xs.take(flat), vals.take(flat)
-        w = np.exp(vals - peak[:, None])
-        cdf = np.zeros_like(w)
-        np.cumsum((xs[:, 1:] - xs[:, :-1]) * (w[:, 1:] + w[:, :-1]) / 2.0, axis=1,
-                  out=cdf[:, 1:])
+        windowed = first_lo > lo_r
+        peak = vals.max(axis=1)
+        edge = peak - MASS_DROP
+        # A row on a first grid inside (lo, hi) whose first cell lies outside
+        # its mass and whose upper half lies inside it is kept whole.
+        whole = (windowed & (np.maximum(vals[:, 0], vals[:, 1]) <= edge)
+                 & (vals[:, points // 2:].min(axis=1) > edge))
+        size = points
+        if not whole.all():
+            peak, lo_i, hi_i = _mass_span(vals)
+            wide = hi_i - lo_i >= points // 2 - 1
+            # Rows whose mass region, padded by a node, reaches the start of a
+            # first grid inside (lo, hi) are laid again on (lo, hi).
+            redo = rows[windowed & (lo_i == 0)]
+            if redo.size:
+                xs[redo] = _linspace_rows(lo_r[redo], hi_r[redo], ramp)
+                vals[redo] = call(xs[redo], redo)
+                peak[redo], lo_i[redo], hi_i[redo] = _mass_span(vals[redo])
+                wide[redo] = hi_i[redo] - lo_i[redo] >= points // 2 - 1
+            if not (peak > -np.inf).all():
+                raise NonIntegrable("log-density is not finite anywhere on the table grid")
+            # Rows whose mass region spans half the table are cropped to it; the
+            # rest are re-gridded at full resolution until it does, each pass
+            # narrowing the row's grid at least twofold.
+            narrow = rows[~wide]
+            while narrow.size:
+                x_lo, x_hi = xs[narrow, lo_i[narrow]], xs[narrow, hi_i[narrow]]
+                if np.any(x_hi - x_lo < points * np.spacing(np.maximum(abs(x_lo), abs(x_hi)))):
+                    raise NonIntegrable("density mass narrower than float resolution")
+                xs[narrow] = _linspace_rows(x_lo, x_hi, ramp)
+                vals[narrow] = call(xs[narrow], narrow)
+                peak[narrow], lo_i[narrow], hi_i[narrow] = _mass_span(vals[narrow])
+                narrow = narrow[hi_i[narrow] - lo_i[narrow] + 1 < points // 2]
+            cropped = wide & ~whole
+            lo_i[~cropped], hi_i[~cropped] = 0, points - 1
+            if cropped.any():
+                flat = np.minimum(lo_i[:, None] + ramp, hi_i[:, None]) + (rows * points)[:, None]
+                xs, vals = xs.take(flat), vals.take(flat)
+            size = hi_i[0] - lo_i[0] + 1
+        # The trapezoid cells of every row from one flat pass: the entry at a
+        # row's first node, a cell across the row boundary, is set to 0.
+        w = np.exp(vals - peak[:, None]).ravel()
+        x_flat = xs.ravel()
+        cdf = np.empty(w.size)
+        cells = np.subtract(x_flat[1:], x_flat[:-1], out=cdf[1:])
+        cells *= w[1:] + w[:-1]
+        cells /= 2.0
+        cdf = cdf.reshape(xs.shape)
+        cdf[:, 0] = 0.0
+        np.add.accumulate(cdf, axis=1, out=cdf)
         total = cdf[:, -1:]
-        if not ((total > 0.0) & (total < np.inf)).all():
+        if not (total.min() > 0.0 and total.max() < np.inf):
             raise NonIntegrable("density mass vanished on the table grid")
         cdf /= total
         if batched:
             return cls(x=xs, cdf=cdf)
-        m = hi_i[0] - lo_i[0] + 1
-        return cls(x=xs[0, :m], cdf=cdf[0, :m])
+        return cls(x=xs[0, :size], cdf=cdf[0, :size])
 
     def ppf(self, u: Array) -> Array:
-        """Inverse cdf: any shape of u for one density, one u per row for many.
+        """Inverse cdf: any shape of u for one density, one u in [0, 1] per
+        row for many.
 
         For one density this is ``np.interp(u, cdf, x)`` bit for bit, through
         the guide (see the class docstring)."""
         u = np.asarray(u, dtype=float)
         if self.cdf.ndim == 1:
             return self._guided_ppf(u)
-        # Node k is the first with cdf >= u; interpolate on [k - 1, k].
+        # Node k is the first with cdf >= u (every row ends at cdf 1), and at
+        # least node 1; interpolate on [k - 1, k].
         rows, points = self.cdf.shape
-        k = np.minimum(np.maximum((self.cdf < u[:, None]).sum(axis=1), 1), points - 1)
+        k = np.maximum((self.cdf >= u[:, None]).argmax(axis=1), 1)
         k += np.arange(0, rows * points, points)
-        c0, c1 = self.cdf.take(k - 1), self.cdf.take(k)
-        x0, x1 = self.x.take(k - 1), self.x.take(k)
+        below = k - 1
+        c0, c1 = self.cdf.take(below), self.cdf.take(k)
+        x0, x1 = self.x.take(below), self.x.take(k)
         return x0 + (u - c0) / np.maximum(c1 - c0, _TINY) * (x1 - x0)
 
     def _guided_ppf(self, u: Array) -> Array:

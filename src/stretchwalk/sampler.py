@@ -249,11 +249,14 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
     Laplace's method it falls ``MASS_DROP`` below its peak at about
     sqrt(MASS_DROP / g''(s_k / 2)) from s_k / 2.  Each row's first grid is
     that window with a margin, [s_k / 2 - w, s_k / 2] with
-    w = sqrt(1.25 MASS_DROP / g''(s_k / 2)), so one ``ell`` pass places
-    about 90% of the nodes across the mass.  A row whose mass still
-    reaches the window's left edge, such as a perturbed density bent away
-    from its Laplace shape, is laid again on (0, s_k / 2] within the same
-    build; so, from the start, is a row whose g'' there is not finite and
+    w = sqrt(1.25 MASS_DROP / g''(s_k / 2)).  Where the row's mass stays
+    clear of the window's left edge and covers its upper half,
+    ``GridInverseCdf.build`` keeps the row whole: the one ``ell`` pass over
+    all rows is the table, and the window's margin, under e^-MASS_DROP of
+    the peak density, stays in it.  A row whose mass still reaches the
+    window's left edge, such as a perturbed density bent away from its
+    Laplace shape, is laid again on (0, s_k / 2] within the same build; so,
+    from the start, is a row whose g'' there is not finite and
     positive or whose window reaches past 0.  As in ``tilted_table``, no
     grid starts below the first positive float.  Where w is below
     ``_PAIR_POINTS`` float spacings at s_k / 2, no grid of floats resolves
@@ -293,9 +296,10 @@ def _pair_window_start(model: PerturbedDensity, half: Array) -> Array:
     window reaches past it, and half where w is below float resolution."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         curvature = model.exponent.d2g(half)
-        # w is inf or NaN where g'' is not finite and positive, so fmax
-        # starts those rows at the first positive float, none a point mass.
-        w = np.sqrt(1.25 * MASS_DROP / np.where(curvature < np.inf, curvature, 0.0))
+        # w is inf or NaN where g'' is not finite and positive (0 / 0 where it
+        # is inf), so fmax starts those rows at the first positive float,
+        # none a point mass.
+        w = np.sqrt(1.25 * MASS_DROP / curvature) / (curvature < np.inf)
     return np.where(w < _PAIR_POINTS * np.spacing(half), half, np.fmax(half - w, FIRST_POSITIVE))
 
 
@@ -308,8 +312,11 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
     of a matching redistributes its sum s by drawing one coordinate from
     the conditional p(u) p(s-u) on (0, s), all pairs at once from one
     batch of half-tables; disjoint pair updates commute, so the matching
-    keeps the fixed-sum law.  The total is invariant by construction;
-    states are recorded once per sweep after the first 100.
+    keeps the fixed-sum law.  A matching is one ``pair_conditional_table``
+    build, one ``ell`` pass where every pair lies on its Laplace window,
+    and one batched ``ppf`` with one uniform per pair.  The total is
+    invariant by construction; states are recorded once per sweep after
+    the first 100.
     """
     if n < 2:
         raise DomainError("fixed-sum Gibbs needs n >= 2")
@@ -332,8 +339,9 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
             v = 2.0 * rng.random(pairs)
             upper = v > 1.0
             u = pair_conditional_table(model, s).ppf(np.where(upper, 2.0 - v, v))
-            x[i] = np.where(upper, s - u, u)
-            x[j] = np.where(upper, u, s - u)
+            rest = s - u
+            x[i] = np.where(upper, rest, u)
+            x[j] = np.where(upper, u, rest)
         if sweep >= _BURN_IN:
             out.append(ConditionedSample(values=x.copy(), constraint=constraint))
     return out

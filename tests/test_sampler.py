@@ -433,6 +433,30 @@ class TestTableResolution:
         assert calls == [(2, 1, 512)] * len(sums) + [(2, len(sums), 512)]
 
     @pytest.mark.parametrize("kind", ["pure", "sin"])
+    def test_laplace_rows_are_kept_whole(self, kind):
+        # Rows on their Laplace windows, built together in one ell pass: each
+        # row is its whole window, neither cropped nor padded, with the
+        # trapezoid cdf of exp(ell - max) on it, to within one ulp.
+        model = _cubic(kind)
+        calls = []
+        kernel = model._log_kernel
+        model._log_kernel = lambda x: calls.append(x.shape) or kernel(x)
+        sums = np.array([6.0, 8.0, 10.0, 20.0, 50.0, 200.0, 800.0, 2000.0])
+        table = pair_conditional_table(model, sums)
+        assert calls == [(2, sums.size, 512)]
+        model._log_kernel = kernel
+        start = sampler._pair_window_start(model, sums / 2)
+        for k, s in enumerate(sums):
+            x = np.linspace(start[k], s / 2, 512)
+            log_w = _pair_ell(model, s)(x)
+            cdf = cumulative_trapezoid(np.exp(log_w - log_w.max()), x, initial=0.0)
+            cdf /= cdf[-1]
+            assert np.all(np.abs(table.x[k] - x) <= np.spacing(x))
+            assert np.all(np.abs(table.cdf[k] - cdf) <= np.spacing(cdf))
+            # The first cell lies outside the mass, the upper half inside it.
+            assert log_w[1] <= log_w.max() - MASS_DROP < log_w[256:].min()
+
+    @pytest.mark.parametrize("kind", ["pure", "sin"])
     @pytest.mark.parametrize("s", [6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 199.9, 200.0])
     def test_resolved_pair_tables_unchanged(self, kind, s, monkeypatch):
         # A row whose mass reaches the left edge of its Laplace window is
@@ -452,8 +476,8 @@ class TestTableResolution:
     def test_batched_rows_match_scalar_builds(self, kind, monkeypatch):
         # Rows on their Laplace windows and rows that fall back to (0, s/2]
         # and are then re-gridded (g'' made too large above s/2 = 300),
-        # built together: each row is the scalar build on its own window,
-        # or on (0, s/2], plus right padding.
+        # built together: each row is the scalar build from the same start,
+        # plus right padding where that build crops its row.
         model = _cubic(kind)
         exponent = model.exponent
         true_d2g = type(exponent).d2g
@@ -464,9 +488,9 @@ class TestTableResolution:
         table = pair_conditional_table(model, sums)
         assert table.x.shape == table.cdf.shape == (sums.size, 512)
         for k, s in enumerate(sums):
-            lo = 0.0 if s > 600.0 else start[k]
+            first = None if s > 600.0 else start[k]
             assert 0.0 < start[k] < s / 2
-            ref = GridInverseCdf.build(_pair_ell(model, s), lo, s / 2, points=512)
+            ref = GridInverseCdf.build(_pair_ell(model, s), 0.0, s / 2, points=512, start=first)
             m = ref.x.size
             assert np.array_equal(table.x[k, :m], ref.x)
             assert np.array_equal(table.cdf[k, :m], ref.cdf)
@@ -758,6 +782,103 @@ class TestFixedSumOracle:
         print(f"{spec} a={a} eps={eps}: p_hat {p_hat:.4f} +- {se:.4f}, "
               f"exact {p_exact:.6f}, KS {ks:.4f} over {m} coordinates")
         assert ks < 0.03
+
+
+def _within_four_std_errs(series, expected):
+    """|mean - expected| <= 4 se, se the batch-means error of the series.
+
+    A chain average is about normal with sd se once the chain mixes
+    (sqrt(m) batches of sqrt(m) sweeps, ``_batch_means_std_err``), so four
+    estimated errors pass a correct sampler with probability about 1 - 1e-4
+    per check.  The seeds are fixed, so each check is deterministic."""
+    se, _ = _batch_means_std_err(series)
+    mean = float(series.mean())
+    return abs(mean - expected) <= 4.0 * se, (mean, se, expected)
+
+
+class TestExponentialSimplex:
+    """FixedSumGibbs at n >= 4 against closed forms.
+
+    Given the sum n a, i.i.d. unit-exponential steps are uniform on the
+    simplex (Feller, vol. II, I.9, on uniform spacings).  So all steps lie
+    in (a - eps, a + eps) with probability
+    (eps/a)^(n-1) sum_k (-1)^k C(n, k) (1 - 2k/n)_+^(n-1) for eps <= a
+    (shift every step by a - eps, then bound each shifted step by 2 eps),
+    and each step over n a is Beta(1, n - 1).  The pair log-density is
+    flat (g'' = 0), so every row of every matching is laid on (0, s/2] from
+    the first positive float: these are the generic rows of a batched pair
+    update, several to a matching.  Each check is a chain average held to
+    four batch-means errors (``_within_four_std_errs``).
+    """
+
+    _SWEEPS = 1500
+
+    @staticmethod
+    def _band_probability(n, a, eps):
+        return (eps / a) ** (n - 1) * sum(
+            (-1) ** k * math.comb(n, k) * max(1.0 - 2.0 * k / n, 0.0) ** (n - 1)
+            for k in range(n + 1))
+
+    @pytest.mark.parametrize("n, a, eps, seed", [(5, 1.0, 0.8, 3), (10, 1.0, 1.0, 4)])
+    def test_band_and_marginal_match_the_simplex(self, expo, n, a, eps, seed):
+        values = np.array([st.values for st in gibbs_fixed_sum(
+            expo, n, n * a, sweeps=self._SWEEPS, seed=seed)])
+        flags = np.all((values > a - eps) & (values < a + eps), axis=1).astype(float)
+        ok, detail = _within_four_std_errs(flags, self._band_probability(n, a, eps))
+        assert ok, detail
+        # Per sweep, the share of the n coordinates at or below a Beta(1, n-1)
+        # quantile of x / (n a); its mean is that quantile's level.
+        for level in (0.25, 0.5, 0.75):
+            q = 1.0 - (1.0 - level) ** (1.0 / (n - 1))
+            ok, detail = _within_four_std_errs((values <= q * n * a).mean(axis=1), level)
+            assert ok, (level, detail)
+
+
+def _last_coordinate_is(model, n, a, eps, t, draws, seed):
+    """P(all steps in (a - eps, a + eps) | sum n a) by importance sampling on
+    the last coordinate, with its delta-method standard error.
+
+    X_1..X_{n-1} come from ``tilted_table(model, t)`` and X_n = n a - S_{n-1}.
+    The fixed-sum density is proportional to p(x_1)...p(x_{n-1}) p(n a - S)
+    and the proposal to p(x_1)...p(x_{n-1}) e^{t S}, so the weight is
+    p(X_n) e^{t X_n} up to a constant (Asmussen & Glynn, *Stochastic
+    Simulation*, 2007, ch. V), and the self-normalised estimate is
+    consistent for any t.
+    """
+    rng = np.random.default_rng(seed)
+    steps = np.empty((draws, n))
+    steps[:, :-1] = tilted_table(model, t).ppf(rng.random((draws, n - 1)))
+    steps[:, -1] = n * a - steps[:, :-1].sum(axis=1)
+    log_w = model._log_kernel(steps[:, -1]) + t * steps[:, -1]
+    w = np.exp(log_w - log_w.max())
+    hit = np.all((steps > a - eps) & (steps < a + eps), axis=1)
+    p = float(w[hit].sum() / w.sum())
+    se = float(np.sqrt(np.sum(w * w * (hit - p) ** 2)) / w.sum())
+    return p, se
+
+
+class TestLaplaceWindowRows:
+    """FixedSumGibbs on Laplace-window rows against an independent estimate.
+
+    Criterion 8's first triple, n = 5, a = 25, eps = 1/(2 log 25), for the
+    cubic, pure and sin-perturbed: every pair row of a matching lies on its
+    Laplace window.  The reference is ``_last_coordinate_is`` tilted by
+    g'(a), so each arm has a value of its own.  The two estimates are
+    independent and about normal, so their difference is held to four
+    times the root sum of squares of the Gibbs batch-means error and the
+    importance-sampling delta-method error: a correct sampler passes with
+    probability about 1 - 1e-4.
+    """
+
+    @pytest.mark.parametrize("spec", ["power:beta=3", "power:beta=3/sin"])
+    def test_band_probability_matches_last_coordinate_is(self, spec):
+        model = parse_model(spec)
+        n, a, eps = 5, 25.0, 0.5 / math.log(25.0)
+        gibbs = estimate_localization(model, n, a, eps, "FixedSumGibbs", budget=2000, seed=5)
+        p_is, se_is = _last_coordinate_is(model, n, a, eps, model.exponent.dg(a),
+                                          draws=100_000, seed=6)
+        joint = math.hypot(gibbs.std_err, se_is)
+        assert abs(gibbs.p_hat - p_is) <= 4.0 * joint, (gibbs.p_hat, gibbs.std_err, p_is, se_is)
 
 
 class TestConditionedSampleValidation:
