@@ -21,6 +21,9 @@ from .sampler import (
     EndValueAtLeast,
     EndValueEquals,
     LocalizationEstimate,
+    TiltedLaw,
+    _block_rows,
+    _require_counts,
     gibbs_fixed_sum,
     tilted_law,
 )
@@ -68,7 +71,15 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
     If none of the 4,096 draws is kept, the sampler falls back to a
     fixed-sum draw at the boundary, with EndValueEquals conditioning and a
     note on the trajectory.
+
+    Each batch of 64 draws takes its step uniforms and then its acceptance
+    uniforms from the stream up front, but its draws are inverted and
+    tested block by block, about ``sampler._DRAW_BLOCK`` step values at a
+    time, stopping at the first block that keeps one: memory per call is
+    bounded by the batch's uniforms and one block, and the trajectory does
+    not depend on the block.
     """
+    _require_counts(n=n)
     if n < 2:
         raise DomainError("a walk needs at least 2 increments")
     if not a > model.mean:
@@ -80,17 +91,8 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
                                 seed=derive_seed(seed, 0))
         increments = state[-1].values
     elif isinstance(conditioning, EndValueAtLeast):
-        law = tilted_law(model, a)
         target = conditioning.total
-        increments = None
-        for _ in range(_ACCEPT_DRAWS // _ACCEPT_BATCH):
-            batch = law.table.ppf(rng.random((_ACCEPT_BATCH, n)))
-            excess = batch.sum(axis=1) - target
-            keep = np.exp(-law.tilt * np.maximum(excess, 0.0))
-            hits = np.flatnonzero((excess > 0.0) & (rng.random(_ACCEPT_BATCH) < keep))
-            if hits.size:
-                increments = batch[hits[0]]
-                break
+        increments = _accepted_draw(tilted_law(model, a), n, target, rng)
         if increments is None:
             note = "acceptance budget exhausted; fixed-sum boundary draw used"
             logger.warning(note)
@@ -109,10 +111,29 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
     )
 
 
+def _accepted_draw(law: TiltedLaw, n: int, target: float,
+                   rng: np.random.Generator) -> np.ndarray | None:
+    """The first tilted n-vector kept in {S_n > target}, or None after
+    ``_ACCEPT_DRAWS`` tries; every batch's uniforms are drawn whole."""
+    rows = _block_rows(n)
+    for _ in range(_ACCEPT_DRAWS // _ACCEPT_BATCH):
+        steps = rng.random((_ACCEPT_BATCH, n))
+        accept = rng.random(_ACCEPT_BATCH)
+        for start in range(0, _ACCEPT_BATCH, rows):
+            block = law.table.ppf(steps[start:start + rows])
+            excess = block.sum(axis=1) - target
+            keep = np.exp(-law.tilt * np.maximum(excess, 0.0))
+            hits = np.flatnonzero((excess > 0.0) & (accept[start:start + rows] < keep))
+            if hits.size:
+                return block[hits[0]]
+    return None
+
+
 def simulate_free_path(model: PerturbedDensity, n: int, seed: int) -> Trajectory:
     """Unconditioned i.i.d. walk, the baseline for conditioned comparisons:
     n draws from the plain law's table, ``tilted_law(model, model.mean)``;
     deterministic for a given seed."""
+    _require_counts(n=n)
     rng = np.random.default_rng(seed)
     increments = tilted_law(model, model.mean).table.ppf(rng.random(n))
     return Trajectory(
@@ -168,6 +189,7 @@ def estimate_p_ak(model: PerturbedDensity, n: int, a: float, k: int, alpha: floa
     replication count extends the run without changing earlier paths.
     The unconditioned variant serves as the comparison baseline.
     """
+    _require_counts(replications=replications)
     if replications < 1:
         raise DomainError("need at least one replication")
     hits = 0

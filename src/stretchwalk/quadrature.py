@@ -436,8 +436,8 @@ class GridInverseCdf:
         return cls(x=xs[0, :size], cdf=cdf[0, :size])
 
     def ppf(self, u: Array) -> Array:
-        """Inverse cdf: any shape of u for one density, one u in [0, 1] per
-        row for many.
+        """Inverse cdf: any shape of u for one density, one u per row for
+        many, clamped to [0, 1].
 
         For one density this is ``np.interp(u, cdf, x)`` bit for bit, through
         the guide (see the class docstring)."""
@@ -446,6 +446,7 @@ class GridInverseCdf:
             return self._guided_ppf(u)
         # Node k is the first with cdf >= u (every row ends at cdf 1), and at
         # least node 1; interpolate on [k - 1, k].
+        u = u.clip(0.0, 1.0)
         rows, points = self.cdf.shape
         k = np.maximum((self.cdf >= u[:, None]).argmax(axis=1), 1)
         k += np.arange(0, rows * points, points)

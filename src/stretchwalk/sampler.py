@@ -10,6 +10,7 @@ below double-underflow are still reported through their logs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,28 @@ _WILSON_Z = 1.96
 # before it records states.
 _PAIR_POINTS = 512
 _BURN_IN = 100
+# Step values drawn, inverted and reduced at a time by the TiltedIS and
+# conditioned-path loops, in whole n-vectors: 256 KB a float array, so a
+# block's uniforms, draws and ppf temporaries stay in cache, while blocks
+# much smaller lose to per-block overhead.
+_DRAW_BLOCK = 32_768
+
+
+def _block_rows(n: int) -> int:
+    """The n-vectors in one draw block: at least one."""
+    return max(1, _DRAW_BLOCK // n)
+
+
+def _require_counts(**counts) -> None:
+    """Raise ``DomainError`` unless every value is an integer (numpy
+    integers included; bools, floats and integral floats are not counts)."""
+    for name, value in counts.items():
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -163,19 +186,32 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
     when a sits at or below the mean, in which case every weight is exactly
     one), with weights exp(n Lambda(t) - t S).  Band membership uses strict
     inequalities.  Deterministic for a given seed.
+
+    The vectors are drawn, inverted and reduced to their sums and band
+    flags block by block, in the order of the stream, about ``_DRAW_BLOCK``
+    step values at a time: memory per call is the block plus a few
+    ``trials``-length arrays, and the result does not depend on the block.
     """
+    _require_counts(n=n, trials=trials, seed=seed)
     if trials < 1000:
         raise DomainError("importance sampling needs at least 1000 trials")
     if n < 1 or a <= 0.0 or eps < 0.0:
         raise DomainError("need n >= 1, a > 0, eps >= 0")
     law = tilted_law(model, a)
     rng = np.random.default_rng(seed)
-    draws = law.table.ppf(rng.random((trials, n)))
-    sums = draws.sum(axis=1)
+    sums = np.empty(trials)
+    in_band = np.empty(trials, dtype=bool)
+    rows = _block_rows(n)
+    uniforms = np.empty((min(rows, trials), n))
+    for start in range(0, trials, rows):
+        draws = law.table.ppf(rng.random(out=uniforms[:trials - start]))
+        block = slice(start, start + len(draws))
+        sums[block] = draws.sum(axis=1)
+        in_band[block] = ((draws > a - eps) & (draws < a + eps)).all(axis=1)
     log_w = n * law.log_mgf - law.tilt * sums
 
     in_c = sums > n * a
-    in_band = ((draws > a - eps) & (draws < a + eps)).all(axis=1) & in_c
+    in_band &= in_c
 
     if not np.any(in_c):
         raise DegenerateWeights("no draw satisfied the exceedance event")
@@ -318,6 +354,7 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
     invariant by construction; states are recorded once per sweep after
     the first 100.
     """
+    _require_counts(n=n, sweeps=sweeps)
     if n < 2:
         raise DomainError("fixed-sum Gibbs needs n >= 2")
     if not 0.0 < s_total < math.inf:

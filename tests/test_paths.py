@@ -21,6 +21,7 @@ from stretchwalk.paths import (
     sliding_slopes,
 )
 from stretchwalk.ratefn import cramer_rate
+from stretchwalk import sampler
 from stretchwalk.sampler import tilted_law
 from stretchwalk.seeding import derive_seed
 from stretchwalk.smalln import exact_log_prob_exceed
@@ -197,6 +198,28 @@ class TestSimulateConditionedPath:
         assert traj.note != ""
         assert isinstance(traj.conditioning, EndValueEquals)
         assert traj.partial_sums[-1] == pytest.approx(100.0, rel=1e-9)
+
+    @pytest.mark.parametrize("rows", ["ragged", "one row"])
+    @pytest.mark.parametrize("spec, n, ratio, seeds", [
+        ("weibull:k=3", 200, 1.5, range(6)),
+        # Every one of the 4,096 draws fails: the fallback's permutation
+        # reads the stream where the acceptance loop left it.
+        ("power:beta=3", 20, None, [0]),
+    ])
+    def test_independent_of_draw_block(self, monkeypatch, rows, spec, n, ratio, seeds):
+        model = parse_model(spec)
+        a = 100.0 if ratio is None else ratio * model.mean
+
+        def path(block, seed):
+            monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
+            return simulate_conditioned_path(model, n, a, EndValueAtLeast(n * a), seed=seed)
+
+        for seed in seeds:
+            whole = path(10**9, seed)
+            got = path(3 * n + 1 if rows == "ragged" else n - 1, seed)
+            assert np.array_equal(got.increments, whole.increments)
+            assert (got.note, got.conditioning) == (whole.note, whole.conditioning)
+        assert bool(whole.note) == (ratio is None)
 
     def test_bad_arguments_rejected(self, weibull3):
         with pytest.raises(DomainError):

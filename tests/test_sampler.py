@@ -23,7 +23,7 @@ from stretchwalk.quadrature import (MASS_DROP, GridInverseCdf, gauss_legendre, l
                                    mass_window)
 from stretchwalk.errors import DegenerateWeights, DomainError, NoConvergence, NonIntegrable
 from stretchwalk import sampler
-from stretchwalk.paths import estimate_p_ak, simulate_conditioned_path
+from stretchwalk.paths import estimate_p_ak, simulate_conditioned_path, simulate_free_path
 from stretchwalk.ratefn import _tilted_ell, _tilted_stats, cramer_rate
 from stretchwalk.sampler import (
     ConditionedSample,
@@ -261,6 +261,41 @@ class TestImportanceEstimate:
             warnings.simplefilter("error", RuntimeWarning)
             res = importance_estimate(model, 5, 20.0, 0.5, trials=20_000, seed=7)
         assert res.conditional.p_hat == 1.0 and res.conditional.n_eff > 30.0
+
+    @pytest.mark.parametrize("n", [5, 20])
+    @pytest.mark.parametrize("rows", ["ragged", "one row"])
+    def test_independent_of_draw_block(self, weibull3, monkeypatch, n, rows):
+        # 1,001 trials are not a multiple of 3 rows, so the last block of
+        # 3 n + 1 values is ragged; a block below n holds one row.
+        def estimate(block):
+            monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
+            return importance_estimate(weibull3, n, 2.0, 0.5, trials=1001, seed=3)
+
+        whole = estimate(10**9)
+        assert estimate(3 * n + 1 if rows == "ragged" else n - 1) == whole
+
+    def test_numpy_integer_counts_accepted(self, weibull3):
+        want = importance_estimate(weibull3, 5, 2.0, 0.5, trials=2000, seed=4)
+        got = importance_estimate(weibull3, np.int32(5), 2.0, 0.5, trials=np.int64(2000),
+                                  seed=np.uint64(4))
+        assert got == want
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m: importance_estimate(m, 2.5, 2.0, 0.5, 2000, 0), id="is-n-float"),
+    pytest.param(lambda m: importance_estimate(m, True, 2.0, 0.5, 2000, 0), id="is-n-bool"),
+    pytest.param(lambda m: importance_estimate(m, 5, 2.0, 0.5, 2000.0, 0), id="is-trials"),
+    pytest.param(lambda m: importance_estimate(m, 5, 2.0, 0.5, 2000, 1.5), id="is-seed"),
+    pytest.param(lambda m: gibbs_fixed_sum(m, 4.0, 8.0, 1, 0), id="gibbs-n"),
+    pytest.param(lambda m: gibbs_fixed_sum(m, 4, 8.0, 2.5, 0), id="gibbs-sweeps"),
+    pytest.param(lambda m: simulate_conditioned_path(m, 100.0, 2.0, EndValueAtLeast(200.0), 0),
+                 id="path-n"),
+    pytest.param(lambda m: simulate_free_path(m, 100.0, 0), id="free-path-n"),
+    pytest.param(lambda m: estimate_p_ak(m, 10, 2.0, 3, 1.0, 3.5, 0), id="p-ak-replications"),
+])
+def test_non_integer_counts_are_domain_errors(weibull3, call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(weibull3)
 
 
 class TestLocalizationEstimateInvariants:
@@ -515,13 +550,15 @@ class TestTableResolution:
     def test_batched_ppf_matches_row_interp(self, power3):
         sums = np.array([6.0, 2000.0, 50.0, 8.0])
         table = pair_conditional_table(power3, sums)
-        u = np.array([0.0, 0.3, 0.999999, 1.0])
-        for trial in range(20):
+        # u outside [0, 1] takes the row's end node, as np.interp does.
+        cases = [np.array([0.0, 0.3, 0.999999, 1.0]), np.array([-0.5, 0.0, 1.0, 1.5]),
+                 np.array([1.5, 1.0, 0.0, -0.5])]
+        cases += [default_rng(trial).random(sums.size) for trial in range(20)]
+        for u in cases:
             got = table.ppf(u)
             for k in range(sums.size):
                 want = np.interp(u[k], table.cdf[k], table.x[k])
                 assert got[k] == pytest.approx(want, rel=1e-13, abs=1e-13)
-            u = default_rng(trial).random(sums.size)
 
     def test_tilted_table_unchanged(self, weibull3):
         law = tilted_law(weibull3, 1.5 * weibull3.mean)
