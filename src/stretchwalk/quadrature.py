@@ -322,27 +322,24 @@ class GridInverseCdf:
     points)`` grid whose row ``i`` lies in ``(lo[rows[i]], hi[rows[i]])``,
     and ``x``, ``cdf`` are ``(len(lo), points)``.
 
-    Each row restricts itself to the region where its log-density is within
-    ``MASS_DROP`` of its peak, places ``points`` equispaced nodes there, and
-    builds the cumulative by composite trapezoid.  A row's first grid spans
-    ``(lo, hi)``, or ``[start, hi]`` where ``start`` is given: a caller that
-    knows where the mass lies (the pair conditionals of ``sampler`` know it
-    from Laplace's method) saves the passes that find it.  A row on such a
-    window whose first cell lies more than ``MASS_DROP`` below its peak and
-    whose upper half lies within it is kept whole: its mass stays clear of
-    the start and spans at least half the grid, so the first pass is its
-    table, neither cropped nor padded; each node outside the mass carries
-    under e^-``MASS_DROP`` of the peak density.  Every other row is resolved
-    from the first pass's own values.  A row on a window whose mass region,
-    padded by one node as below, reaches the start is laid again on
-    ``(lo, hi)``.  A row whose mass region is narrower than half the grid is
-    re-gridded, as often as it takes, so a sharply peaked density still gets
-    at least ``points // 2`` nodes across its mass; only those rows call
-    ``ell`` again.  The rest are cropped to their mass region, and a row
-    cropped to fewer than ``points`` nodes is padded on the right with its
-    last node (cdf 1).  So row k of a batched table is the scalar table on
-    ``(lo[k], hi[k])`` with ``start[k]``, followed by that padding where it
-    is cropped.  For the step-law tables of ``sampler.tilted_table``, at
+    Every row is its final grid of ``points`` equispaced nodes with the
+    composite trapezoid cumulative of exp(ell - peak) on it, normalised to
+    end at 1.  A row's first grid spans ``(lo, hi)``, or ``[start, hi]``
+    where ``start`` is given: a caller that knows where the mass lies (the
+    pair conditionals of ``sampler`` know it from Laplace's method) saves
+    the passes that find it.  The mass region of a row is where its
+    log-density is within ``MASS_DROP`` of its peak, padded by one node a
+    side.  A row on such a window whose mass region reaches the start is
+    laid again on ``(lo, hi)``.  A row whose mass region spans less than
+    half the grid is re-gridded on it, as often as it takes, so a sharply
+    peaked density still gets at least ``points // 2`` nodes across its
+    mass; only those rows call ``ell`` again.  Every other row keeps the
+    grid it was laid on, and each of its nodes outside the mass carries
+    under e^-``MASS_DROP`` of the peak density.  A row on a window whose
+    first cell lies outside its mass and whose upper half lies inside it
+    needs no second pass, so its mass region is not searched for.  Row k
+    of a batched table is the scalar table on ``(lo[k], hi[k])`` with
+    ``start[k]``.  For the step-law tables of ``sampler.tilted_table``, at
     the default resolution, the piecewise-linear cdf that ``ppf`` inverts is
     within 3e-5 of an independent quadrature cdf for unit-exponential steps
     (h^2 / 8 times the density's slope at 0) and within 1e-6 for power
@@ -381,13 +378,12 @@ class GridInverseCdf:
         peak = vals.max(axis=1)
         edge = peak - MASS_DROP
         # A row on a first grid inside (lo, hi) whose first cell lies outside
-        # its mass and whose upper half lies inside it is kept whole.
+        # its mass and whose upper half lies inside it needs neither a redo
+        # nor a re-grid, so its mass region is not searched for.
         whole = (windowed & (np.maximum(vals[:, 0], vals[:, 1]) <= edge)
                  & (vals[:, points // 2:].min(axis=1) > edge))
-        size = points
         if not whole.all():
             peak, lo_i, hi_i = _mass_span(vals)
-            wide = hi_i - lo_i >= points // 2 - 1
             # Rows whose mass region, padded by a node, reaches the start of a
             # first grid inside (lo, hi) are laid again on (lo, hi).
             redo = rows[windowed & (lo_i == 0)]
@@ -395,13 +391,12 @@ class GridInverseCdf:
                 xs[redo] = _linspace_rows(lo_r[redo], hi_r[redo], ramp)
                 vals[redo] = call(xs[redo], redo)
                 peak[redo], lo_i[redo], hi_i[redo] = _mass_span(vals[redo])
-                wide[redo] = hi_i[redo] - lo_i[redo] >= points // 2 - 1
             if not (peak > -np.inf).all():
                 raise NonIntegrable("log-density is not finite anywhere on the table grid")
-            # Rows whose mass region spans half the table are cropped to it; the
-            # rest are re-gridded at full resolution until it does, each pass
-            # narrowing the row's grid at least twofold.
-            narrow = rows[~wide]
+            # Rows whose mass region spans less than half the grid are
+            # re-gridded on it until it does, each pass narrowing the row's
+            # grid at least twofold.
+            narrow = rows[hi_i - lo_i + 1 < points // 2]
             while narrow.size:
                 x_lo, x_hi = xs[narrow, lo_i[narrow]], xs[narrow, hi_i[narrow]]
                 if np.any(x_hi - x_lo < points * np.spacing(np.maximum(abs(x_lo), abs(x_hi)))):
@@ -410,12 +405,6 @@ class GridInverseCdf:
                 vals[narrow] = call(xs[narrow], narrow)
                 peak[narrow], lo_i[narrow], hi_i[narrow] = _mass_span(vals[narrow])
                 narrow = narrow[hi_i[narrow] - lo_i[narrow] + 1 < points // 2]
-            cropped = wide & ~whole
-            lo_i[~cropped], hi_i[~cropped] = 0, points - 1
-            if cropped.any():
-                flat = np.minimum(lo_i[:, None] + ramp, hi_i[:, None]) + (rows * points)[:, None]
-                xs, vals = xs.take(flat), vals.take(flat)
-            size = hi_i[0] - lo_i[0] + 1
         # The trapezoid cells of every row from one flat pass: the entry at a
         # row's first node, a cell across the row boundary, is set to 0.
         w = np.exp(vals - peak[:, None]).ravel()
@@ -431,9 +420,7 @@ class GridInverseCdf:
         if not (total.min() > 0.0 and total.max() < np.inf):
             raise NonIntegrable("density mass vanished on the table grid")
         cdf /= total
-        if batched:
-            return cls(x=xs, cdf=cdf)
-        return cls(x=xs[0, :size], cdf=cdf[0, :size])
+        return cls(x=xs, cdf=cdf) if batched else cls(x=xs[0], cdf=cdf[0])
 
     def ppf(self, u: Array) -> Array:
         """Inverse cdf: any shape of u for one density, one u per row for
@@ -515,8 +502,10 @@ def _linspace_rows(lo: Array, hi: Array, ramp: Array) -> Array:
 
 def _mass_span(vals: Array) -> tuple[Array, Array, Array]:
     """Per row of vals: the peak and the first and last node of the region
-    within MASS_DROP of it, padded by one node each side so the clipped
-    region integrates cleanly.  The peak node is always kept, also where
+    within MASS_DROP of it, padded by one node each side: the padding puts a
+    region that reaches a grid's first cell at node 0, which is the redo
+    test of ``GridInverseCdf.build``, and keeps the crossings inside the
+    bounds of a re-grid.  The peak node is always kept, also where
     peak - MASS_DROP rounds to the peak."""
     points = vals.shape[1]
     peak = vals.max(axis=1)

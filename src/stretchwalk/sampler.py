@@ -286,18 +286,17 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
     sqrt(MASS_DROP / g''(s_k / 2)) from s_k / 2.  Each row's first grid is
     that window with a margin, [s_k / 2 - w, s_k / 2] with
     w = sqrt(1.25 MASS_DROP / g''(s_k / 2)).  Where the row's mass stays
-    clear of the window's left edge and covers its upper half,
-    ``GridInverseCdf.build`` keeps the row whole: the one ``ell`` pass over
-    all rows is the table, and the window's margin, under e^-MASS_DROP of
-    the peak density, stays in it.  A row whose mass still reaches the
-    window's left edge, such as a perturbed density bent away from its
-    Laplace shape, is laid again on (0, s_k / 2] within the same build; so,
-    from the start, is a row whose g'' there is not finite and
-    positive or whose window reaches past 0.  As in ``tilted_table``, no
-    grid starts below the first positive float.  Where w is below
-    ``_PAIR_POINTS`` float spacings at s_k / 2, no grid of floats resolves
-    the conditional, which is a point mass at s_k / 2 on floats: the row
-    puts every node there and draws s_k / 2 exactly.
+    clear of the window's left edge and covers its upper half, the one
+    ``ell`` pass over all rows is the table: the window is the row's grid,
+    and its margin, under e^-MASS_DROP of the peak density, stays in it.
+    A row whose mass still reaches the window's left edge, such as a
+    perturbed density bent away from its Laplace shape, is laid again on
+    (0, s_k / 2] within the same build; so, from the start, is a row whose
+    g'' there is not finite and positive or whose window reaches past 0.
+    As in ``tilted_table``, no grid starts below the first positive float.
+    Where w is below ``_PAIR_POINTS`` float spacings at s_k / 2, no grid of
+    floats resolves the conditional, which is a point mass at s_k / 2 on
+    floats: the row puts every node there and draws s_k / 2 exactly.
     """
     s = np.asarray(s, dtype=float)
     half = s / 2.0
@@ -404,7 +403,8 @@ def estimate_localization(model: PerturbedDensity, n: int, a: float, eps: float,
     """P(all coordinates strictly inside (a-eps, a+eps) | conditioning).
 
     TiltedIS conditions on the sum exceeding n a; FixedSumGibbs conditions
-    on the sum equal to n a (the boundary case) with batch-means errors.
+    on the sum equal to n a (the boundary case) with batch-means errors,
+    which need a budget of at least 2 sweeps.
     The band must be nonempty: eps is positive and finite.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
@@ -412,6 +412,8 @@ def estimate_localization(model: PerturbedDensity, n: int, a: float, eps: float,
     if method == "TiltedIS":
         return importance_estimate(model, n, a, eps, budget, seed).conditional
     if method == "FixedSumGibbs":
+        if budget < 2:
+            raise DomainError("batch-means errors need at least 2 recorded sweeps")
         states = gibbs_fixed_sum(model, n, n * a, sweeps=budget, seed=seed)
         values = np.array([s.values for s in states])
         flags = np.all((values > a - eps) & (values < a + eps), axis=1).astype(float)

@@ -68,6 +68,17 @@ class TestExitCodes:
         else:
             assert rc == 2 and err.startswith("DomainError")
 
+    def test_one_gibbs_sweep_is_domain_error(self, capsys):
+        # One recorded sweep leaves batch means nothing to compare.
+        rc, out, err = run_cli(
+            ["localize", "--model", "weibull:k=3", "--n", "5", "--a", "2", "--eps", "0.5",
+             "--method", "FixedSumGibbs", "--trials", "1"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("DomainError")
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_unresolvable_pair_table_is_numeric_failure(self, capsys):
         # exp at pair sum 1600: e^u + e^(1600 - u) overflows for every u, so

@@ -368,16 +368,14 @@ def _one_regrid_table(ell, lo, hi, points):
     if hi_i - lo_i + 1 < points // 2:
         xs = np.linspace(xs[lo_i], xs[hi_i], points)
         vals = ell(xs)
-    else:
-        xs, vals = xs[lo_i : hi_i + 1], vals[lo_i : hi_i + 1]
     cdf = np.concatenate([[0.0], cumulative_trapezoid(np.exp(vals - vals.max()), xs)])
     return xs, cdf / cdf[-1]
 
 
-def _row(table, k):
-    """Row k of a batched table without its right padding, as a 1-D table."""
-    m = int(np.argmax(table.x[k] == table.x[k, -1])) + 1
-    return GridInverseCdf(x=table.x[k, :m], cdf=table.cdf[k, :m])
+def _half_table(model, s):
+    """The half-table of the pair conditional at sum s, as a 1-D table."""
+    table = pair_conditional_table(model, [s])
+    return GridInverseCdf(x=table.x[0], cdf=table.cdf[0])
 
 
 def _half_cdf(half, u):
@@ -415,7 +413,7 @@ class TestTableResolution:
         log_w = power3._log_kernel(us) + power3._log_kernel(s - us)
         ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_w - log_w.max()), us)])
         ref /= ref[-1]
-        half = _row(pair_conditional_table(power3, [s]), 0)
+        half = _half_table(power3, s)
         assert np.max(np.abs(_pair_cdf(half, s, us) - ref)) <= 1e-3
 
     @pytest.mark.parametrize("kind", ["pure", "sin"])
@@ -426,8 +424,8 @@ class TestTableResolution:
         # bound is the worst error of the tables laid on (0, s/2] before
         # Laplace windows (1.25e-4, at s = 6 with 312 nodes).
         model = _cubic(kind)
-        half = _row(pair_conditional_table(model, [s]), 0)
-        assert half.x.size >= 512 // 2
+        half = _half_table(model, s)
+        assert half.x.size == 512
         sd = 1.0 / math.sqrt(6.0 * s)
         us = np.linspace(max(s / 2 - 30 * sd, 0.0), s / 2, 200_001)
         log_w = _pair_ell(model, s)(us)
@@ -445,7 +443,7 @@ class TestTableResolution:
         # half-table's cdf, at its nodes and cell midpoints, matches
         # log_integral of the pair density from 0.
         model = parse_model(spec)
-        half = _row(pair_conditional_table(model, [s]), 0)
+        half = _half_table(model, s)
         assert half.x[0] < 1e-300
         k = np.unique(np.concatenate([[1, 2, 3], np.searchsorted(half.cdf, np.linspace(
             1e-3, 0.999, 40))]))
@@ -470,8 +468,8 @@ class TestTableResolution:
     @pytest.mark.parametrize("kind", ["pure", "sin"])
     def test_laplace_rows_are_kept_whole(self, kind):
         # Rows on their Laplace windows, built together in one ell pass: each
-        # row is its whole window, neither cropped nor padded, with the
-        # trapezoid cdf of exp(ell - max) on it, to within one ulp.
+        # row is its whole window, with the trapezoid cdf of exp(ell - max)
+        # on it, to within one ulp.
         model = _cubic(kind)
         calls = []
         kernel = model._log_kernel
@@ -502,8 +500,8 @@ class TestTableResolution:
         model = _cubic(kind)
         exponent = model.exponent
         monkeypatch.setattr(exponent, "d2g", lambda x: 100.0 * type(exponent).d2g(exponent, x))
-        xs, cdf = _one_regrid_table(_pair_ell(model, s), 0.0, s / 2, 512)
-        half = _row(pair_conditional_table(model, [s]), 0)
+        xs, cdf = _one_regrid_table(_pair_ell(model, s), FIRST_POSITIVE, s / 2, 512)
+        half = _half_table(model, s)
         assert np.array_equal(half.x, xs)
         assert np.array_equal(half.cdf, cdf)
 
@@ -511,8 +509,7 @@ class TestTableResolution:
     def test_batched_rows_match_scalar_builds(self, kind, monkeypatch):
         # Rows on their Laplace windows and rows that fall back to (0, s/2]
         # and are then re-gridded (g'' made too large above s/2 = 300),
-        # built together: each row is the scalar build from the same start,
-        # plus right padding where that build crops its row.
+        # built together: each row is the scalar build from the same start.
         model = _cubic(kind)
         exponent = model.exponent
         true_d2g = type(exponent).d2g
@@ -526,10 +523,39 @@ class TestTableResolution:
             first = None if s > 600.0 else start[k]
             assert 0.0 < start[k] < s / 2
             ref = GridInverseCdf.build(_pair_ell(model, s), 0.0, s / 2, points=512, start=first)
-            m = ref.x.size
-            assert np.array_equal(table.x[k, :m], ref.x)
-            assert np.array_equal(table.cdf[k, :m], ref.cdf)
-            assert np.all(table.x[k, m:] == ref.x[-1]) and np.all(table.cdf[k, m:] == 1.0)
+            assert np.array_equal(table.x[k], ref.x)
+            assert np.array_equal(table.cdf[k], ref.cdf)
+
+    @pytest.mark.parametrize("kind", ["pure", "sin"])
+    def test_every_row_is_a_whole_grid(self, kind, monkeypatch):
+        # One layout for every row: Laplace-window rows (sums 6 to 199.9), a
+        # row on (0, s/2] from the start whose mass misses the grid's first
+        # nodes (4.5: its Laplace window reaches past 0, and p(u) p(s - u)
+        # at u -> 0 is about e^-68 of its peak), and rows laid again
+        # on (0, s/2] and then re-gridded (g'' made too large above
+        # s/2 = 300) each hold 512 strictly increasing nodes with a cdf
+        # rising from 0 to 1.
+        model = _cubic(kind)
+        exponent = model.exponent
+        true_d2g = type(exponent).d2g
+        too_large = lambda x: np.where(x > 300.0, 100.0, 1.0) * true_d2g(exponent, x)
+        monkeypatch.setattr(exponent, "d2g", too_large)
+        sums = np.array([6.0, 2000.0, 4.5, 50.0, 800.0, 8.0, 199.9])
+        start = sampler._pair_window_start(model, sums / 2)
+        table = pair_conditional_table(model, sums)
+        assert table.x.shape == table.cdf.shape == (sums.size, 512)
+        assert np.all(np.diff(table.x, axis=1) > 0.0)
+        assert np.all(table.cdf[:, 0] == 0.0) and np.all(table.cdf[:, -1] == 1.0)
+        assert np.all(np.diff(table.cdf, axis=1) >= 0.0)
+        laplace = sums < 600.0
+        laplace[2] = False
+        assert np.all(table.x[laplace, 0] == start[laplace])
+        assert start[2] == FIRST_POSITIVE == table.x[2, 0]
+        # A window too narrow is laid again on (0, s/2] and re-gridded on the
+        # mass, which starts below the window.
+        regridded = sums > 600.0
+        assert np.all(FIRST_POSITIVE < table.x[regridded, 0])
+        assert np.all(table.x[regridded, 0] < start[regridded])
 
     def test_sub_resolution_pair_is_point_mass(self):
         # For g = exp at pair sum 800 the conditional's sd is about 1e-87,
@@ -560,15 +586,23 @@ class TestTableResolution:
                 want = np.interp(u[k], table.cdf[k], table.x[k])
                 assert got[k] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
-    def test_tilted_table_unchanged(self, weibull3):
-        law = tilted_law(weibull3, 1.5 * weibull3.mean)
+    @pytest.mark.parametrize("spec, level", [
+        ("weibull:k=3", 1.5), ("power:beta=1", 1.5), ("power:beta=1", 3.0),
+        ("power:beta=2", 1.5), ("exp", 3.0), ("power:beta=3/sin", 1.0)])
+    def test_tilted_table_unchanged(self, spec, level):
+        # Each step-law table is the mass window's grid of 4097 nodes, also
+        # where its mass region ends before the last node (every case here
+        # but Weibull k=3).
+        model = parse_model(spec)
+        law = tilted_law(model, level * model.mean)
         t = law.tilt
 
         def ell(xs):
-            return t * xs + weibull3.log_c + weibull3._log_kernel(xs)
+            return t * xs + model.log_c + model._log_kernel(xs)
 
         lo, hi, _ = mass_window(ell, FIRST_POSITIVE, 8.0)
         xs, cdf = _one_regrid_table(ell, lo, hi, 4097)
+        assert law.table.x.size == 4097
         assert np.array_equal(law.table.x, xs)
         assert np.array_equal(law.table.cdf, cdf)
 
@@ -676,7 +710,7 @@ class TestGibbsFixedSum:
         s_total = 6.0
         states = gibbs_fixed_sum(power2, 2, s_total, sweeps=10_000, seed=42)
         first = np.sort(np.array([st.values[0] for st in states]))
-        half = _row(pair_conditional_table(power2, [s_total]), 0)
+        half = _half_table(power2, s_total)
         cdf = _pair_cdf(half, s_total, first)
         m = len(first)
         ks = np.max(np.maximum(cdf - np.arange(m) / m, (np.arange(m) + 1) / m - cdf))
@@ -691,7 +725,7 @@ class TestGibbsFixedSum:
         # with sd 1/2 about s/2, so (s/2 - 12, s/2] holds all of its half;
         # at s = 2000 that is under a cell of the first grid, so the table
         # is re-gridded.
-        half = _row(pair_conditional_table(power2, [s_total]), 0)
+        half = _half_table(power2, s_total)
         fine = np.linspace(max(0.0, s_total / 2 - 12.0), s_total / 2, 200_001)
         log_ref = power2._log_kernel(fine) + power2._log_kernel(s_total - fine)
         ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_ref - log_ref.max()), fine)])
@@ -783,7 +817,7 @@ class TestFixedSumOracle:
     """The Gibbs kernel against an exact law at n = 3.
 
     At a = 2 a pair table's Laplace window reaches past 0, so it is laid on
-    (0, s/2] and cropped at once; at a = 25 it is laid on its Laplace
+    (0, s/2] from the start; at a = 25 it is laid on its Laplace
     window, about 0.7 wide at s/2 = 25.  At a = 2 the box is the whole
     slice.  At a = 25 the log-density falls by about 3a (d1^2 + d2^2 + d3^2)
     from (a, a, a), since g'' = 6a and the offsets d sum to 0, so a
@@ -953,6 +987,14 @@ class TestEstimateLocalization:
     def test_empty_or_unbounded_band_rejected(self, weibull3, method, eps):
         with pytest.raises(DomainError):
             estimate_localization(weibull3, 5, 2.0, eps, method, budget=1000, seed=0)
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_gibbs_needs_two_sweeps(self, weibull3, budget):
+        # Batch means split the recorded sweeps into at least two batches.
+        with pytest.raises(DomainError, match="2 recorded sweeps"):
+            estimate_localization(weibull3, 5, 2.0, 0.5, "FixedSumGibbs", budget=budget, seed=0)
+        est = estimate_localization(weibull3, 5, 2.0, 0.5, "FixedSumGibbs", budget=2, seed=0)
+        assert est.replications == 2 and math.isfinite(est.std_err)
 
     def test_unknown_method_rejected(self, weibull3):
         with pytest.raises(DomainError):
