@@ -1,5 +1,5 @@
 """Vectorised log-space quadrature: the integration engine of every module
-but ``smalln``, whose fixed 32-panel rule shares only ``gauss_legendre``.
+but ``smalln``, whose fixed 16-panel rule shares only ``gauss_legendre``.
 
 Integrands are exp(ell(x)) with ell up to +-1e4, so each integral is taken
 relative to the largest sampled ell and the shift is added back in log

@@ -14,8 +14,16 @@ estimates that error yet (ROADMAP.md, item 5).
 The survival function is tabulated once per model by a right-to-left
 cumulative trapezoid over a quarter-million-point grid (positive panels
 summed smallest-first, so deep-tail values keep relative accuracy), and
-every integral is a composite Gauss-Legendre sum over the interpolated
-integrand, split at its kinks.  Nothing here nests adaptive quadrature.
+every integral is a fixed composite Gauss-Legendre sum, 16 panels to a
+piece, over the interpolated integrand.  The pieces end where the integrand
+is not smooth: at the support's and the band's edges, at a perturbation's
+kinks k (where p(x) bends) and at t - k (where S(t - x) does), and in a
+band's third step at x = 3a - (lower + upper edge), where the two-step
+table bends.  On smooth pieces the rule has converged: doubling the panels
+moves no value of power beta = 1, 2, 3, Weibull k = 3 or the sin
+perturbations of the last three by more than 1e-8 in log P (measured at
+n = 2, 3 and a = 1.6 to 3; tests/test_smalln.py gates it).  Nothing here
+nests adaptive quadrature.
 An n = 3 probability reads a 513-node table of the two-step probability,
 built row-wise: one quadrature row per node, in a few batched integrand
 calls.  Every log table is PCHIP on a uniform grid, read by direct index.
@@ -29,18 +37,21 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .density import FIRST_POSITIVE, PerturbedDensity
-from .errors import DomainError
+from .errors import DomainError, NonIntegrable
 from .quadrature import gauss_legendre
 
 Array = np.ndarray
 
 _SMALL_N = (2, 3)
 _SURVIVAL_POINTS = 262_145
-_PANELS = 32
-# Rows per batch of a row-wise _log_quad: about 0.4 MB per temporary at three
-# pieces.  At 64 rows a batch's temporaries (about 4 MB) could reach glibc's heap
-# trim threshold and be faulted in again every batch: 1.5x the time of n = 3 values.
+_PANELS = 16
+# Rows per batch of a row-wise _log_quad, and panels per batch: at most 32
+# rows of 96 panels (about 0.4 MB per temporary), so rows with more pieces go
+# fewer at a time.  At 64 rows of 96 panels a batch's temporaries (about 4 MB)
+# could reach glibc's heap trim threshold and be faulted in again every batch:
+# 1.5x the time of n = 3 values.
 _ROW_BLOCK = 32
+_BLOCK_PANELS = _ROW_BLOCK * 96
 
 
 def _check_n(n: int) -> None:
@@ -51,13 +62,16 @@ def _check_n(n: int) -> None:
 def _log_quad(ell, lo, hi, breakpoints=()):
     """log of the integral of exp(ell) over [lo, hi], split at the breakpoints.
 
-    ``ell`` must accept arrays and may return -inf.  Each piece is integrated
-    by composite 16-point Gauss-Legendre over 32 panels, and the max of ell
-    over all nodes serves as the stabilising shift.  With array bounds (and
-    one value per row in each breakpoint) every row is its own integral and
-    the result is an array: ``ell(xs, rows)`` gets a (len(rows), points) grid
-    whose row i holds the nodes of row rows[i].  Rows with the same number of
-    pieces go _ROW_BLOCK at a time, each with the scalar call's nodes.
+    ``ell`` must accept arrays and may return -inf.  The breakpoints inside
+    (lo, hi) cut it into pieces, which should be where ell is not smooth:
+    each piece is integrated by composite 16-point Gauss-Legendre over
+    _PANELS equal panels, which converges fast only on a smooth piece.  The
+    max of ell over all nodes serves as the stabilising shift.  With array
+    bounds (and one value per row in each breakpoint) every row is its own
+    integral and the result is an array: ``ell(xs, rows)`` gets a (len(rows),
+    points) grid whose row i holds the nodes of row rows[i].  Rows with the
+    same number of pieces go together, _ROW_BLOCK at a time or fewer within
+    _BLOCK_PANELS, each with the scalar call's nodes.
     """
     batched = np.ndim(lo) > 0
     call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
@@ -69,7 +83,8 @@ def _log_quad(ell, lo, hi, breakpoints=()):
     out = np.full(lo.size, -np.inf)
     for k in np.unique(inner[hi > lo]):
         group = np.flatnonzero((hi > lo) & (inner == k))
-        for rows in np.split(group, range(_ROW_BLOCK, group.size, _ROW_BLOCK)):
+        block = max(1, min(_ROW_BLOCK, _BLOCK_PANELS // ((k + 1) * _PANELS)))
+        for rows in np.split(group, range(block, group.size, block)):
             ends = np.column_stack([lo[rows], cuts[rows, :k], hi[rows]])
             edges = np.linspace(ends[:, :-1].ravel(), ends[:, 1:].ravel(), _PANELS + 1, axis=1)
             xs, ws = gauss_legendre(edges[:, :-1].ravel(), edges[:, 1:].ravel())
@@ -142,14 +157,17 @@ def _log1mexp(delta: Array) -> Array:
 def _third_step(model: PerturbedDensity, t_grid: Array, two_step: Array, target: float,
                 lo: float, hi: float, breakpoints=(), left_edge: float = -math.inf) -> float:
     """log of the integral over x in [lo, hi] of p(x) P2(target - x), where
-    log P2 is the table through the two-step values on t_grid.  P2 falls in
-    t, so only a trailing run of them can be -inf; with none finite, P = 0."""
+    log P2 is the table through the two-step values on t_grid, split at the
+    breakpoints and at the model's kinks.  P2 falls in t, so only a trailing
+    run of them can be -inf; with none finite, P = 0."""
     m = np.count_nonzero(np.isfinite(two_step))
-    assert np.all(np.isfinite(two_step[:m])), "two-step table is not a finite run then -inf"
+    if not np.all(np.isfinite(two_step[:m])):
+        raise NonIntegrable("two-step table is not a run of finite values then -inf")
     if m == 0:
         return -math.inf
     table = _LogTable(t_grid[:m], two_step[:m], left_edge)
-    return _log_quad(lambda x: _log_pdf(model, x) + table(target - x), lo, hi, breakpoints)
+    return _log_quad(lambda x: _log_pdf(model, x) + table(target - x), lo, hi,
+                     (*breakpoints, *model.kinks))
 
 
 def exact_log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
@@ -164,17 +182,19 @@ def exact_log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
 
 
 def _log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
-    cap = model.support_cap
+    cap, kinks = model.support_cap, model.kinks
     tail = _survival(model)
 
     def two_tail(t: Array) -> Array:
-        """log P(X_1 + X_2 >= t), one quadrature row per level."""
+        """log P(X_1 + X_2 >= t), one quadrature row per level, split where
+        p(x) bends (x = kink) and where S(t - x) does (x = t - kink)."""
 
         def ell(xs: Array, rows: Array) -> Array:
             need = t[rows, None] - xs
             return _log_pdf(model, xs) + np.where(need <= 0.0, 0.0, tail(need))
 
-        return _log_quad(ell, np.zeros_like(t), np.full_like(t, cap), breakpoints=(t, t - cap))
+        return _log_quad(ell, np.zeros_like(t), np.full_like(t, cap),
+                         breakpoints=(t, t - cap, *kinks, *(t - k for k in kinks)))
 
     target = float(n) * a
     if n == 2:
@@ -205,6 +225,7 @@ def exact_log_prob_band(model: PerturbedDensity, n: int, a: float, eps: float) -
         return -math.inf
     tail = _survival(model)
     log_tail_hi = float(tail(hi_b))
+    kinks = model.kinks
 
     def band_tail(t: Array) -> Array:
         """log P(X in band and X >= t), vectorised over t."""
@@ -214,18 +235,21 @@ def exact_log_prob_band(model: PerturbedDensity, n: int, a: float, eps: float) -
         return np.where(t_eff >= hi_b, -np.inf, diff)
 
     def two_band(t: Array) -> Array:
-        """log P(X_1, X_2 in band and X_1 + X_2 >= t), one quadrature row per level."""
+        """log P(X_1, X_2 in band and X_1 + X_2 >= t), one quadrature row per
+        level, split at the band's edges and kinks as ``two_tail`` is."""
         return _log_quad(lambda ys, rows: _log_pdf(model, ys) + band_tail(t[rows, None] - ys),
                          np.full_like(t, lo_b), np.full_like(t, hi_b),
-                         breakpoints=(t - lo_b, t - hi_b))
+                         breakpoints=(t - lo_b, t - hi_b, *kinks, *(t - k for k in kinks)))
 
     target = float(n) * a
     if n == 2:
         return float(two_band(np.array([target]))[0])
     # The third step reads the table only at t = 3a - x > 2a - eps, right of
-    # its first node 2(a - eps), so it needs no left clamp.
+    # its first node 2(a - eps), so it needs no left clamp.  The table's second
+    # derivative jumps at t = lo_b + hi_b, where a band edge meets the other.
     t_grid = np.linspace(2.0 * lo_b, 2.0 * hi_b, 513)
-    return _third_step(model, t_grid, two_band(t_grid), target, lo_b, hi_b)
+    return _third_step(model, t_grid, two_band(t_grid), target, lo_b, hi_b,
+                       breakpoints=(target - lo_b - hi_b,))
 
 
 def exact_log_prob_escape(model: PerturbedDensity, n: int, a: float,

@@ -19,8 +19,9 @@ from stretchwalk.density import (
     sin_perturbed_density,
 )
 from stretchwalk import smalln
-from stretchwalk.errors import DomainError
+from stretchwalk.errors import DomainError, NonIntegrable
 from stretchwalk.smalln import (
+    _BLOCK_PANELS,
     _ROW_BLOCK,
     _LogTable,
     _log_quad,
@@ -62,9 +63,61 @@ def test_weibull_three_steps_frozen():
 
 
 def test_perturbed_two_steps_frozen():
+    # 30-digit mpmath reduction: P = int_0^cap p(x) S(5 - x) dx with
+    # p = exp(-(x^2 + q)) / Z, q = 0.5 sin(x) clip(2 log x, 0, 1) and S(y) the
+    # integral of p over [y, cap] (1 for y <= 0), cap = 10.  Every integral is
+    # split at the kinks of q, x = 1 and e^(1/2), and the outer one also at
+    # 5 - e^(1/2), 4 and 5, where S(5 - x) bends: log P = -14.05669640277447.
+    # What is left is the survival table's trapezoid error, about 2.8e-9.
     model = sin_perturbed_density(PowerExponent(2.0))
     got = exact_log_prob_exceed(model, 2, 2.5)
-    assert got == pytest.approx(-14.0566958637202, abs=5e-6)
+    assert got == pytest.approx(-14.05669640277447, abs=1e-8)
+
+
+def test_perturbed_weibull_two_steps_frozen():
+    # The same reduction at 25 digits and t = 3.2, for g = x^3 - 2 log x,
+    # whose envelope clip(log g, 0, 1) bends at the four model.kinks k: split
+    # at each k and, in the outer integral, at each 3.2 - k.
+    model = sin_perturbed_density(WeibullExponent(3.0))
+    got = exact_log_prob_exceed(model, 2, 1.6)
+    assert got == pytest.approx(-7.41065081541222, abs=1e-8)
+
+
+_CONVERGENCE_MODELS = {
+    "power2": lambda: pure_density(PowerExponent(2.0)),
+    "weibull3": lambda: pure_density(WeibullExponent(3.0)),
+    "power2/sin": lambda: sin_perturbed_density(PowerExponent(2.0)),
+    "power3/sin": lambda: sin_perturbed_density(PowerExponent(3.0)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", sorted(_CONVERGENCE_MODELS))
+def test_values_converge_in_the_panel_count(monkeypatch, spec, n):
+    # Pieces split at every kink of the integrand are smooth, so doubling the
+    # panels moves no value by more than 1e-8 in log P.  Each panel count gets
+    # its own model: values are memoised on it.
+    def values():
+        model = _CONVERGENCE_MODELS[spec]()
+        return np.array([v for a, eps in ((1.6, 0.35), (2.0, 0.5))
+                         for v in (exact_log_prob_exceed(model, n, a),
+                                   exact_log_prob_band(model, n, a, eps))])
+
+    base = values()
+    monkeypatch.setattr(smalln, "_PANELS", 2 * smalln._PANELS)
+    doubled = values()
+    assert np.all(np.isfinite(base))
+    assert np.max(np.abs(base - doubled)) <= 1e-8
+
+
+def test_third_step_refuses_a_table_with_a_gap():
+    # The two-step probability falls in t, so its finite values form one
+    # leading run; a table with a -inf inside it is refused, under python -O too.
+    model = pure_density(PowerExponent(2.0))
+    t_grid = np.linspace(0.0, 4.0, 5)
+    two_step = np.array([0.0, -1.0, -math.inf, -3.0, -math.inf])
+    with pytest.raises(NonIntegrable):
+        smalln._third_step(model, t_grid, two_step, 6.0, 0.0, model.support_cap)
 
 
 def test_pure_exponential_matches_gamma_sums():
@@ -200,6 +253,27 @@ def test_row_wise_log_quad_matches_scalar_rows():
         want = _log_quad(lambda x: ell_rows(x[None, :], np.array([k]))[0], lo[k], hi[k],
                          breakpoints=(kink[k], stop[k]))
         assert isinstance(want, float)
+        assert got[k] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_row_wise_log_quad_batches_stay_within_the_panel_budget():
+    # Rows of many pieces go fewer at a time, so no batch holds more than
+    # _BLOCK_PANELS panels; each row still equals its scalar call.
+    rows = 3 * _ROW_BLOCK
+    lo, hi = np.zeros(rows), np.full(rows, 10.0)
+    cuts = tuple(np.linspace(0.5, 9.5, rows) + shift for shift in np.linspace(-0.4, 0.4, 12))
+    sizes = []
+
+    def ell_rows(xs, r):
+        sizes.append(xs.size)
+        return -np.abs(xs - cuts[0][r, None]) - 0.1 * xs
+
+    got = _log_quad(ell_rows, lo, hi, breakpoints=cuts)
+    assert max(sizes) <= 16 * _BLOCK_PANELS  # 16 Gauss-Legendre nodes a panel
+    assert len(sizes) > rows // _ROW_BLOCK
+    for k in (0, rows // 2, rows - 1):
+        want = _log_quad(lambda x: ell_rows(x[None, :], np.array([k]))[0], lo[k], hi[k],
+                         breakpoints=tuple(c[k] for c in cuts))
         assert got[k] == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
