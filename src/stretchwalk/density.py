@@ -353,8 +353,9 @@ class Perturbation:
 
     Contract: |q(x)| <= M(x) everywhere and M(x) <= N log g(x) for x >= y0.
     Both are spot-checked on probe grids when a density is built.  ``kinks``
-    lists the points where q is not smooth; quadrature puts a panel end at
-    each (see ``quadrature.log_moment_integrals``).
+    lists the points where q is not smooth, kept ascending and each once;
+    quadrature puts a panel end at each (see
+    ``quadrature.log_moment_integrals``).
     """
 
     q: Callable[[Array], Array]
@@ -363,6 +364,9 @@ class Perturbation:
     y0: float
     name: str = "custom"
     kinks: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        self.kinks = tuple(sorted(set(map(float, self.kinks))))
 
 
 def _solve_log_g_level(exponent: ExponentModel, level: float) -> float:

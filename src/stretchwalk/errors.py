@@ -56,3 +56,10 @@ class DegeneratePlan(StretchwalkError):
 
 class BadWindow(StretchwalkError):
     """Sliding-window length is outside 1..n."""
+
+
+def raise_first(failed: dict[int, Exception]) -> None:
+    """Raise the exception of the lowest-numbered row in ``failed``, if any:
+    a row-wise call fails as its first failing row would alone."""
+    if failed:
+        raise failed[min(failed)]

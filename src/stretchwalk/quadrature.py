@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Divergent, NonIntegrable
+from .errors import Divergent, NonIntegrable, raise_first
 
 Array = np.ndarray
 LogDensity = Callable[[Array], Array]
@@ -50,6 +50,12 @@ _ZOOM_STOP = 1e-13
 _ZOOM_LEVELS = 16
 _RAMP = np.arange(_GRID, dtype=float)
 _PEAK_PROBES = 2048
+# Row-wise searches and rounds lay at most this many points at once, a
+# block of whole rows each: every float temporary then stays at 64 KB, under
+# glibc's default mmap threshold of 128 KB.  Larger ones are mapped and
+# returned to the system as they are freed, or trimmed off the heap top,
+# and a wide table faulted its pages in again on every pass.
+_BLOCK_POINTS = 8192
 # mass_window's own stops (see its docstring): the peak to within this many
 # nats, each edge to this share of its distance from the peak.
 _PEAK_NATS = 1e-3
@@ -83,11 +89,22 @@ def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probe
     ``bracket(vals, rows)`` names per row the nodes (i, j) whose span holds the
     target and the node to report, and each level regrids that span.  A row
     stops once its span falls to _ZOOM_STOP of its own range, or once
-    ``resolved(xs, vals, i, j, pick)``, where given, is true for it.  Returns
-    the reported node and its value."""
+    ``resolved(xs, vals, i, j, pick, rows)``, where given, is true for it.
+    Rows whose first grids together exceed _BLOCK_POINTS points are searched
+    a block of rows at a time.  Returns the reported node and its value."""
     batched = np.ndim(lo) > 0
     call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    per = max(1, _BLOCK_POINTS // probes)
+    if lo.size > per:
+        def offset(f, s):
+            # f for a block from row s on: its trailing rows argument counted from s.
+            return None if f is None else (lambda *args: f(*args[:-1], args[-1] + s))
+
+        found = [_zoom(offset(call, s), lo[s:s + per], hi[s:s + per], probes,
+                       offset(bracket, s), offset(resolved, s))
+                 for s in range(0, lo.size, per)]
+        return tuple(np.concatenate(part) for part in zip(*found))
     out_x, out_v = np.empty(lo.size), np.empty(lo.size)
     stop = _ZOOM_STOP * (hi - lo)
     xs = _linspace_rows(lo, hi, np.arange(probes, dtype=float))
@@ -98,14 +115,17 @@ def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probe
         x_i, x_j = xs[r, i], xs[r, j]
         done = x_j - x_i <= stop
         if resolved is not None:
-            done |= resolved(xs, vals, i, j, pick)
-        if np.count_nonzero(done):
+            done |= resolved(xs, vals, i, j, pick, live)
+        finished = np.count_nonzero(done)
+        if finished == live.size:
+            out_x[live], out_v[live] = xs[r, pick], vals[r, pick]
+            break
+        if finished:
             out_x[live[done]], out_v[live[done]] = xs[r, pick][done], vals[r, pick][done]
+            keep = ~done
             live, stop, x_i, x_j, pick, vals = (
-                arr[~done] for arr in (live, stop, x_i, x_j, pick, vals))
+                arr[keep] for arr in (live, stop, x_i, x_j, pick, vals))
             r = np.arange(live.size)
-            if not live.size:
-                break
         xs = _linspace_rows(x_i, x_j, _RAMP)
     else:
         # Level cap (float resolution): the node index refers to the last
@@ -152,7 +172,20 @@ def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
     return _zoom(f, lo, float(his[reached[0]]), _GRID, first_reached)[0]
 
 
-def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, float, float]:
+def _row_calls(ell: LogDensity) -> Callable[[Array, Array], Array]:
+    """A one-density ``ell`` in the row convention of the batched searches:
+    every row of the grid is a point set of the same density."""
+    return lambda xs, rows: np.asarray(ell(xs.ravel()), dtype=float).reshape(xs.shape)
+
+
+def _flat_peak(xs: Array, vals: Array, i: Array, j: Array, k: Array, rows: Array) -> Array:
+    """mass_window's peak stop: both bracket ends within _PEAK_NATS of its top."""
+    r = np.arange(k.size)
+    return np.minimum(vals[r, i], vals[r, j]) >= vals[r, k] - _PEAK_NATS
+
+
+def mass_window(ell: Callable[..., Array], lo: float | Array, hi_start: float,
+                failed: dict | None = None) -> tuple[float, float, float] | tuple[Array, Array, Array]:
     """Return (window_lo, window_hi, peak_x) containing all numerically
     relevant mass of exp(ell) on (lo, inf).
 
@@ -177,69 +210,163 @@ def mass_window(ell: LogDensity, lo: float, hi_start: float) -> tuple[float, flo
     and that rule sets the accuracy.  Start it where ell is finite: from an
     lo where ell is -inf, such as 0 for a density with p(0+) > 0, a peak at
     lo is found only at float resolution.
+
+    With an array ``lo`` each row is its own window, in the row convention
+    of ``find_peak``: ``ell(xs, rows)`` gets a (len(rows), points) grid
+    whose row i belongs to density ``rows[i]``.  Each row's searches stop on
+    their own, each row probes its own doublings, and entry k of the three
+    result arrays equals, bit for bit, the scalar call on ``lo[k]``.  A row
+    that does not decay holds NaN, and its Divergent goes into ``failed``
+    under k, where given; without ``failed`` the call raises the exception
+    of the lowest-numbered such row.
     """
-
-    def flat(xs, vals, i, j, k):
-        r = np.arange(k.size)
-        return np.minimum(vals[r, i], vals[r, j]) >= vals[r, k] - _PEAK_NATS
-
-    def peak_in(a: float, b: float) -> tuple[float, float]:
-        return _zoom(ell, a, b, _PEAK_PROBES, _around_max, flat)
-
-    hi = max(hi_start, lo * 2 + 1.0)
-    peak_x, peak = peak_in(lo, hi)
-    while True:
-        his = hi * 2.0 ** np.arange(max(0, math.ceil(math.log2(_HI_LIMIT / hi))) + 1)
+    batched = np.ndim(lo) > 0
+    call = ell if batched else _row_calls(ell)
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.maximum(hi_start, lo * 2 + 1.0)
+    peak_x, peak = _zoom(call, lo, hi, _PEAK_PROBES, _around_max, _flat_peak)
+    errors: dict = {}
+    grow = np.arange(lo.size)
+    while grow.size:
+        top = hi[grow]
+        counts = [max(0, math.ceil(math.log2(_HI_LIMIT / v))) for v in top.tolist()]
+        steps = np.arange(max(counts) + 1)
+        if min(counts) < steps[-1]:  # a row with fewer doublings repeats its last
+            steps = np.minimum(steps, np.array(counts)[:, None])
+        his = top[:, None] * 2.0 ** steps
         with np.errstate(over="ignore", invalid="ignore"):
-            decayed = np.flatnonzero(np.asarray(ell(his), dtype=float) <= peak - MASS_DROP)
-        if decayed.size == 0:
-            raise Divergent(
-                f"integrand does not decay below peak-{MASS_DROP:g} by x={his[-1]:.3g}")
-        if decayed[0] == 0:
+            decayed = call(his, grow) <= (peak[grow] - MASS_DROP)[:, None]
+        # The first decayed probe; 0 also where none decayed.
+        first = decayed.argmax(axis=1)
+        r = np.arange(grow.size)
+        reached = decayed[r, first]
+        if np.count_nonzero(reached) < grow.size:
+            for k in np.flatnonzero(~reached):
+                errors[int(grow[k])] = Divergent(
+                    f"integrand does not decay below peak-{MASS_DROP:g} by x={his[k, -1]:.3g}")
+        moved = first > 0
+        if not np.count_nonzero(moved):
             break
-        hi = float(his[decayed[0]])
-        new_peak_x, new_peak = peak_in(peak_x, hi)
-        if new_peak <= peak:
-            break
-        peak_x, peak = new_peak_x, new_peak
+        grow, r = grow[moved], r[moved]
+        hi[grow] = his[r, first[r]]
+        new_x, new_peak = _zoom(lambda xs, rows, g=grow: call(xs, g[rows]), peak_x[grow],
+                                hi[grow], _PEAK_PROBES, _around_max, _flat_peak)
+        higher = new_peak > peak[grow]
+        grow = grow[higher]
+        peak_x[grow], peak[grow] = new_x[higher], new_peak[higher]
 
     # Tighten both edges to the last points at or below peak - MASS_DROP,
-    # as two rows of one search: the lower edge in row 0, the upper in row 1.
+    # as two rows of one search per window: its lower edge in row i, its
+    # upper edge in row i + n.
+    ok = np.setdiff1d(np.arange(lo.size), list(errors)) if errors else np.arange(lo.size)
+    n = ok.size
+    pair = np.concatenate([ok, ok])
+    level, centre = peak[pair] - MASS_DROP, peak_x[pair]
+
     def edges(vals, rows):
-        above, end = vals > peak - MASS_DROP, vals.shape[1] - 1
+        above, end = vals > level[rows, None], vals.shape[1] - 1
         first, last = above.argmax(axis=1), end - above[:, ::-1].argmax(axis=1)
-        i = np.where(rows == 0, np.maximum(first - 1, 0), last)
-        j = np.where(rows == 0, first, np.minimum(last + 1, end))
-        return i, j, np.where(rows == 0, i, j)
+        lower = rows < n
+        i = np.where(lower, np.maximum(first - 1, 0), last)
+        j = np.where(lower, first, np.minimum(last + 1, end))
+        return i, j, np.where(lower, i, j)
 
-    def near(xs, vals, i, j, pick):
+    def near(xs, vals, i, j, pick, rows):
         r = np.arange(i.size)
-        return xs[r, j] - xs[r, i] <= _EDGE_SHARE * np.abs(xs[r, pick] - peak_x)
+        return xs[r, j] - xs[r, i] <= _EDGE_SHARE * np.abs(xs[r, pick] - centre[rows])
 
-    (w_lo, w_hi), _ = _zoom(
-        lambda xs, rows: np.asarray(ell(xs.ravel()), dtype=float).reshape(xs.shape),
-        np.array([lo, peak_x]), np.array([peak_x, hi]), _GRID, edges, near)
-    return float(w_lo), float(w_hi), peak_x
+    if n:
+        found, _ = _zoom(lambda xs, rows: call(xs, pair[rows]),
+                         np.concatenate([lo[ok], centre[:n]]),
+                         np.concatenate([centre[:n], hi[ok]]), _GRID, edges, near)
+    if failed is None or not batched:
+        raise_first(errors)
+    else:
+        failed.update(errors)
+    if not batched:
+        return float(found[0]), float(found[1]), float(peak_x[0])
+    out = np.full((3, lo.size), np.nan)
+    if n:
+        out[:, ok] = found[:n], found[n:], centre[:n]
+    return out[0], out[1], out[2]
 
 
-def _moments(x: Array, w: Array, f: Array, centre: float) -> Array:
+def _moments(x: Array, w: Array, f: Array, centre: Array) -> Array:
     """Per-panel Gauss-Legendre sums of f, x f, x^2 f, (x - centre)^2 f and
-    (x - centre)^3 f, shape (panels, 5)."""
+    (x - centre)^3 f, shape (panels, 5); ``centre`` is a column, one value
+    a panel or one for all."""
     wf = w * f
     wxf = wf * x
     dx = x - centre
     wdf = wf * dx * dx
-    return np.stack([wf.sum(axis=1), wxf.sum(axis=1), (wxf * x).sum(axis=1),
-                     wdf.sum(axis=1), (wdf * dx).sum(axis=1)], axis=1)
+    out = np.empty((x.shape[0], 5))
+    wf.sum(axis=1, out=out[:, 0])
+    wxf.sum(axis=1, out=out[:, 1])
+    (wxf * x).sum(axis=1, out=out[:, 2])
+    wdf.sum(axis=1, out=out[:, 3])
+    (wdf * dx).sum(axis=1, out=out[:, 4])
+    return out
+
+
+_SUMS = np.arange(5)
+
+
+def _row_sums(values: Array, owner: Array, rows: int) -> Array:
+    """Per-row sums of the (panels, 5) ``values`` over the panels each row
+    owns, shape (rows, 5).  Both sum in panel order from the first panel,
+    so row r's sum is ``values[owner == r].sum(axis=0)`` bit for bit."""
+    if rows == 1:
+        return values.sum(axis=0, keepdims=True)
+    idx = (owner * 5)[:, None] + _SUMS
+    return np.bincount(idx.ravel(), weights=values.ravel(), minlength=5 * rows).reshape(rows, 5)
+
+
+_PANEL_RAMP = np.arange(_START_PANELS, dtype=float)
+
+
+def _start_panels(lo: Array, hi: Array, peak: Array, kinks: Array) -> tuple[Array, Array, Array]:
+    """The first panels of every row, as (a, b, owner), each row's panels
+    together and in order: each piece of [lo, peak, hi] (of [lo, hi] where
+    the peak is not inside) cut in _START_PANELS as ``np.linspace(...,
+    endpoint=False)`` cuts it, then split at the kinks (ascending, each
+    once) that lie strictly inside a panel, which is where ``np.union1d``
+    would merge them into the edges."""
+    rows = lo.size
+    inside = (lo < peak) & (peak < hi)
+    mid = np.where(inside, peak, hi)
+    ends = np.empty((rows, 2 * _START_PANELS + 1))
+    ends[:, :_START_PANELS] = _PANEL_RAMP * ((mid - lo) / _START_PANELS)[:, None] + lo[:, None]
+    ends[:, _START_PANELS:-1] = _PANEL_RAMP * ((hi - peak) / _START_PANELS)[:, None] + peak[:, None]
+    ends[:, -1] = hi
+    if np.count_nonzero(inside) == rows:
+        a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+        owner = np.arange(a.size) // (2 * _START_PANELS)
+    else:
+        # A row whose peak is not inside has one piece, ending at hi.
+        ends[~inside, _START_PANELS] = hi[~inside]
+        used = np.ones((rows, 2 * _START_PANELS), dtype=bool)
+        used[~inside, _START_PANELS:] = False
+        a, b = ends[:, :-1][used], ends[:, 1:][used]
+        owner = np.nonzero(used)[0]
+    if kinks.size:
+        cut = (a[:, None] < kinks) & (kinks < b[:, None])
+        if np.count_nonzero(cut):
+            inner = np.where(cut, kinks, np.nan)
+            starts = np.concatenate([a[:, None], inner], axis=1)
+            stops = np.concatenate([inner, b[:, None]], axis=1)
+            owner = np.repeat(owner, 1 + np.count_nonzero(cut, axis=1))
+            a, b = starts[~np.isnan(starts)], stops[~np.isnan(stops)]
+    return a, b, owner
 
 
 def log_moment_integrals(
-    ell: LogDensity,
-    lo: float,
-    hi: float,
-    peak_hint: float | None = None,
+    ell: Callable[..., Array],
+    lo: float | Array,
+    hi: float | Array,
+    peak_hint: float | Array | None = None,
     kinks: Array | tuple[float, ...] = (),
-) -> tuple[float, float, float, float]:
+    failed: dict | None = None,
+) -> tuple[float, float, float, float] | tuple[Array, Array, Array, Array]:
     """Return (log m0, m1, m2, mu3): log mass, first two moments and third
     central moment of the normalised density exp(ell)/m0 on [lo, hi], split
     at the peak.  All four come from the same nodes and shift, so the moment
@@ -250,53 +377,121 @@ def log_moment_integrals(
     costs no extra ``ell`` call and leaves the other three values as they
     were without it.
 
-    ``kinks`` are points where ell is not smooth; those inside (lo, hi)
-    become panel ends.  Left inside a panel, a kink between the panel's end
-    and its outermost node is seen by neither estimate of the adaptive
-    rule, which then agree and settle the panel without its contribution."""
+    ``kinks`` (ascending, each once) are points where ell is not smooth;
+    those inside (lo, hi) become panel ends.  Left inside a panel, a kink
+    between the panel's end and its outermost node is seen by neither
+    estimate of the adaptive rule, which then agree and settle the panel
+    without its contribution.
+
+    With array bounds (and peak hints) each row is its own integral, in the
+    row convention of ``find_peak``: ``ell(xs, rows)`` gets one grid row a
+    panel, row i holding a panel of density ``rows[i]``, so each round of
+    the adaptive rule is one call for every row.  A row has its own shift,
+    tolerance and panel cap, and a round's settled panels of a row are
+    summed first, then added to its running totals, so entry k of the four
+    result arrays equals the scalar call on row k bit for bit.  A row that
+    fails holds NaN, and its NonIntegrable goes into ``failed`` under k,
+    where given; without ``failed`` the call raises the exception of the
+    lowest-numbered failing row."""
+    batched = np.ndim(lo) > 0
+    call = ell if batched else _row_calls(ell)
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if peak_hint is None:
-        peak_hint, _ = find_peak(ell, lo, hi)
-    cuts = np.array([lo, peak_hint, hi]) if lo < peak_hint < hi else np.array([lo, hi])
-    edges = np.append(np.linspace(cuts[:-1], cuts[1:], _START_PANELS, endpoint=False).T, hi)
-    kinks = np.asarray(kinks, dtype=float)
-    kinks = kinks[(kinks > lo) & (kinks < hi)]
-    if kinks.size:
-        edges = np.union1d(edges, kinks)
-    a, b = edges[:-1], edges[1:]
+        peak_hint, _ = find_peak(call, lo, hi)
+    peak = np.atleast_1d(np.asarray(peak_hint, dtype=float))
+    rows = lo.size
+    errors: dict = {}
+    a, b, owner = _start_panels(lo, hi, peak, np.asarray(kinks, dtype=float))
+    per = _BLOCK_POINTS // _GL_NODES.size
     x, w = gauss_legendre(a, b)
-    vals = np.asarray(ell(np.append(x.ravel(), peak_hint)), dtype=float)
-    shift = float(np.max(vals))
-    if not math.isfinite(shift):
-        raise NonIntegrable("integrand has no finite maximum on the window")
-    coarse = _moments(x, w, np.exp(vals[:-1].reshape(x.shape) - shift), peak_hint)
-    floor = _NOISE * (1.0 + abs(shift))
-    total, total_abs, settled = np.zeros(5), np.zeros(5), 0
+    # Each panel's nodes and its row's peak, which the shift also covers.
+    grid = np.empty((a.size, x.shape[1] + 1))
+    grid[:, :-1], grid[:, -1] = x, peak[owner]
+    vals = _in_blocks(lambda s: call(grid[s], owner[s]), a.size, per)
+    shift = np.maximum.reduceat(vals.max(axis=1), np.searchsorted(owner, np.arange(rows)))
+    lost = ~np.isfinite(shift)
+    if np.count_nonzero(lost):
+        for k in np.flatnonzero(lost):
+            errors[int(k)] = NonIntegrable("integrand has no finite maximum on the window")
+        keep = ~lost[owner]
+        a, b, owner, x, w, vals = (v[keep] for v in (a, b, owner, x, w, vals))
+    # A row's shift, peak and noise floor as columns: one entry a panel, or
+    # one for all where there is one row.
+    single = rows == 1
+    floor = _NOISE * (1.0 + np.abs(shift))
+    shift_c, peak_c, floor_c = shift[:, None], peak[:, None], floor[:, None]
+
+    def weigh(x, w, vals, own):
+        # _moments of exp(ell - shift) on panels of the rows ``own``.
+        return _moments(x, w, np.exp(vals - (shift_c if single else shift_c[own])),
+                        peak_c if single else peak_c[own])
+
+    coarse = _in_blocks(lambda s: weigh(x[s], w[s], vals[s, :-1], owner[s]), a.size, per)
+    total, total_abs = np.zeros((rows, 5)), np.zeros((rows, 5))
+    settled, settled_owners = 0, [owner[:0]]
     while a.size:
         if settled + a.size > _PANEL_CAP:
-            raise NonIntegrable(f"quadrature did not settle within {_PANEL_CAP} panels")
+            over = np.bincount(np.concatenate([owner, *settled_owners]), minlength=rows) > _PANEL_CAP
+            for k in np.flatnonzero(over):
+                errors[int(k)] = NonIntegrable(
+                    f"quadrature did not settle within {_PANEL_CAP} panels")
+            keep = ~over[owner]
+            a, b, owner, coarse = a[keep], b[keep], owner[keep], coarse[keep]
+            if not a.size:
+                break
+        n = a.size
         mid = 0.5 * (a + b)
-        x, w = gauss_legendre(np.concatenate([a, mid]), np.concatenate([mid, b]))
-        vals = np.asarray(ell(x.ravel()), dtype=float).reshape(x.shape)
-        fine = _moments(x, w, np.exp(vals - shift), peak_hint)
-        left, right = fine[: a.size], fine[a.size :]
+        starts, stops = np.concatenate([a, mid]), np.concatenate([mid, b])
+        both = np.concatenate([owner, owner])
+
+        def halves(s):
+            x, w = gauss_legendre(starts[s], stops[s])
+            return weigh(x, w, call(x, both[s]), both[s])
+
+        fine = _in_blocks(halves, 2 * n, per)
+        left, right = fine[:n], fine[n:]
         split = left + right
-        tol = _RTOL * (total_abs + np.abs(split).sum(axis=0)) + floor * np.abs(split)
-        ok = np.all((np.abs(split - coarse) <= tol)[:, :3], axis=1)
-        total += split[ok].sum(axis=0)
-        total_abs += np.abs(split[ok]).sum(axis=0)
-        settled += int(ok.sum())
-        a, b, mid = a[~ok], b[~ok], mid[~ok]
+        size = np.abs(split)
+        tol = _RTOL * (total_abs + _row_sums(size, owner, rows))
+        tol = (tol if single else tol[owner]) + (floor_c if single else floor_c[owner]) * size
+        ok = (np.abs(split - coarse) <= tol)[:, :3].all(axis=1)
+        done = np.count_nonzero(ok)
+        if done:
+            done_owner = owner[ok]
+            total += _row_sums(split[ok], done_owner, rows)
+            total_abs += _row_sums(size[ok], done_owner, rows)
+            settled += done
+            settled_owners.append(done_owner)
+            if done == n:
+                break
+            rest = ~ok
+            a, b, mid, owner, left, right = (v[rest] for v in (a, b, mid, owner, left, right))
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        coarse = np.concatenate([left[~ok], right[~ok]])
-    m0, m1, m2, c2, c3 = total
-    if not np.isfinite(m0) or m0 <= 0.0:
-        raise NonIntegrable("quadrature returned a non-positive mass")
-    mean = float(m1 / m0)
-    # E(X - mean)^3 from the peak-centred sums: with d = mean - peak,
-    # E(X - peak)^3 - 3 d E(X - peak)^2 + 2 d^3.
-    d = mean - peak_hint
-    mu3 = float(c3 / m0) - d * (3.0 * float(c2 / m0) - 2.0 * d * d)
-    return shift + math.log(m0), mean, float(m2 / m0), mu3
+        owner = np.concatenate([owner, owner])
+        coarse = np.concatenate([left, right])
+    # Row by row in floats: math.log is the C library's, where numpy's
+    # vectorised log may differ in the last bit.
+    out = np.full((4, rows), np.nan)
+    for k, (m0, m1, m2, c2, c3) in enumerate(total.tolist()):
+        if k in errors:
+            continue
+        if not (math.isfinite(m0) and m0 > 0.0):
+            errors[k] = NonIntegrable("quadrature returned a non-positive mass")
+            continue
+        mean = m1 / m0
+        # E(X - mean)^3 from the peak-centred sums: with d = mean - peak,
+        # E(X - peak)^3 - 3 d E(X - peak)^2 + 2 d^3.
+        d = mean - float(peak[k])
+        out[:, k] = (float(shift[k]) + math.log(m0), mean, m2 / m0,
+                     c3 / m0 - d * (3.0 * (c2 / m0) - 2.0 * d * d))
+    if failed is None or not batched:
+        raise_first(errors)
+    else:
+        failed.update(errors)
+    if not batched:
+        return float(out[0, 0]), float(out[1, 0]), float(out[2, 0]), float(out[3, 0])
+    return out[0], out[1], out[2], out[3]
 
 
 def log_integral(
@@ -490,6 +685,13 @@ def _guide_table(cdf: Array, x: Array) -> tuple[Array, Array, Array]:
     with np.errstate(divide="ignore", invalid="ignore"):  # the flat cdf = 1 tail
         slope = np.append(np.diff(x) / np.diff(cdf), np.nan)
     return start, threshold, slope
+
+
+def _in_blocks(f: Callable[[slice], Array], n: int, per: int) -> Array:
+    """f(s) over slices s of range(n), at most ``per`` long, concatenated."""
+    if n <= per:
+        return f(slice(None))
+    return np.concatenate([f(slice(s, s + per)) for s in range(0, n, per)])
 
 
 def _linspace_rows(lo: Array, hi: Array, ramp: Array) -> Array:

@@ -8,6 +8,15 @@ derivatives come together from one adaptive quadrature pass over the
 tilted mass window, never from differencing Lambda, so the iteration sees
 smooth derivatives.  A table type holds (x, I, t*) on a log-spaced grid
 together with its duality and derivative residual checks.
+
+The layer is row-wise.  Many means are solved at once: each keeps its own
+Halley loop and bracket, and one pass a step integrates the tilts of all
+live rows, through one row-wise ``mass_window`` and one row-wise
+``log_moment_integrals``.  A row leaves the batch once it settles, and
+every row equals its one-row solve bit for bit.  ``CramerRate.build``
+solves all its nodes this way; ``cramer_rate``, ``sampler.tilted_law`` and
+density builds pass one row through the same code.  A batch fails as its
+lowest-numbered failing row would fail alone.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import FIRST_POSITIVE, PerturbedDensity
-from .errors import Divergent, DomainError, NoConvergence, NoRoot
+from .errors import (Divergent, DomainError, NoConvergence, NoRoot, StretchwalkError,
+                     raise_first)
 from .quadrature import log_moment_integrals, mass_window
 
 _STEP_CAP = 200
@@ -56,29 +66,116 @@ def _bracket_limit(model: PerturbedDensity, x: float) -> float:
     return max(_BRACKET_FLOOR, _BRACKET_SCALE * max(slope, 1.0 / x))
 
 
-def _tilted_ell(model: PerturbedDensity, t: float):
-    def ell(xs: np.ndarray) -> np.ndarray:
-        return t * xs + model.log_c + model._log_kernel(xs)
+def _tilted_ell(model: PerturbedDensity, t: float | np.ndarray):
+    """log of the density tilted by t, up to Lambda(t): ``ell(xs)`` for one
+    tilt, ``ell(xs, rows)`` in the row convention of ``mass_window`` for an
+    array of tilts, row i of xs tilted by ``t[rows[i]]``."""
+    if np.ndim(t) == 0:
+        def ell(xs: np.ndarray) -> np.ndarray:
+            return t * xs + model.log_c + model._log_kernel(xs)
+    else:
+        many = t.size > 1
+
+        def ell(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return (t[rows, None] if many else t[0]) * xs + model.log_c + model._log_kernel(xs)
 
     return ell
 
 
-def _tilted_stats(model: PerturbedDensity, t: float) -> tuple[float, float, float, float]:
+def _tilted_stats(model: PerturbedDensity, t: float | np.ndarray, failed: dict | None = None):
     """(Lambda(t), Lambda'(t), Lambda''(t), Lambda'''(t)) from one quadrature
     pass, the last the tilted law's third central moment; Divergent where
-    the MGF is infinite (a linear exponent at t >= 1)."""
-    ell = _tilted_ell(model, t)
-    lo, hi, peak = mass_window(ell, FIRST_POSITIVE, 8.0)
-    lam, mean, second, third = log_moment_integrals(ell, lo, hi, peak_hint=peak,
-                                                    kinks=model.kinks)
+    the MGF is infinite (a linear exponent at t >= 1).
+
+    For an array of tilts the four values are arrays, from one row-wise
+    window search and one row-wise quadrature, and row k equals the call
+    at ``t[k]`` bit for bit.  A failing row holds NaN, and its exception
+    goes into ``failed`` under k, where given; without ``failed`` the call
+    raises the exception of the lowest-numbered failing row."""
+    batched = np.ndim(t) > 0
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    errors: dict = {}
+    ell = _tilted_ell(model, ts)
+    lo, hi, peak = mass_window(ell, np.full(ts.size, FIRST_POSITIVE), 8.0, errors)
+    if errors:
+        # Rows whose window diverged sit out the quadrature.
+        ok = np.setdiff1d(np.arange(ts.size), list(errors))
+        stats = np.full((4, ts.size), np.nan)
+        if ok.size:
+            part: dict = {}
+            stats[:, ok] = log_moment_integrals(lambda xs, rows: ell(xs, ok[rows]), lo[ok], hi[ok],
+                                                peak[ok], model.kinks, part)
+            errors.update((int(ok[k]), e) for k, e in part.items())
+        lam, mean, second, third = stats
+    else:
+        lam, mean, second, third = log_moment_integrals(ell, lo, hi, peak, model.kinks, errors)
     var = second - mean * mean
-    if var <= 0.0:
-        raise NoConvergence(f"tilted variance {var:g} not positive at t={t:g}")
+    bad = var <= 0.0
+    if np.count_nonzero(bad):
+        for k in np.flatnonzero(bad):
+            errors[int(k)] = NoConvergence(f"tilted variance {var[k]:g} not positive at t={ts[k]:g}")
+    if failed is not None and batched:
+        failed.update(errors)
+        var[list(errors)] = np.nan
+    else:
+        raise_first(errors)
+    if not batched:
+        return float(lam[0]), float(mean[0]), float(var[0]), float(third[0])
     return lam, mean, var, third
 
 
-def _solve_tilt(model: PerturbedDensity, x: float) -> tuple[float, float, float]:
+def _solve_tilt(model: PerturbedDensity, x: float | np.ndarray):
     """Solve Lambda'(t) = x; returns (t*, Lambda(t*), Lambda'(t*)) from its last pass.
+
+    Each mean is solved by the steps of ``_halley_steps``.  For an array of
+    means the three values are arrays, row k the solve for ``x[k]`` bit for
+    bit, and a failure raises the exception of the lowest-numbered failing
+    row (see ``_solve_rows``)."""
+    solved, errors = _solve_rows(model, np.atleast_1d(np.asarray(x, dtype=float)).tolist())
+    raise_first(errors)
+    if np.ndim(x) == 0:
+        return solved[0]
+    return tuple(np.array(solved, dtype=float).reshape(-1, 3).T)
+
+
+def _solve_rows(model: PerturbedDensity, means: list[float]) -> tuple[list, dict]:
+    """Row-wise tilt solves: every mean runs its own ``_halley_steps``, with
+    its own iterate, bracket and limit, the live rows share one
+    ``_tilted_stats`` pass a step, and a row leaves the batch once it
+    settles.  Returns each row's (t*, Lambda(t*), Lambda'(t*)), None where
+    it failed, and the failed rows' exceptions by row.  A Divergent pass
+    caps only its own row's bracket."""
+    solved: list = [None] * len(means)
+    errors: dict = {}
+    live: list = []
+
+    def advance(k, steps, reply):
+        # Hand a row its pass (or the pass's exception); keep it while it
+        # asks for another.
+        try:
+            t = steps.throw(reply) if isinstance(reply, Exception) else steps.send(reply)
+        except StopIteration as stop:
+            solved[k] = stop.value
+        except StretchwalkError as exc:
+            errors[k] = exc
+        else:
+            live.append((k, steps, t))
+
+    for k, x in enumerate(means):
+        advance(k, _halley_steps(model, x), None)
+    while live:
+        rows, live = live, []
+        passed: dict = {}
+        stats = _tilted_stats(model, np.array([t for _, _, t in rows]), passed)
+        for i, ((k, steps, _), values) in enumerate(zip(rows, zip(*(s.tolist() for s in stats)))):
+            advance(k, steps, passed.get(i, values))
+    return solved, errors
+
+
+def _halley_steps(model: PerturbedDensity, x: float):
+    """The tilt solve for one mean x, as a generator: it yields each tilt to
+    integrate at, is sent that pass's (Lambda, Lambda', Lambda'', Lambda''')
+    or has its exception thrown in, and returns (t*, Lambda(t*), Lambda'(t*)).
 
     One safeguarded Halley loop from t = 0, where Lambda'(0) = EX,
     Lambda''(0) = Var X and Lambda'''(0) are the model's own ``mean``,
@@ -118,7 +215,7 @@ def _solve_tilt(model: PerturbedDensity, x: float) -> tuple[float, float, float]
         t_new = min(max(t + step, -limit), limit)
         t = t_new if t_lo < t_new < t_hi else 0.5 * (t_lo + t_hi)
         try:
-            lam, mean, var, third = _tilted_stats(model, t)
+            lam, mean, var, third = yield t
         except Divergent:
             if t - t_lo < 1e-13 * max(1.0, t):
                 raise NoRoot(
@@ -131,23 +228,39 @@ def _solve_tilt(model: PerturbedDensity, x: float) -> tuple[float, float, float]
 
 def cramer_rate(model: PerturbedDensity, x: float) -> tuple[float, float]:
     """(I(x), t*(x)) with |Lambda'(t*) - x| <= 1e-8 max(1, x)."""
-    return _rate_point(model, x)[:2]
+    return _rate_points(model, [float(x)])[0][:2]
 
 
-def _rate_point(model: PerturbedDensity, x: float) -> tuple[float, float, float, float]:
-    """(I(x), t*(x), Lambda(t*), Lambda'(t*)), the last two as the solve left them."""
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"rate needs a finite x above the support infimum 0, got {x!r}")
-    t_star, lam, mean = _solve_tilt(model, x)
-    if t_star == 0.0:
-        return 0.0, 0.0, lam, mean
-    value = t_star * x - lam
-    if value < 0.0:
-        if value < -1e-10 * max(1.0, abs(lam)):
-            raise NoConvergence(f"negative rate {value:g} at x={x:g}")
-        value = 0.0
-    return value, t_star, lam, mean
+def _rate_points(model: PerturbedDensity, xs: list[float]) -> list[tuple[float, ...]]:
+    """(I(x), t*(x), Lambda(t*), Lambda'(t*)) for each mean in xs, the last
+    two as the row-wise solve left them; raises the exception of the
+    lowest-numbered failing row."""
+    errors: dict = {}
+    inside = []
+    for k, x in enumerate(xs):
+        if 0.0 < x < math.inf:
+            inside.append(k)
+        else:
+            errors[k] = DomainError(f"rate needs a finite x above the support infimum 0, got {x!r}")
+    solved, failed = _solve_rows(model, [xs[k] for k in inside])
+    rows: list = [None] * len(xs)
+    for i, k in enumerate(inside):
+        if i in failed:
+            errors[k] = failed[i]
+            continue
+        t_star, lam, mean = solved[i]
+        if t_star == 0.0:
+            rows[k] = 0.0, 0.0, lam, mean
+            continue
+        value = t_star * xs[k] - lam
+        if value < 0.0:
+            if value < -1e-10 * max(1.0, abs(lam)):
+                errors[k] = NoConvergence(f"negative rate {value:g} at x={xs[k]:g}")
+                continue
+            value = 0.0
+        rows[k] = value, t_star, lam, mean
+    raise_first(errors)
+    return rows
 
 
 def tail_equivalence(model: PerturbedDensity, x: float) -> float:
@@ -184,7 +297,7 @@ class CramerRate:
         if points < 8:
             raise DomainError("table needs at least 8 nodes")
         grid = np.geomspace(lo, x_max, points)
-        rows = np.array([(0.0, 0.0, 0.0, ex)] + [_rate_point(model, xv) for xv in grid])
+        rows = np.array([(0.0, 0.0, 0.0, ex)] + _rate_points(model, grid.tolist()))
         table = cls(model, np.concatenate([[ex], grid]), *rows.T)
         table.validate()
         return table

@@ -25,8 +25,9 @@ from stretchwalk.density import (
     pure_density,
     sin_perturbed_density,
 )
-from stretchwalk.errors import NonIntegrable
-from stretchwalk.quadrature import MASS_DROP, find_peak, log_integral, mass_window
+from stretchwalk.errors import Divergent, NonIntegrable
+from stretchwalk.quadrature import (MASS_DROP, find_peak, log_integral, log_moment_integrals,
+                                   mass_window)
 from stretchwalk.ratefn import _tilted_ell, _tilted_stats
 
 DPS = 40
@@ -215,6 +216,65 @@ def test_batched_find_peak_rows_match_scalar_calls(probes):
         assert x_rows[k] == x and v_rows[k] == v
     assert levels[-1] == 1 and levels[4] == 16
     assert len(set(levels.tolist())) >= 4
+
+
+@pytest.mark.parametrize("spec, tilts", [
+    ("power:beta=3/sin", [-1.0, 0.0, 2.29, 3.29, 12.0, 1e3]),
+    ("power:beta=1", [-3.0, 0.5, 1.5, 0.9, 1.0]),
+    ("weibull:k=3", [1200.0, -2.0, 1.0, 8.0]),
+])
+def test_batched_windows_and_moments_match_scalar_calls(spec, tilts):
+    """Each row of a row-wise window search and quadrature is the scalar
+    call at its tilt, bit for bit, with its own doublings, kinks and panel
+    rounds.  The unit exponential's MGF diverges at t >= 1: those rows hold
+    NaN and their Divergent, and the rest go on."""
+    model = parse_model(spec)
+    t = np.array(tilts)
+    failed = {}
+    window = mass_window(_tilted_ell(model, t), np.full(t.size, FIRST_POSITIVE), 8.0, failed)
+    for k, tk in enumerate(tilts):
+        ell = _tilted_ell(model, tk)
+        if tk >= 1.0 and spec == "power:beta=1":
+            assert isinstance(failed[k], Divergent)
+            assert all(np.isnan(v[k]) for v in window)
+            with pytest.raises(Divergent) as alone:
+                mass_window(ell, FIRST_POSITIVE, 8.0)
+            assert str(alone.value) == str(failed[k])
+            continue
+        assert tuple(v[k] for v in window) == mass_window(ell, FIRST_POSITIVE, 8.0)
+    ok = np.flatnonzero(~np.isnan(window[2]))
+    rows = log_moment_integrals(lambda xs, r: _tilted_ell(model, t[ok])(xs, r),
+                                *(v[ok] for v in window), kinks=model.kinks)
+    for i, k in enumerate(ok):
+        lo, hi, peak = (float(v[k]) for v in window)
+        alone = log_moment_integrals(_tilted_ell(model, float(t[k])), lo, hi, peak, model.kinks)
+        assert tuple(v[i] for v in rows) == alone
+
+
+def test_a_failing_quadrature_row_leaves_the_others():
+    # Row 1 never settles; it holds NaN and its NonIntegrable, and rows 0
+    # and 2 are their scalar calls.
+    rng = np.random.default_rng(3)
+    centre = np.array([0.4, 0.5, 0.6])
+
+    def smooth(xs, c):
+        return -((xs - c) ** 2) / 0.01
+
+    def rows_ell(xs, rows):
+        vals = smooth(xs, centre[rows, None])
+        vals[rows == 1] = rng.normal(size=vals[rows == 1].shape)
+        return vals
+
+    lo, hi = np.zeros(3), np.ones(3)
+    failed = {}
+    got = log_moment_integrals(rows_ell, lo, hi, centre, failed=failed)
+    assert list(failed) == [1] and isinstance(failed[1], NonIntegrable)
+    assert all(np.isnan(v[1]) for v in got)
+    for k in (0, 2):
+        alone = log_moment_integrals(lambda xs, c=centre[k]: smooth(xs, c), 0.0, 1.0, centre[k])
+        assert tuple(v[k] for v in got) == alone
+    with pytest.raises(NonIntegrable, match="settle"):
+        log_moment_integrals(rows_ell, lo, hi, centre)
 
 
 @pytest.mark.parametrize("spec, t", [("power:beta=2", 0.0), ("weibull:k=3", 1.0),

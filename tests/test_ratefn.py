@@ -80,6 +80,20 @@ class TestLogMgf:
         # they move neither the panels nor these values.
         assert _tilted_stats(parse_model(spec), t)[:3] == stats
 
+    @pytest.mark.parametrize("t, stats", [
+        (0.0, (1.1449174941446927e-16, 0.4886217777982227, 0.0007953172326635727)),
+        (-1.0, (-0.44869780934948683, 0.4095093094734767, 0.007663753295785669)),
+        (-3.0, (-1.128167351437848, 0.27752971917515507, 0.0123913371182571)),
+    ])
+    def test_settled_panels_are_summed_before_the_total(self, t, stats):
+        # Lambda, Lambda' and Lambda''' bit for bit where the quadrature
+        # takes more than one round: each round's settled panels are summed
+        # among themselves, then added to the running total.  Adding them
+        # one by one to the total regroups the sum and moves Lambda' at
+        # t = 0 and Lambda''' at all three tilts.
+        lam, mean, _, third = _tilted_stats(parse_model("power:beta=20"), t)
+        assert (lam, mean, third) == stats
+
     def test_weibull_frozen_value(self, weibull3):
         # 50-digit arithmetic.
         assert _tilted_stats(weibull3, 1.0)[0] == pytest.approx(0.94647650166262236, rel=1e-9)
@@ -111,12 +125,13 @@ class TestCramerRate:
     def test_cold_solves_stay_cheap(self, monkeypatch):
         # 28 solves from t = 0, one quadrature pass per Halley, Newton or
         # bisection step: three passes a solve (108 in all with Newton
-        # steps alone), every tilt within the residual tolerance.
+        # steps alone), every tilt within the residual tolerance.  A pass
+        # integrates an array of tilts, one a live row.
         passes = []
 
-        def counted(model, t):
-            passes.append(t)
-            return _tilted_stats(model, t)
+        def counted(model, t, failed=None):
+            passes.extend(np.atleast_1d(t))
+            return _tilted_stats(model, t, failed)
 
         monkeypatch.setattr(ratefn, "_tilted_stats", counted)
         solved = []
@@ -149,10 +164,10 @@ class TestCramerRate:
         def counted(model, t):
             ell = tilted_ell(model, t)
 
-            def call(xs):
+            def call(xs, *rows):
                 nonlocal calls
                 calls += 1
-                return ell(xs)
+                return ell(xs, *rows)
 
             return call
 
@@ -179,9 +194,9 @@ class TestCramerRate:
         # Newton steps overshoot the convex Lambda' and took 6 to 8 passes.
         passes = []
 
-        def counted(model, t):
-            passes.append(t)
-            return _tilted_stats(model, t)
+        def counted(model, t, failed=None):
+            passes.extend(np.atleast_1d(t))
+            return _tilted_stats(model, t, failed)
 
         monkeypatch.setattr(ratefn, "_tilted_stats", counted)
         value, tilt = cramer_rate(expo, x)
@@ -404,3 +419,91 @@ class TestRateTable:
             CramerRate.build(weibull3, 0.9)
         with pytest.raises(DomainError):
             CramerRate.build(weibull3, 5.0, points=4)
+
+
+class TestRowWise:
+    """A rate table solves all its nodes in one row-wise Halley loop: each
+    row keeps its own bracket, and the live rows share one quadrature pass a
+    step.  Every row is its one-row solve bit for bit."""
+
+    @pytest.mark.parametrize("spec, x_max", [
+        ("example1-case1", 5.0), ("example1-case2", 4.0), ("example2", 2.5),
+        ("weibull-corollary", 5.0), ("power:beta=2", 6.0), ("weibull:k=3/sin", 3.0)])
+    def test_table_nodes_are_their_one_row_solves(self, spec, x_max):
+        # Criterion 5's four presets, the README table and a table whose
+        # rows split their panels at kinks.  Summing a row's settled panels
+        # panel by panel into its running total, not first among themselves,
+        # moved 97 of the 128 rows of example1-case1 by up to 3.3e-16.
+        model = (pure_density(PRESETS[spec].exponent()) if spec in PRESETS
+                 else parse_model(spec))
+        table = CramerRate.build(model, x_max)
+        for k in range(1, table.x.size):
+            alone = ratefn._solve_tilt(model, float(table.x[k]))
+            assert alone == (table.t_star[k], table.log_mgf[k], table.tilted_mean[k]), k
+
+    def test_divergent_rows_cap_only_their_own_bracket(self, monkeypatch):
+        """Unit-exponential steps with Lambda''' taken as 0: Newton steps
+        from t = 0 overshoot the divergence at t = 1 once for x = 2.8 and
+        twice for x = 3.2, and never for x = 1.6.  In one batch every row
+        equals its one-row solve and the closed form t* = 1 - 1/x,
+        Lambda = log x."""
+        model = parse_model("power:beta=1")
+        monkeypatch.setattr(model, "third_cumulant", 0.0)
+        stats = ratefn._tilted_stats
+        diverged = []
+
+        def counted(model, t, failed=None):
+            got = stats(model, t, failed)
+            diverged.append(sum(isinstance(e, Divergent) for e in (failed or {}).values()))
+            return got
+
+        monkeypatch.setattr(ratefn, "_tilted_stats", counted)
+        means = np.array([1.6, 2.8, 3.2])
+        t_star, lam, mean = ratefn._solve_tilt(model, means)
+        assert sum(diverged) == 3
+        for k, (x, times) in enumerate(zip(means, (0, 1, 2))):
+            diverged.clear()
+            assert (t_star[k], lam[k], mean[k]) == ratefn._solve_tilt(model, float(x))
+            assert sum(diverged) == times
+            assert abs(t_star[k] - (1.0 - 1.0 / x)) <= 1e-12
+            assert abs(lam[k] - math.log(x)) <= 1e-12
+            assert abs(mean[k] - x) <= 1e-8 * x
+
+    def test_a_row_past_its_bracket_raises_its_own_no_root(self, weibull3, monkeypatch):
+        # Held at its floor of 1e4, the bracket of x = 100 stops short of its
+        # tilt near 3e4.  In a batch beside rows that solve, the batch
+        # raises the NoRoot of that row alone, and so does a table whose
+        # last nodes lie past it.
+        monkeypatch.setattr(ratefn, "_BRACKET_SCALE", 0.0)
+        with pytest.raises(NoRoot) as alone:
+            ratefn._solve_tilt(weibull3, 100.0)
+        with pytest.raises(NoRoot) as batch:
+            ratefn._solve_tilt(weibull3, np.array([2.0, 100.0, 3.0]))
+        assert str(batch.value) == str(alone.value)
+        with pytest.raises(NoRoot, match="up to 10000"):
+            CramerRate.build(weibull3, 100.0, points=8)
+
+    @pytest.mark.parametrize("spec, x_max", [("weibull:k=3", 20.0), ("power:beta=3/sin", 3.0),
+                                             ("exp", 3.0), ("power:beta=1", 4.0)])
+    def test_table_rounds_are_its_slowest_node(self, spec, x_max, monkeypatch):
+        # One row-wise pass a round, as many rounds as the node that takes
+        # the most one-row passes, and in all as many rows as the nodes'
+        # one-row passes together.
+        model = parse_model(spec)
+        stats = ratefn._tilted_stats
+        calls = []
+
+        def counted(model, t, failed=None):
+            calls.append(np.size(t))
+            return stats(model, t, failed)
+
+        monkeypatch.setattr(ratefn, "_tilted_stats", counted)
+        table = CramerRate.build(model, x_max, points=16)
+        rounds, rows = len(calls), sum(calls)
+        passes = []
+        for x in table.x[1:]:
+            calls.clear()
+            ratefn._solve_tilt(model, float(x))
+            passes.append(len(calls))
+        assert rounds == max(passes)
+        assert rows == sum(passes)
