@@ -541,12 +541,11 @@ class PerturbedDensity:
         if math.isinf(self.support_cap):
             raise NonIntegrable("exponent never rises enough to truncate the support")
 
-        mass, mean, second, self.third_cumulant = log_moment_integrals(
+        mass, self.mean, var, self.third_cumulant = log_moment_integrals(
             self._log_kernel, 0.0, self.support_cap, kinks=self.kinks)
         self.log_c = -mass
         self.c = math.exp(self.log_c)
-        self.mean = mean
-        self.variance = max(second - mean * mean, 0.0)
+        self.variance = max(var, 0.0)
         self._check_tail(mass)
 
     def _check_tail(self, log_mass: float) -> None:

@@ -367,15 +367,16 @@ def log_moment_integrals(
     kinks: Array | tuple[float, ...] = (),
     failed: dict | None = None,
 ) -> tuple[float, float, float, float] | tuple[Array, Array, Array, Array]:
-    """Return (log m0, m1, m2, mu3): log mass, first two moments and third
-    central moment of the normalised density exp(ell)/m0 on [lo, hi], split
-    at the peak.  All four come from the same nodes and shift, so the moment
-    ratios are exact.  mu3 comes from second and third moments summed about
-    the peak, not the origin: in a law much narrower than its distance from
-    0, the raw m3 - 3 m1 m2 + 2 m1^3, or a variance m2 - m1^2 in its place,
-    cancels to noise.  A panel settles on the first three sums alone, so mu3
-    costs no extra ``ell`` call and leaves the other three values as they
-    were without it.
+    """Return (log m0, mean, variance, mu3): log mass, mean, variance and
+    third central moment of the normalised density exp(ell)/m0 on [lo, hi],
+    split at the peak.  All four come from the same nodes and shift, so the
+    moment ratios are exact.  The variance and mu3 come from second and
+    third moments summed about the peak, not the origin: in a law much
+    narrower than its distance from 0, the raw m2 - m1^2 and
+    m3 - 3 m1 m2 + 2 m1^3 cancel to noise.  With d = mean - peak, the
+    variance is E(X - peak)^2 - d^2, and d is at most the law's own width.
+    A panel settles on the mass and the first two raw moments alone, so the
+    centred sums cost no extra ``ell`` call and move no panel.
 
     ``kinks`` (ascending, each once) are points where ell is not smooth;
     those inside (lo, hi) become panel ends.  Left inside a panel, a kink
@@ -473,17 +474,18 @@ def log_moment_integrals(
     # Row by row in floats: math.log is the C library's, where numpy's
     # vectorised log may differ in the last bit.
     out = np.full((4, rows), np.nan)
-    for k, (m0, m1, m2, c2, c3) in enumerate(total.tolist()):
+    for k, (m0, m1, _, c2, c3) in enumerate(total.tolist()):
         if k in errors:
             continue
         if not (math.isfinite(m0) and m0 > 0.0):
             errors[k] = NonIntegrable("quadrature returned a non-positive mass")
             continue
         mean = m1 / m0
-        # E(X - mean)^3 from the peak-centred sums: with d = mean - peak,
+        # The central moments from the peak-centred sums: with
+        # d = mean - peak, E(X - peak)^2 - d^2 and
         # E(X - peak)^3 - 3 d E(X - peak)^2 + 2 d^3.
         d = mean - float(peak[k])
-        out[:, k] = (float(shift[k]) + math.log(m0), mean, m2 / m0,
+        out[:, k] = (float(shift[k]) + math.log(m0), mean, c2 / m0 - d * d,
                      c3 / m0 - d * (3.0 * (c2 / m0) - 2.0 * d * d))
     if failed is None or not batched:
         raise_first(errors)

@@ -106,10 +106,9 @@ def _tilted_stats(model: PerturbedDensity, t: float | np.ndarray, failed: dict |
             stats[:, ok] = log_moment_integrals(lambda xs, rows: ell(xs, ok[rows]), lo[ok], hi[ok],
                                                 peak[ok], model.kinks, part)
             errors.update((int(ok[k]), e) for k, e in part.items())
-        lam, mean, second, third = stats
+        lam, mean, var, third = stats
     else:
-        lam, mean, second, third = log_moment_integrals(ell, lo, hi, peak, model.kinks, errors)
-    var = second - mean * mean
+        lam, mean, var, third = log_moment_integrals(ell, lo, hi, peak, model.kinks, errors)
     bad = var <= 0.0
     if np.count_nonzero(bad):
         for k in np.flatnonzero(bad):

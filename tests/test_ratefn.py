@@ -15,13 +15,15 @@ import pytest
 from stretchwalk import cli, ratefn
 from stretchwalk.conditions import PRESETS
 from stretchwalk.density import (
+    FIRST_POSITIVE,
     PowerExponent,
     WeibullExponent,
     parse_model,
     pure_density,
     sin_perturbed_density,
 )
-from stretchwalk.errors import Divergent, DomainError, NoRoot
+from stretchwalk.errors import Divergent, DomainError, NoRoot, StretchwalkError
+from stretchwalk.quadrature import mass_window
 from stretchwalk.ratefn import CramerRate, _tilted_stats, cramer_rate, tail_equivalence
 from stretchwalk.sampler import tilted_law
 
@@ -69,15 +71,18 @@ class TestLogMgf:
 
     @pytest.mark.parametrize("spec, t, stats", [
         ("power:beta=1", 0.5, (0.6931471805599451, 2.000000000000002, 4.0000000000000036)),
-        ("power:beta=2", 1.5, (1.099668951412497, 0.9378645800973914, 0.3238084644717871)),
-        ("weibull:k=3", -2.0, (-1.5847989069127526, 0.6973900280014732, 0.08874559687330225)),
-        ("exp", 4.0, (3.289520681241827, 1.2861302608711978, 0.24032061404008265)),
-        ("power:beta=3/sin", 3.29, (2.2989577148512748, 0.9258475293001398, 0.14362690325650762)),
+        ("power:beta=2", 1.5, (1.099668951412497, 0.9378645800973914, 0.32380846447178696)),
+        ("weibull:k=3", -2.0, (-1.5847989069127526, 0.6973900280014732, 0.08874559687330216)),
+        ("exp", 4.0, (3.289520681241827, 1.2861302608711978, 0.24032061404008342)),
+        ("power:beta=3/sin", 3.29, (2.2989577148512748, 0.9258475293001398, 0.14362690325650773)),
     ])
     def test_first_three_derivatives_are_pinned(self, spec, t, stats):
         # Lambda, Lambda' and Lambda'' bit for bit: the pass's centred
         # second and third moment sums are not part of its settle test, so
-        # they move neither the panels nor these values.
+        # they move no panel.  Lambda'' is the centred second moment less
+        # (mean - peak)^2; as the raw m2 - m1^2 it was off from 40-digit
+        # mpmath by up to 3.5e-15 relative at these tilts (exp at t = 4),
+        # and is now within 2.6e-16.
         assert _tilted_stats(parse_model(spec), t)[:3] == stats
 
     @pytest.mark.parametrize("t, stats", [
@@ -317,6 +322,69 @@ class TestCramerRate:
         # The solver anchors at the mean the model computed at construction.
         assert weibull3.mean == pytest.approx(0.89297951156924921, rel=1e-9)
         assert cramer_rate(weibull3, weibull3.mean) == (0.0, 0.0)
+
+
+class TestNarrowTiltedLaws:
+    """Far in the tail a tilted law is a peak much narrower than its
+    distance from 0.  Lambda'' is its peak-centred second moment less
+    (mean - peak)^2, so no digit cancels; as the raw m2 - m1^2 it came out
+    negative for power beta=20 past 10 EX (NoConvergence), and 8e-4 off
+    between two nearby tilts for exp at 50 EX."""
+
+    @staticmethod
+    def _mpmath_variance(G, t, peak, half):
+        # exp(t x - G(x)) with every moment taken about the peak.
+        with mp.workdps(40):
+            t, m = mp.mpf(t), mp.mpf(peak)
+            top = t * m - G(m)
+            cuts = [-half, -half / 10, 0, half / 10, half]
+            c0, c1, c2 = (mp.quad(lambda u, j=j: u**j * mp.exp(t * (m + u) - G(m + u) - top), cuts)
+                          for j in range(3))
+            d = c1 / c0
+            return float(c2 / c0 - d * d)
+
+    @pytest.mark.parametrize("spec, ratio, G, tol", [
+        ("power:beta=20", 10.0, lambda v: v**20, 5e-2),
+        ("exp", 50.0, mp.exp, 1e-5),
+    ], ids=["power20", "exp"])
+    def test_variance_matches_mpmath_about_the_peak(self, spec, ratio, G, tol):
+        """At the solved tilt (2.5e14 and 4.8e9) the law's standard
+        deviation is 7e-9 and 6e-7 of its mean.  ell = t x - g(x) itself
+        rounds to about eps t x: 0.27 nats for beta=20 at x = 4.9, which
+        bounds any float Lambda'' there to a few percent, and 2.4e-5 nats
+        for exp.  The raw m2 - m1^2 gave a negative variance for beta=20
+        and one 2.6e-5 off for exp; both are within 2.1e-2 and 1.4e-6."""
+        model = parse_model(spec)
+        t, _, mean = ratefn._solve_tilt(model, ratio * model.mean)
+        _, _, var, _ = _tilted_stats(model, t)
+        _, _, peak = mass_window(ratefn._tilted_ell(model, t), FIRST_POSITIVE, 8.0)
+        ref = self._mpmath_variance(G, t, peak, 60.0 * math.sqrt(var))
+        assert abs(mean - ratio * model.mean) <= 1e-8 * ratio * model.mean
+        assert abs(var / ref - 1.0) <= tol
+
+    def test_nearby_tilts_agree(self):
+        # exp at 50 EX: Lambda'' at t* and at t* (1 + 2.6e-8) differed by
+        # 8e-4 relative with the raw moments, and now by 2.2e-6.
+        model = parse_model("exp")
+        t, _, _ = ratefn._solve_tilt(model, 50.0 * model.mean)
+        var = _tilted_stats(model, t)[2]
+        assert abs(_tilted_stats(model, t * (1.0 + 2.6e-8))[2] / var - 1.0) <= 1e-5
+
+    @pytest.mark.parametrize("ratio", [5.0, 10.0])
+    def test_steep_wall_tables_build(self, ratio):
+        # power beta=20 to 5 and 10 EX.  The table to 10 EX ended in
+        # NoConvergence (a tilted variance of 0 at t = 2.3e13).
+        model = parse_model("power:beta=20")
+        table = CramerRate.build(model, ratio * model.mean)
+        value_resid, grad_resid = table.duality_residuals()
+        assert value_resid <= 1e-12 and grad_resid <= 1e-8
+
+    def test_steeper_walls_end_in_a_documented_error(self):
+        # Past 10 EX the tilted law of beta=20 narrows below what the
+        # quadrature can weigh; the solve still ends in a StretchwalkError.
+        model = parse_model("power:beta=20")
+        with pytest.raises(StretchwalkError):
+            cramer_rate(model, 20.0 * model.mean)
 
 
 class TestTailEquivalence:
