@@ -82,6 +82,12 @@ def gauss_legendre(lo: Array, hi: Array) -> tuple[Array, Array]:
     return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
 
 
+def _row_calls(ell: LogDensity) -> Callable[[Array, Array], Array]:
+    """A one-density ``ell`` in the row convention of the batched searches:
+    every row of the grid is a point set of the same density."""
+    return lambda xs, rows: np.asarray(ell(xs.ravel()), dtype=float).reshape(xs.shape)
+
+
 def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probes: int,
           bracket: Callable[[Array, Array], tuple[Array, Array, Array]],
           resolved: Callable[..., Array] | None = None):
@@ -93,7 +99,7 @@ def _zoom(ell: Callable[..., Array], lo: float | Array, hi: float | Array, probe
     Rows whose first grids together exceed _BLOCK_POINTS points are searched
     a block of rows at a time.  Returns the reported node and its value."""
     batched = np.ndim(lo) > 0
-    call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
+    call = ell if batched else _row_calls(ell)
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     per = max(1, _BLOCK_POINTS // probes)
     if lo.size > per:
@@ -170,12 +176,6 @@ def first_reach(f: LogDensity, lo: float, hi_start: float, level: float,
         return np.maximum(k - 1, 0), k, k
 
     return _zoom(f, lo, float(his[reached[0]]), _GRID, first_reached)[0]
-
-
-def _row_calls(ell: LogDensity) -> Callable[[Array, Array], Array]:
-    """A one-density ``ell`` in the row convention of the batched searches:
-    every row of the grid is a point set of the same density."""
-    return lambda xs, rows: np.asarray(ell(xs.ravel()), dtype=float).reshape(xs.shape)
 
 
 def _flat_peak(xs: Array, vals: Array, i: Array, j: Array, k: Array, rows: Array) -> Array:
@@ -563,7 +563,7 @@ class GridInverseCdf:
     def build(cls, ell: Callable[..., Array], lo: float | Array, hi: float | Array,
               points: int = 4097, start: float | Array | None = None) -> "GridInverseCdf":
         batched = np.ndim(lo) > 0
-        call = ell if batched else (lambda xs, rows: np.asarray(ell(xs[0]), dtype=float)[None, :])
+        call = ell if batched else _row_calls(ell)
         lo_r = np.atleast_1d(np.asarray(lo, dtype=float))
         hi_r = np.atleast_1d(np.asarray(hi, dtype=float))
         first_lo = lo_r if start is None else np.atleast_1d(np.asarray(start, dtype=float))

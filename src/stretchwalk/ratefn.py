@@ -74,10 +74,12 @@ def _tilted_ell(model: PerturbedDensity, t: float | np.ndarray):
         def ell(xs: np.ndarray) -> np.ndarray:
             return t * xs + model.log_c + model._log_kernel(xs)
     else:
-        many = t.size > 1
+        # One tilt multiplies every row alike, with no gather a call.
+        one = t[0] if t.size == 1 else None
 
         def ell(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return (t[rows, None] if many else t[0]) * xs + model.log_c + model._log_kernel(xs)
+            tilt = t[rows, None] if one is None else one
+            return tilt * xs + model.log_c + model._log_kernel(xs)
 
     return ell
 
@@ -113,11 +115,11 @@ def _tilted_stats(model: PerturbedDensity, t: float | np.ndarray, failed: dict |
     if np.count_nonzero(bad):
         for k in np.flatnonzero(bad):
             errors[int(k)] = NoConvergence(f"tilted variance {var[k]:g} not positive at t={ts[k]:g}")
-    if failed is not None and batched:
+    if failed is None or not batched:
+        raise_first(errors)
+    elif errors:
         failed.update(errors)
         var[list(errors)] = np.nan
-    else:
-        raise_first(errors)
     if not batched:
         return float(lam[0]), float(mean[0]), float(var[0]), float(third[0])
     return lam, mean, var, third
