@@ -51,10 +51,11 @@ _ZOOM_LEVELS = 16
 _RAMP = np.arange(_GRID, dtype=float)
 _PEAK_PROBES = 2048
 # Row-wise searches and rounds lay at most this many points at once, a
-# block of whole rows each: every float temporary then stays at 64 KB, under
-# glibc's default mmap threshold of 128 KB.  Larger ones are mapped and
-# returned to the system as they are freed, or trimmed off the heap top,
-# and a wide table faulted its pages in again on every pass.
+# block of whole rows or panels each: the float temporaries of a search
+# level or a round then stay near 64 KB, under glibc's default mmap
+# threshold of 128 KB.  Larger ones are mapped and returned to the system
+# as they are freed, or trimmed off the heap top, and a wide table faulted
+# its pages in again on every pass.
 _BLOCK_POINTS = 8192
 # mass_window's own stops (see its docstring): the peak to within this many
 # nats, each edge to this share of its distance from the peak.

@@ -251,6 +251,25 @@ def test_batched_windows_and_moments_match_scalar_calls(spec, tilts):
         assert tuple(v[i] for v in rows) == alone
 
 
+def test_window_rows_probe_their_own_doublings():
+    # Windows searched from lo = 1e-3, 10 and 3e3 start their doublings at
+    # hi = 8, 21 and 6001, so their first probes up to 1e12 number 38, 37
+    # and 29, and a shorter row repeats its last probe.  The peaks at 40
+    # and 9e4 lie past hi, and those two rows probe again from their own
+    # new hi.  Each row is its scalar call.
+    centre = np.array([5.0, 40.0, 9e4])
+    width = np.array([1.0, 3.0, 1e3])
+    lo = np.array([1e-3, 10.0, 3e3])
+
+    def rows_ell(xs, rows):
+        return -(((xs - centre[rows, None]) / width[rows, None]) ** 2)
+
+    window = mass_window(rows_ell, lo, 8.0)
+    for k in range(lo.size):
+        alone = mass_window(lambda xs, k=k: -(((xs - centre[k]) / width[k]) ** 2), lo[k], 8.0)
+        assert tuple(v[k] for v in window) == alone
+
+
 def test_a_failing_quadrature_row_leaves_the_others():
     # Row 1 never settles; it holds NaN and its NonIntegrable, and rows 0
     # and 2 are their scalar calls.
