@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import ExponentModel, parse_exponent
-from .errors import DegeneratePlan, DomainError
+from .errors import DegeneratePlan, DomainError, require_counts
 from .variational import BandEvent, closed_form_bounds
 
 _BOOTSTRAP_B = 2048
@@ -220,6 +220,7 @@ def evaluate_conditions(exponent: ExponentModel, plan: SequencePlan,
     plan is rejected with DegeneratePlan.  Per-row values depend only on
     (n, a_n, eps_n), so subsampling the grid never changes surviving rows.
     """
+    require_counts(**{f"n_grid[{k}]": n for k, n in enumerate(n_grid)})
     ns = [int(n) for n in n_grid]
     if len(ns) == 0:
         raise DomainError("empty evaluation grid")

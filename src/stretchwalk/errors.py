@@ -5,6 +5,10 @@ Every error raised on a documented failure path derives from
 failures from plain bugs.
 """
 
+import operator
+
+import numpy as np
+
 
 class StretchwalkError(Exception):
     """Base class for all documented failures."""
@@ -63,3 +67,15 @@ def raise_first(failed: dict[int, Exception]) -> None:
     a row-wise call fails as its first failing row would alone."""
     if failed:
         raise failed[min(failed)]
+
+
+def require_counts(**counts) -> None:
+    """Raise ``DomainError`` unless every value is an integer (numpy
+    integers included; bools, floats and integral floats are not counts)."""
+    for name, value in counts.items():
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import PerturbedDensity
-from .errors import BadWindow, DomainError
+from .errors import BadWindow, DomainError, require_counts
 from .sampler import (
     EndValueAtLeast,
     EndValueEquals,
     LocalizationEstimate,
     TiltedLaw,
     _block_rows,
-    _require_counts,
     gibbs_fixed_sum,
     tilted_law,
 )
@@ -79,7 +78,7 @@ def simulate_conditioned_path(model: PerturbedDensity, n: int, a: float,
     bounded by the batch's uniforms and one block, and the trajectory does
     not depend on the block.
     """
-    _require_counts(n=n)
+    require_counts(n=n)
     if n < 2:
         raise DomainError("a walk needs at least 2 increments")
     if not a > model.mean:
@@ -133,7 +132,7 @@ def simulate_free_path(model: PerturbedDensity, n: int, seed: int) -> Trajectory
     """Unconditioned i.i.d. walk, the baseline for conditioned comparisons:
     n draws from the plain law's table, ``tilted_law(model, model.mean)``;
     deterministic for a given seed."""
-    _require_counts(n=n)
+    require_counts(n=n)
     rng = np.random.default_rng(seed)
     increments = tilted_law(model, model.mean).table.ppf(rng.random(n))
     return Trajectory(
@@ -189,7 +188,7 @@ def estimate_p_ak(model: PerturbedDensity, n: int, a: float, k: int, alpha: floa
     replication count extends the run without changing earlier paths.
     The unconditioned variant serves as the comparison baseline.
     """
-    _require_counts(replications=replications)
+    require_counts(replications=replications)
     if replications < 1:
         raise DomainError("need at least one replication")
     hits = 0

@@ -13,10 +13,11 @@ The layer is row-wise.  Many means are solved at once: each keeps its own
 Halley loop and bracket, and one pass a step integrates the tilts of all
 live rows, through one row-wise ``mass_window`` and one row-wise
 ``log_moment_integrals``.  A row leaves the batch once it settles, and
-every row equals its one-row solve bit for bit.  ``CramerRate.build``
-solves all its nodes this way; ``cramer_rate``, ``sampler.tilted_law`` and
-density builds pass one row through the same code.  A batch fails as its
-lowest-numbered failing row would fail alone.
+every row equals its one-row solve bit for bit.  Every solve enters
+through ``_rate_points``: ``CramerRate.build`` with all its nodes,
+``cramer_rate`` and ``sampler.tilted_law`` (which takes t* and Lambda(t*)
+from it) with one row.  A batch fails as its lowest-numbered failing row
+would fail alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .density import FIRST_POSITIVE, PerturbedDensity
 from .errors import (Divergent, DomainError, NoConvergence, NoRoot, StretchwalkError,
-                     raise_first)
+                     raise_first, require_counts)
 from .quadrature import log_moment_integrals, mass_window
 
 _STEP_CAP = 200
@@ -123,20 +124,6 @@ def _tilted_stats(model: PerturbedDensity, t: float | np.ndarray, failed: dict |
     if not batched:
         return float(lam[0]), float(mean[0]), float(var[0]), float(third[0])
     return lam, mean, var, third
-
-
-def _solve_tilt(model: PerturbedDensity, x: float | np.ndarray):
-    """Solve Lambda'(t) = x; returns (t*, Lambda(t*), Lambda'(t*)) from its last pass.
-
-    Each mean is solved by the steps of ``_halley_steps``.  For an array of
-    means the three values are arrays, row k the solve for ``x[k]`` bit for
-    bit, and a failure raises the exception of the lowest-numbered failing
-    row (see ``_solve_rows``)."""
-    solved, errors = _solve_rows(model, np.atleast_1d(np.asarray(x, dtype=float)).tolist())
-    raise_first(errors)
-    if np.ndim(x) == 0:
-        return solved[0]
-    return tuple(np.array(solved, dtype=float).reshape(-1, 3).T)
 
 
 def _solve_rows(model: PerturbedDensity, means: list[float]) -> tuple[list, dict]:
@@ -295,6 +282,7 @@ class CramerRate:
         lo = 1.05 * ex
         if x_max <= lo * 1.01:
             raise DomainError("x_max must sit clearly above 1.05 EX")
+        require_counts(points=points)
         if points < 8:
             raise DomainError("table needs at least 8 nodes")
         grid = np.geomspace(lo, x_max, points)

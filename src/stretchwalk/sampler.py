@@ -10,15 +10,14 @@ below double-underflow are still reported through their logs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import FIRST_POSITIVE, PerturbedDensity
-from .errors import DegenerateWeights, DomainError, NoConvergence
+from .errors import DegenerateWeights, DomainError, NoConvergence, require_counts
 from .quadrature import MASS_DROP, Array, GridInverseCdf, mass_window
-from .ratefn import _solve_tilt, _tilted_ell
+from .ratefn import _rate_points, _tilted_ell
 
 METHODS = ("TiltedIS", "FixedSumGibbs")
 
@@ -38,18 +37,6 @@ _DRAW_BLOCK = 32_768
 def _block_rows(n: int) -> int:
     """The n-vectors in one draw block: at least one."""
     return max(1, _DRAW_BLOCK // n)
-
-
-def _require_counts(**counts) -> None:
-    """Raise ``DomainError`` unless every value is an integer (numpy
-    integers included; bools, floats and integral floats are not counts)."""
-    for name, value in counts.items():
-        try:
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError
-            operator.index(value)
-        except TypeError:
-            raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -172,7 +159,7 @@ def tilted_law(model: PerturbedDensity, a: float) -> TiltedLaw:
         raise DomainError(f"tilted law needs a finite mean a > 0, got {a!r}")
 
     def build() -> TiltedLaw:
-        t, lam = _solve_tilt(model, float(a))[:2] if a > model.mean else (0.0, 0.0)
+        t, lam = _rate_points(model, [float(a)])[0][1:3] if a > model.mean else (0.0, 0.0)
         return TiltedLaw(t, lam, tilted_table(model, t))
 
     return model.derived(("tilted_law", float(a)), build)
@@ -192,7 +179,7 @@ def importance_estimate(model: PerturbedDensity, n: int, a: float, eps: float,
     step values at a time: memory per call is the block plus a few
     ``trials``-length arrays, and the result does not depend on the block.
     """
-    _require_counts(n=n, trials=trials, seed=seed)
+    require_counts(n=n, trials=trials, seed=seed)
     if trials < 1000:
         raise DomainError("importance sampling needs at least 1000 trials")
     if n < 1 or a <= 0.0 or eps < 0.0:
@@ -353,7 +340,7 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
     invariant by construction; states are recorded once per sweep after
     the first 100.
     """
-    _require_counts(n=n, sweeps=sweeps)
+    require_counts(n=n, sweeps=sweeps)
     if n < 2:
         raise DomainError("fixed-sum Gibbs needs n >= 2")
     if not 0.0 < s_total < math.inf:

@@ -2,7 +2,10 @@
 
 At n = 2 or 3 the events {S_n >= n a} and {all steps in the band, S_n >=
 n a} are low-dimensional enough to integrate directly, entirely in the
-log domain so that values at the e^-30 scale do not underflow.  These
+log domain so that values at the e^-30 scale do not underflow.  Both are
+one computation, the probability that all steps lie in (lo, hi] and sum
+to at least n a: the support ends at ``support_cap``, so the exceedance
+is the band (0, support_cap].  These
 numbers anchor the certified bounds and the samplers at desk scale, where
 nothing asymptotic can hide.  Their accuracy is that of the survival
 table's trapezoid rule: on a grid step h, a log survival value is off by
@@ -16,17 +19,19 @@ cumulative trapezoid over a quarter-million-point grid (positive panels
 summed smallest-first, so deep-tail values keep relative accuracy), and
 every integral is a fixed composite Gauss-Legendre sum, 16 panels to a
 piece, over the interpolated integrand.  The pieces end where the integrand
-is not smooth: at the support's and the band's edges, at a perturbation's
-kinks k (where p(x) bends) and at t - k (where S(t - x) does), and in a
-band's third step at x = 3a - (lower + upper edge), where the two-step
-table bends.  On smooth pieces the rule has converged: doubling the panels
+is not smooth: at the band's edges, at a perturbation's kinks k (where
+p(x) bends) and at t - k (where S(t - x) does), and in the third step
+where 3a - x crosses 2 lo, 2 hi or lo + hi, where the two-step table
+bends.  On smooth pieces the rule has converged: doubling the panels
 moves no value of power beta = 1, 2, 3, Weibull k = 3 or the sin
 perturbations of the last three by more than 1e-8 in log P (measured at
 n = 2, 3 and a = 1.6 to 3; tests/test_smalln.py gates it).  Nothing here
 nests adaptive quadrature.
 An n = 3 probability reads a 513-node table of the two-step probability,
-built row-wise: one quadrature row per node, in a few batched integrand
-calls.  Every log table is PCHIP on a uniform grid, read by direct index.
+laid on the levels the third step reads, [max(2 lo, 3a - hi), min(2 hi,
+3a - lo)], and built row-wise: one quadrature row per node, in a few
+batched integrand calls.  Every log table is PCHIP on a uniform grid,
+read by direct index.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .density import FIRST_POSITIVE, PerturbedDensity
-from .errors import DomainError, NonIntegrable
+from .errors import DomainError, NonIntegrable, require_counts
 from .quadrature import gauss_legendre
 
 Array = np.ndarray
@@ -55,6 +60,7 @@ _BLOCK_PANELS = _ROW_BLOCK * 96
 
 
 def _check_n(n: int) -> None:
+    require_counts(n=n)
     if n not in _SMALL_N:
         raise DomainError("exact integration covers n = 2 and n = 3 only")
 
@@ -155,101 +161,81 @@ def _log1mexp(delta: Array) -> Array:
 
 
 def _third_step(model: PerturbedDensity, t_grid: Array, two_step: Array, target: float,
-                lo: float, hi: float, breakpoints=(), left_edge: float = -math.inf) -> float:
+                lo: float, hi: float) -> float:
     """log of the integral over x in [lo, hi] of p(x) P2(target - x), where
-    log P2 is the table through the two-step values on t_grid, split at the
-    breakpoints and at the model's kinks.  P2 falls in t, so only a trailing
-    run of them can be -inf; with none finite, P = 0."""
+    log P2 is the table through the two-step values on t_grid for steps in
+    (lo, hi], one at or below 2 lo.  The pieces end at the model's kinks and
+    where target - x crosses 2 lo, 2 hi or lo + hi, where P2 bends.  P2
+    falls in t, so only a trailing run of the values can be -inf; with none
+    finite, P = 0."""
     m = np.count_nonzero(np.isfinite(two_step))
     if not np.all(np.isfinite(two_step[:m])):
         raise NonIntegrable("two-step table is not a run of finite values then -inf")
     if m == 0:
         return -math.inf
-    table = _LogTable(t_grid[:m], two_step[:m], left_edge)
+    table = _LogTable(t_grid[:m], two_step[:m], 2.0 * lo)
     return _log_quad(lambda x: _log_pdf(model, x) + table(target - x), lo, hi,
-                     (*breakpoints, *model.kinks))
+                     (target - 2.0 * hi, target - 2.0 * lo, target - lo - hi, *model.kinks))
+
+
+def _log_prob_steps_in(model: PerturbedDensity, n: int, a: float, lo: float, hi: float) -> float:
+    """log P(all n steps in (lo, hi] and S_n >= n a), n in {2, 3}.
+
+    Each step is integrated over (lo, hi] itself, so no integrand needs an
+    indicator."""
+    if lo >= hi:
+        return -math.inf
+    tail = _survival(model)
+    log_tail_hi = float(tail(hi))
+    kinks = model.kinks
+
+    def step_tail(t: Array) -> Array:
+        """log P(X in (lo, hi] and X >= t), vectorised over t."""
+        t_eff = np.maximum(np.asarray(t, dtype=float), lo)
+        upper = tail(t_eff)
+        diff = upper if log_tail_hi == -math.inf else upper + _log1mexp(log_tail_hi - upper)
+        return np.where(t_eff >= hi, -np.inf, diff)
+
+    def two_step(t: Array) -> Array:
+        """log P(X_1, X_2 in (lo, hi] and X_1 + X_2 >= t), one quadrature row
+        per level, split where p(y) bends (y = kink) and where the step tail
+        at t - y does (y = t - lo, t - hi and t - kink)."""
+        return _log_quad(lambda ys, rows: _log_pdf(model, ys) + step_tail(t[rows, None] - ys),
+                         np.full_like(t, lo), np.full_like(t, hi),
+                         breakpoints=(t - lo, t - hi, *kinks, *(t - k for k in kinks)))
+
+    target = float(n) * a
+    if n == 2:
+        return float(two_step(np.array([target]))[0])
+    # The table is laid on the levels the third step reads, target - x for x
+    # in (lo, hi], within the two-step sum's own range (2 lo, 2 hi].
+    t_lo, t_hi = max(2.0 * lo, target - hi), min(2.0 * hi, target - lo)
+    if t_hi <= t_lo:
+        return -math.inf
+    t_grid = np.linspace(t_lo, t_hi, 513)
+    return _third_step(model, t_grid, two_step(t_grid), target, lo, hi)
 
 
 def exact_log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
     """log P(S_n >= n a) by direct integration (n in {2, 3}), memoised on the
     model, so the escape and localization probabilities at the same level
-    reuse it."""
+    reuse it.  The support ends at ``support_cap``, so this is the band
+    probability of steps in (0, support_cap]."""
     _check_n(n)
     if not a > 0.0:
         raise DomainError("sum level must be positive")
     return model.derived(("log_prob_exceed", n, float(a)),
-                         lambda: _log_prob_exceed(model, n, a))
-
-
-def _log_prob_exceed(model: PerturbedDensity, n: int, a: float) -> float:
-    cap, kinks = model.support_cap, model.kinks
-    tail = _survival(model)
-
-    def two_tail(t: Array) -> Array:
-        """log P(X_1 + X_2 >= t), one quadrature row per level, split where
-        p(x) bends (x = kink) and where S(t - x) does (x = t - kink)."""
-
-        def ell(xs: Array, rows: Array) -> Array:
-            need = t[rows, None] - xs
-            return _log_pdf(model, xs) + np.where(need <= 0.0, 0.0, tail(need))
-
-        return _log_quad(ell, np.zeros_like(t), np.full_like(t, cap),
-                         breakpoints=(t, t - cap, *kinks, *(t - k for k in kinks)))
-
-    target = float(n) * a
-    if n == 2:
-        return float(two_tail(np.array([target]))[0])
-    t_lo, t_hi = max(0.0, target - cap), min(2.0 * cap, target)
-    if t_hi <= t_lo:
-        return -math.inf
-    t_grid = np.linspace(t_lo, t_hi, 513)
-    two_step = np.where(t_grid > 0.0, two_tail(t_grid), 0.0)
-    return _third_step(model, t_grid, two_step, target, 0.0, cap,
-                       breakpoints=(target - 2.0 * cap, target), left_edge=0.0)
+                         lambda: _log_prob_steps_in(model, n, a, 0.0, model.support_cap))
 
 
 def exact_log_prob_band(model: PerturbedDensity, n: int, a: float, eps: float) -> float:
-    """log P(all steps in (a-eps, a+eps) and S_n >= n a), n in {2, 3}.
-
-    Each step is integrated over the band itself, so no integrand needs the
-    band's indicator."""
+    """log P(all steps in (a-eps, a+eps) and S_n >= n a), n in {2, 3}."""
     _check_n(n)
     if eps <= 0.0:
         raise DomainError("band halfwidth must be positive for band probabilities")
     if not 0.0 < a - eps:
         raise DomainError("band must stay positive")
-    cap = model.support_cap
-    lo_b = a - eps
-    hi_b = min(a + eps, cap)
-    if lo_b >= hi_b:
-        return -math.inf
-    tail = _survival(model)
-    log_tail_hi = float(tail(hi_b))
-    kinks = model.kinks
-
-    def band_tail(t: Array) -> Array:
-        """log P(X in band and X >= t), vectorised over t."""
-        t_eff = np.maximum(np.asarray(t, dtype=float), lo_b)
-        upper = tail(t_eff)
-        diff = upper if log_tail_hi == -math.inf else upper + _log1mexp(log_tail_hi - upper)
-        return np.where(t_eff >= hi_b, -np.inf, diff)
-
-    def two_band(t: Array) -> Array:
-        """log P(X_1, X_2 in band and X_1 + X_2 >= t), one quadrature row per
-        level, split at the band's edges and kinks as ``two_tail`` is."""
-        return _log_quad(lambda ys, rows: _log_pdf(model, ys) + band_tail(t[rows, None] - ys),
-                         np.full_like(t, lo_b), np.full_like(t, hi_b),
-                         breakpoints=(t - lo_b, t - hi_b, *kinks, *(t - k for k in kinks)))
-
-    target = float(n) * a
-    if n == 2:
-        return float(two_band(np.array([target]))[0])
-    # The third step reads the table only at t = 3a - x > 2a - eps, right of
-    # its first node 2(a - eps), so it needs no left clamp.  The table's second
-    # derivative jumps at t = lo_b + hi_b, where a band edge meets the other.
-    t_grid = np.linspace(2.0 * lo_b, 2.0 * hi_b, 513)
-    return _third_step(model, t_grid, two_band(t_grid), target, lo_b, hi_b,
-                       breakpoints=(target - lo_b - hi_b,))
+    return _log_prob_steps_in(model, n, a, a - eps, min(a + eps, model.support_cap))
 
 
 def exact_log_prob_escape(model: PerturbedDensity, n: int, a: float,

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import ExponentModel, PerturbedDensity, Perturbation
-from .errors import DomainError, EnvelopeViolated, NoConvergence, ThresholdNotFound
+from .errors import (DomainError, EnvelopeViolated, NoConvergence, ThresholdNotFound,
+                     require_counts)
 from .quadrature import find_peak
 
 Array = np.ndarray
@@ -56,6 +57,7 @@ class BandEvent:
     eps: float
 
     def __post_init__(self):
+        require_counts(n=self.n)
         if self.n < 2:
             raise DomainError("band events need at least two steps")
         if not self.a > 0.0:

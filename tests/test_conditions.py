@@ -93,6 +93,12 @@ class TestEvaluateConditions:
         with pytest.raises(DomainError):
             evaluate_conditions(PowerExponent(3.0), QUAD_LEVEL_PLAN, [])
 
+    def test_non_integer_grid_rejected(self):
+        # These were read as the rows n = 100, 200, 300 and 400.
+        with pytest.raises(DomainError, match=r"n_grid\[0\] must be an integer"):
+            evaluate_conditions(PowerExponent(3.0), QUAD_LEVEL_PLAN,
+                                [100.7, 200.2, 300.9, 400.5])
+
     def test_csv_header_and_shape(self, capsys):
         # The example1-case2 preset is the cubic law under QUAD_LEVEL_PLAN.
         assert cli.main(["conditions", "--plan", "example1-case2", "--n", "100,1000"]) == 0

@@ -276,7 +276,7 @@ class TestCramerRate:
         [0, 1.5], where exp(t x - x^20) has fallen by e^-3300, split at 1."""
         model = parse_model("power:beta=20")
         x = 0.85
-        t, lam, mean = ratefn._solve_tilt(model, x)
+        _, t, lam, mean = ratefn._rate_points(model, [x])[0]
         assert t > 4.0 * max(1.0, float(model.exponent.dg(x)), 1.0 / x)
         with mp.workdps(30):
             tt = mp.mpf(t)
@@ -303,7 +303,7 @@ class TestCramerRate:
         searched range, so this also checks the window's stops there.  The
         reference is mpmath on [m - 1, m + 1] about the mode m = sqrt(t/3),
         25 sd either side, with c = 1 / Gamma(4/3)."""
-        t, lam, mean = ratefn._solve_tilt(parse_model("power:beta=3"), a)
+        _, t, lam, mean = ratefn._rate_points(parse_model("power:beta=3"), [a])[0]
         assert t == pytest.approx(3.0 * a * a, rel=1e-6)
         with mp.workdps(30):
             tt = mp.mpf(t)
@@ -355,7 +355,7 @@ class TestNarrowTiltedLaws:
         for exp.  The raw m2 - m1^2 gave a negative variance for beta=20
         and one 2.6e-5 off for exp; both are within 2.1e-2 and 1.4e-6."""
         model = parse_model(spec)
-        t, _, mean = ratefn._solve_tilt(model, ratio * model.mean)
+        _, t, _, mean = ratefn._rate_points(model, [ratio * model.mean])[0]
         _, _, var, _ = _tilted_stats(model, t)
         _, _, peak = mass_window(ratefn._tilted_ell(model, t), FIRST_POSITIVE, 8.0)
         ref = self._mpmath_variance(G, t, peak, 60.0 * math.sqrt(var))
@@ -366,7 +366,7 @@ class TestNarrowTiltedLaws:
         # exp at 50 EX: Lambda'' at t* and at t* (1 + 2.6e-8) differed by
         # 8e-4 relative with the raw moments, and now by 2.2e-6.
         model = parse_model("exp")
-        t, _, _ = ratefn._solve_tilt(model, 50.0 * model.mean)
+        t = ratefn._rate_points(model, [50.0 * model.mean])[0][1]
         var = _tilted_stats(model, t)[2]
         assert abs(_tilted_stats(model, t * (1.0 + 2.6e-8))[2] / var - 1.0) <= 1e-5
 
@@ -487,6 +487,20 @@ class TestRateTable:
             CramerRate.build(weibull3, 0.9)
         with pytest.raises(DomainError):
             CramerRate.build(weibull3, 5.0, points=4)
+        # np.geomspace refused 8.0 with a bare TypeError.
+        with pytest.raises(DomainError, match="points must be an integer"):
+            CramerRate.build(weibull3, 5.0, points=8.0)
+
+    @pytest.mark.parametrize("spec", ["weibull:k=3", "power:beta=3/sin"])
+    def test_tilted_law_is_the_table_node(self, spec):
+        # tilted_law enters the solve through _rate_points, as a table does,
+        # so its tilt and Lambda are the table node's at the same mean.
+        model = parse_model(spec)
+        table = CramerRate.build(model, 3.0 * model.mean, points=8)
+        for k in range(1, table.x.size):
+            law = tilted_law(model, float(table.x[k]))
+            assert law.tilt.hex() == float(table.t_star[k]).hex(), k
+            assert law.log_mgf.hex() == float(table.log_mgf[k]).hex(), k
 
 
 class TestRowWise:
@@ -506,7 +520,7 @@ class TestRowWise:
                  else parse_model(spec))
         table = CramerRate.build(model, x_max)
         for k in range(1, table.x.size):
-            alone = ratefn._solve_tilt(model, float(table.x[k]))
+            alone = ratefn._rate_points(model, [float(table.x[k])])[0][1:]
             assert alone == (table.t_star[k], table.log_mgf[k], table.tilted_mean[k]), k
 
     def test_divergent_rows_cap_only_their_own_bracket(self, monkeypatch):
@@ -527,11 +541,11 @@ class TestRowWise:
 
         monkeypatch.setattr(ratefn, "_tilted_stats", counted)
         means = np.array([1.6, 2.8, 3.2])
-        t_star, lam, mean = ratefn._solve_tilt(model, means)
+        _, t_star, lam, mean = np.array(ratefn._rate_points(model, means.tolist())).T
         assert sum(diverged) == 3
         for k, (x, times) in enumerate(zip(means, (0, 1, 2))):
             diverged.clear()
-            assert (t_star[k], lam[k], mean[k]) == ratefn._solve_tilt(model, float(x))
+            assert (t_star[k], lam[k], mean[k]) == ratefn._rate_points(model, [float(x)])[0][1:]
             assert sum(diverged) == times
             assert abs(t_star[k] - (1.0 - 1.0 / x)) <= 1e-12
             assert abs(lam[k] - math.log(x)) <= 1e-12
@@ -544,9 +558,9 @@ class TestRowWise:
         # last nodes lie past it.
         monkeypatch.setattr(ratefn, "_BRACKET_SCALE", 0.0)
         with pytest.raises(NoRoot) as alone:
-            ratefn._solve_tilt(weibull3, 100.0)
+            ratefn._rate_points(weibull3, [100.0])
         with pytest.raises(NoRoot) as batch:
-            ratefn._solve_tilt(weibull3, np.array([2.0, 100.0, 3.0]))
+            ratefn._rate_points(weibull3, [2.0, 100.0, 3.0])
         assert str(batch.value) == str(alone.value)
         with pytest.raises(NoRoot, match="up to 10000"):
             CramerRate.build(weibull3, 100.0, points=8)
@@ -571,7 +585,7 @@ class TestRowWise:
         passes = []
         for x in table.x[1:]:
             calls.clear()
-            ratefn._solve_tilt(model, float(x))
+            ratefn._rate_points(model, [float(x)])
             passes.append(len(calls))
         assert rounds == max(passes)
         assert rows == sum(passes)

@@ -123,13 +123,13 @@ class TestTiltedLaw:
 
     def test_built_once_per_model_and_mean(self, monkeypatch):
         calls = []
-        solve = sampler._solve_tilt
+        solve = sampler._rate_points
 
-        def counted(model, x):
-            calls.append(x)
-            return solve(model, x)
+        def counted(model, xs):
+            calls.extend(xs)
+            return solve(model, xs)
 
-        monkeypatch.setattr(sampler, "_solve_tilt", counted)
+        monkeypatch.setattr(sampler, "_rate_points", counted)
         model = pure_density(WeibullExponent(3.0))
         a = 1.5 * model.mean
         estimate_p_ak(model, 50, a, 5, 2.0 * model.mean, replications=20, seed=1)

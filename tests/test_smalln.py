@@ -158,6 +158,44 @@ def test_rejects_large_n():
         exact_log_prob_exceed(model, 5, 2.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: exact_log_prob_exceed(m, 2.0, 2.0),
+    lambda m: exact_log_prob_band(m, 3.0, 2.0, 0.5),
+], ids=["exceed", "band"])
+def test_rejects_non_integer_n(call):
+    # n = 2.0 compared equal to 2 and was taken for a two-step walk.
+    with pytest.raises(DomainError, match="n must be an integer"):
+        call(pure_density(PowerExponent(2.0)))
+
+
+@pytest.mark.parametrize("a, eps", [(1.6, 0.35), (2.0, 1.5)])
+def test_three_step_table_lies_on_the_levels_read(monkeypatch, a, eps):
+    # The third step reads the two-step table at 3a - x for x in (lo, hi],
+    # within the two-step range (2 lo, 2 hi]: its 513 rows span exactly
+    # [max(2 lo, 3a - hi), min(2 hi, 3a - lo)], for the band and for the
+    # exceedance, whose steps lie in (0, support_cap].
+    levels = []
+
+    def recorded(ell, lo, hi, breakpoints=()):
+        if np.ndim(lo) > 0:
+            levels.append(breakpoints[0] + lo)  # the first breakpoint is t - lo
+        return _log_quad(ell, lo, hi, breakpoints)
+
+    model = pure_density(WeibullExponent(3.0))
+    monkeypatch.setattr(smalln, "_log_quad", recorded)
+    for lo, hi in ((a - eps, a + eps), (0.0, model.support_cap)):
+        levels.clear()
+        if lo > 0.0:
+            exact_log_prob_band(model, 3, a, eps)
+        else:
+            exact_log_prob_exceed(model, 3, a)
+        (t,) = levels
+        assert t.size == 513
+        assert t[0] == pytest.approx(max(2.0 * lo, 3.0 * a - hi), abs=1e-12)
+        assert t[-1] == pytest.approx(min(2.0 * hi, 3.0 * a - lo), abs=1e-12)
+        assert np.ptp(np.diff(t)) <= 1e-12
+
+
 def test_band_requires_positive_width():
     model = pure_density(PowerExponent(2.0))
     with pytest.raises(DomainError):

@@ -102,7 +102,11 @@ def test_band_event_validation():
         BandEvent(3, -2.0, 0.1)
     with pytest.raises(DomainError):
         BandEvent(3, 1.0, 1.5)
+    # A 2.5-step walk was accepted, and closed_form_bounds gave it a value.
+    with pytest.raises(DomainError, match="n must be an integer"):
+        BandEvent(2.5, 2.0, 0.5)
     BandEvent(3, 1.0, 0.0)  # degenerate band is allowed
+    BandEvent(np.int64(3), 1.0, 0.1)
 
 
 def test_closed_form_requires_level_beyond_threshold():
