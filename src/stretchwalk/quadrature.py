@@ -12,6 +12,8 @@ round yields the mass, the first two moments and the third central moment
 from one ``ell`` call.
 The rule assumes ell smooth on each panel, so a caller names the points
 where it is not (a perturbation's kinks), and each becomes a panel end.
+Inverse-cdf tables only tabulate the grid they are given; ``mass_window``
+is the one search for where a density's mass lies.
 
 A nested-grid search stops at a share of its range, near float
 resolution, unless it knows what it resolves.  A mass window does: it
@@ -185,14 +187,23 @@ def _flat_peak(xs: Array, vals: Array, i: Array, j: Array, k: Array, rows: Array
     return np.minimum(vals[r, i], vals[r, j]) >= vals[r, k] - _PEAK_NATS
 
 
-def mass_window(ell: Callable[..., Array], lo: float | Array, hi_start: float,
+def _mass_level(peak: Array) -> Array:
+    """The level where a density's mass ends: ``MASS_DROP`` below its peak,
+    or the float below the peak where that level rounds to the peak."""
+    return np.minimum(peak - MASS_DROP, np.nextafter(peak, -np.inf))
+
+
+def mass_window(ell: Callable[..., Array], lo: float | Array, hi_start: float | Array,
                 failed: dict | None = None) -> tuple[float, float, float] | tuple[Array, Array, Array]:
     """Return (window_lo, window_hi, peak_x) containing all numerically
     relevant mass of exp(ell) on (lo, inf).
 
-    The upper edge grows by doubling until ell falls ``MASS_DROP`` below the
-    peak; all doublings up to 1e12 are probed in one call, and failure to
-    decay by then raises :class:`Divergent`.
+    The upper edge grows once, to the first doubling of ``hi_start`` where
+    ell is ``MASS_DROP`` below the peak, and the peak is searched for again
+    up to it; all doublings up to 1e12 are probed in one call, and failure
+    to decay by then raises :class:`Divergent`.  The edges are then the
+    last points at or below the mass level: ``MASS_DROP`` below the peak,
+    or just below a peak that level rounds to (of magnitude 2^59 or more).
 
     Each search stops on the mass it bounds, not on a share of its range,
     which at large tilts can be orders of magnitude wider than the mass:
@@ -227,42 +238,40 @@ def mass_window(ell: Callable[..., Array], lo: float | Array, hi_start: float,
     hi = np.maximum(hi_start, lo * 2 + 1.0)
     peak_x, peak = _zoom(call, lo, hi, _PEAK_PROBES, _around_max, _flat_peak)
     errors: dict = {}
-    grow = np.arange(lo.size)
-    while grow.size:
-        top = hi[grow]
-        counts = [max(0, math.ceil(math.log2(_HI_LIMIT / v))) for v in top.tolist()]
-        steps = np.arange(max(counts) + 1)
-        if min(counts) < steps[-1]:  # a row with fewer doublings repeats its last
-            steps = np.minimum(steps, np.array(counts)[:, None])
-        his = top[:, None] * 2.0 ** steps
-        with np.errstate(over="ignore", invalid="ignore"):
-            decayed = call(his, grow) <= (peak[grow] - MASS_DROP)[:, None]
-        # The first decayed probe; 0 also where none decayed.
-        first = decayed.argmax(axis=1)
-        r = np.arange(grow.size)
-        reached = decayed[r, first]
-        if np.count_nonzero(reached) < grow.size:
-            for k in np.flatnonzero(~reached):
-                errors[int(grow[k])] = Divergent(
-                    f"integrand does not decay below peak-{MASS_DROP:g} by x={his[k, -1]:.3g}")
-        moved = first > 0
-        if not np.count_nonzero(moved):
-            break
-        grow, r = grow[moved], r[moved]
-        hi[grow] = his[r, first[r]]
-        new_x, new_peak = _zoom(lambda xs, rows, g=grow: call(xs, g[rows]), peak_x[grow],
+    counts = [max(0, math.ceil(math.log2(_HI_LIMIT / v))) for v in hi.tolist()]
+    steps = np.arange(max(counts) + 1)
+    if min(counts) < steps[-1]:  # a row with fewer doublings repeats its last
+        steps = np.minimum(steps, np.array(counts)[:, None])
+    his = hi[:, None] * 2.0 ** steps
+    r = np.arange(lo.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decayed = call(his, r) <= (peak - MASS_DROP)[:, None]
+    # The first decayed probe; 0 also where none decayed.
+    first = decayed.argmax(axis=1)
+    reached = decayed[r, first]
+    if np.count_nonzero(reached) < lo.size:
+        for k in np.flatnonzero(~reached):
+            errors[int(k)] = Divergent(
+                f"integrand does not decay below peak-{MASS_DROP:g} by x={his[k, -1]:.3g}")
+    # A row that grows searches its peak again on the grown part.  Its new
+    # upper edge lies MASS_DROP below the old peak, hence below any higher
+    # one, so one round of doublings is all it takes.
+    grow = np.flatnonzero(first > 0)
+    if grow.size:
+        hi[grow] = his[grow, first[grow]]
+        new_x, new_peak = _zoom(lambda xs, rows: call(xs, grow[rows]), peak_x[grow],
                                 hi[grow], _PEAK_PROBES, _around_max, _flat_peak)
         higher = new_peak > peak[grow]
-        grow = grow[higher]
-        peak_x[grow], peak[grow] = new_x[higher], new_peak[higher]
+        up = grow[higher]
+        peak_x[up], peak[up] = new_x[higher], new_peak[higher]
 
-    # Tighten both edges to the last points at or below peak - MASS_DROP,
-    # as two rows of one search per window: its lower edge in row i, its
-    # upper edge in row i + n.
-    ok = np.setdiff1d(np.arange(lo.size), list(errors)) if errors else np.arange(lo.size)
+    # Tighten both edges to the last points at or below the mass level, as
+    # two rows of one search per window: its lower edge in row i, its upper
+    # edge in row i + n.
+    ok = np.setdiff1d(r, list(errors)) if errors else r
     n = ok.size
     pair = np.concatenate([ok, ok])
-    level, centre = peak[pair] - MASS_DROP, peak_x[pair]
+    level, centre = _mass_level(peak[pair]), peak_x[pair]
 
     def edges(vals, rows):
         above, end = vals > level[rows, None], vals.shape[1] - 1
@@ -514,32 +523,15 @@ def log_integral(
 class GridInverseCdf:
     """Tabulated inverse-CDF sampler for 1-D densities given by log-densities.
 
-    With scalar bounds ``lo``, ``hi`` the table holds one density: ``ell(xs)``
-    is its log-density and ``x``, ``cdf`` are 1-D.  With array bounds it
-    holds one density per row: ``ell(xs, rows)`` gets a ``(len(rows),
-    points)`` grid whose row ``i`` lies in ``(lo[rows[i]], hi[rows[i]])``,
-    and ``x``, ``cdf`` are ``(len(lo), points)``.
-
-    Every row is its final grid of ``points`` equispaced nodes with the
-    composite trapezoid cumulative of exp(ell - peak) on it, normalised to
-    end at 1.  A row's first grid spans ``(lo, hi)``, or ``[start, hi]``
-    where ``start`` is given: a caller that knows where the mass lies (the
-    pair conditionals of ``sampler`` know it from Laplace's method) saves
-    the passes that find it.  The mass region of a row is where its
-    log-density is within ``MASS_DROP`` of its peak, padded by one node a
-    side.  A row on such a window whose mass region reaches the start is
-    laid again on ``(lo, hi)``.  A row whose mass region spans less than
-    half the grid is re-gridded on it, as often as it takes, so a sharply
-    peaked density still gets at least ``points // 2`` nodes across its
-    mass; only those rows call ``ell`` again.  Every other row keeps the
-    grid it was laid on, and each of its nodes outside the mass carries
-    under e^-``MASS_DROP`` of the peak density.  A row on a window whose
-    first cell lies outside its mass and whose upper half lies inside it
-    needs no second pass, so its mass region is not searched for.  Row k
-    of a batched table is the scalar table on ``(lo[k], hi[k])`` with
-    ``start[k]``.  For the step-law tables of ``sampler.tilted_table``, at
-    the default resolution, the piecewise-linear cdf that ``ppf`` inverts is
-    within 3e-5 of an independent quadrature cdf for unit-exponential steps
+    ``build(xs, vals)`` tabulates the log-density values ``vals`` on the
+    grid ``xs``: 1-D arrays for one density, or one row per density.  Each
+    row's cdf is the composite trapezoid cumulative of exp(vals - peak) on
+    its nodes, normalised to end at 1.  The table does not look for the
+    mass: each caller lays its grid where the mass lies (``mass_window``
+    for the step-law tables of ``sampler.tilted_table``, Laplace or mass
+    windows for the pair conditionals).  For those step-law tables, 4097
+    nodes on the mass window, the piecewise-linear cdf that ``ppf``
+    inverts is within 3e-5 of an independent quadrature cdf for unit-exponential steps
     (h^2 / 8 times the density's slope at 0) and within 1e-6 for power
     beta = 2, 2/sin, 3/sin, ``exp`` and Weibull k = 3, plain and tilted to
     1.2 EX.
@@ -561,64 +553,26 @@ class GridInverseCdf:
         default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def build(cls, ell: Callable[..., Array], lo: float | Array, hi: float | Array,
-              points: int = 4097, start: float | Array | None = None) -> "GridInverseCdf":
-        batched = np.ndim(lo) > 0
-        call = ell if batched else _row_calls(ell)
-        lo_r = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi_r = np.atleast_1d(np.asarray(hi, dtype=float))
-        first_lo = lo_r if start is None else np.atleast_1d(np.asarray(start, dtype=float))
-        rows = np.arange(lo_r.size)
-        ramp = np.arange(points)
-        xs = _linspace_rows(first_lo, hi_r, ramp)
-        vals = np.asarray(call(xs, rows), dtype=float)
-        windowed = first_lo > lo_r
-        peak = vals.max(axis=1)
-        edge = peak - MASS_DROP
-        # A row on a first grid inside (lo, hi) whose first cell lies outside
-        # its mass and whose upper half lies inside it needs neither a redo
-        # nor a re-grid, so its mass region is not searched for.
-        whole = (windowed & (np.maximum(vals[:, 0], vals[:, 1]) <= edge)
-                 & (vals[:, points // 2:].min(axis=1) > edge))
-        if not whole.all():
-            peak, lo_i, hi_i = _mass_span(vals)
-            # Rows whose mass region, padded by a node, reaches the start of a
-            # first grid inside (lo, hi) are laid again on (lo, hi).
-            redo = rows[windowed & (lo_i == 0)]
-            if redo.size:
-                xs[redo] = _linspace_rows(lo_r[redo], hi_r[redo], ramp)
-                vals[redo] = call(xs[redo], redo)
-                peak[redo], lo_i[redo], hi_i[redo] = _mass_span(vals[redo])
-            if not (peak > -np.inf).all():
-                raise NonIntegrable("log-density is not finite anywhere on the table grid")
-            # Rows whose mass region spans less than half the grid are
-            # re-gridded on it until it does, each pass narrowing the row's
-            # grid at least twofold.
-            narrow = rows[hi_i - lo_i + 1 < points // 2]
-            while narrow.size:
-                x_lo, x_hi = xs[narrow, lo_i[narrow]], xs[narrow, hi_i[narrow]]
-                if np.any(x_hi - x_lo < points * np.spacing(np.maximum(abs(x_lo), abs(x_hi)))):
-                    raise NonIntegrable("density mass narrower than float resolution")
-                xs[narrow] = _linspace_rows(x_lo, x_hi, ramp)
-                vals[narrow] = call(xs[narrow], narrow)
-                peak[narrow], lo_i[narrow], hi_i[narrow] = _mass_span(vals[narrow])
-                narrow = narrow[hi_i[narrow] - lo_i[narrow] + 1 < points // 2]
+    def build(cls, xs: Array, vals: Array) -> "GridInverseCdf":
+        peak = vals.max(axis=-1, keepdims=True)
+        if not peak.min() > -np.inf:
+            raise NonIntegrable("log-density is not finite anywhere on the table grid")
         # The trapezoid cells of every row from one flat pass: the entry at a
         # row's first node, a cell across the row boundary, is set to 0.
-        w = np.exp(vals - peak[:, None]).ravel()
+        w = np.exp(vals - peak).ravel()
         x_flat = xs.ravel()
         cdf = np.empty(w.size)
         cells = np.subtract(x_flat[1:], x_flat[:-1], out=cdf[1:])
         cells *= w[1:] + w[:-1]
         cells /= 2.0
         cdf = cdf.reshape(xs.shape)
-        cdf[:, 0] = 0.0
-        np.add.accumulate(cdf, axis=1, out=cdf)
-        total = cdf[:, -1:]
+        cdf[..., 0] = 0.0
+        np.add.accumulate(cdf, axis=-1, out=cdf)
+        total = cdf[..., -1:]
         if not (total.min() > 0.0 and total.max() < np.inf):
             raise NonIntegrable("density mass vanished on the table grid")
         cdf /= total
-        return cls(x=xs, cdf=cdf) if batched else cls(x=xs[0], cdf=cdf[0])
+        return cls(x=xs, cdf=cdf)
 
     def ppf(self, u: Array) -> Array:
         """Inverse cdf: any shape of u for one density, one u per row for
@@ -703,18 +657,3 @@ def _linspace_rows(lo: Array, hi: Array, ramp: Array) -> Array:
     xs = ramp * step[:, None] + lo[:, None]
     xs[:, -1] = hi
     return xs
-
-
-def _mass_span(vals: Array) -> tuple[Array, Array, Array]:
-    """Per row of vals: the peak and the first and last node of the region
-    within MASS_DROP of it, padded by one node each side: the padding puts a
-    region that reaches a grid's first cell at node 0, which is the redo
-    test of ``GridInverseCdf.build``, and keeps the crossings inside the
-    bounds of a re-grid.  The peak node is always kept, also where
-    peak - MASS_DROP rounds to the peak."""
-    points = vals.shape[1]
-    peak = vals.max(axis=1)
-    keep = vals > np.minimum(peak - MASS_DROP, np.nextafter(peak, -np.inf))[:, None]
-    first = keep.argmax(axis=1)
-    last = points - 1 - keep[:, ::-1].argmax(axis=1)
-    return peak, np.maximum(first - 1, 0), np.minimum(last + 1, points - 1)

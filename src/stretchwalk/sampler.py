@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import FIRST_POSITIVE, PerturbedDensity
-from .errors import DegenerateWeights, DomainError, NoConvergence, require_counts
-from .quadrature import MASS_DROP, Array, GridInverseCdf, mass_window
+from .errors import DegenerateWeights, DomainError, NoConvergence, NonIntegrable, require_counts
+from .quadrature import (MASS_DROP, Array, GridInverseCdf, _linspace_rows, _mass_level,
+                         mass_window)
 from .ratefn import _rate_points, _tilted_ell
 
 METHODS = ("TiltedIS", "FixedSumGibbs")
@@ -26,6 +27,7 @@ _WILSON_Z = 1.96
 # Nodes of each pair-conditional table, and the sweeps a Gibbs chain runs
 # before it records states.
 _PAIR_POINTS = 512
+_PAIR_RAMP = np.arange(_PAIR_POINTS, dtype=float)
 _BURN_IN = 100
 # Step values drawn, inverted and reduced at a time by the TiltedIS and
 # conditioned-path loops, in whole n-vectors: 256 KB a float array, so a
@@ -141,14 +143,15 @@ class TiltedLaw:
 def tilted_table(model: PerturbedDensity, t: float) -> GridInverseCdf:
     """Inverse-CDF table of the tilted density; t=0 gives the plain law.
 
-    The one builder of a step-law table.  Its grid spans the mass window,
+    The one builder of a step-law table: 4097 nodes on the mass window,
     searched from ``FIRST_POSITIVE``: the support is open at 0, where the
     log-density is -inf, so a node at 0 would give the first trapezoid
     cell half its mass wherever p(0+) > 0.
     """
     ell = _tilted_ell(model, t)
     lo, hi, _ = mass_window(ell, FIRST_POSITIVE, 8.0)
-    return GridInverseCdf.build(ell, lo, hi)
+    xs = np.linspace(lo, hi, 4097)
+    return GridInverseCdf.build(xs, ell(xs))
 
 
 def tilted_law(model: PerturbedDensity, a: float) -> TiltedLaw:
@@ -272,18 +275,19 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
     Laplace's method it falls ``MASS_DROP`` below its peak at about
     sqrt(MASS_DROP / g''(s_k / 2)) from s_k / 2.  Each row's first grid is
     that window with a margin, [s_k / 2 - w, s_k / 2] with
-    w = sqrt(1.25 MASS_DROP / g''(s_k / 2)).  Where the row's mass stays
-    clear of the window's left edge and covers its upper half, the one
-    ``ell`` pass over all rows is the table: the window is the row's grid,
-    and its margin, under e^-MASS_DROP of the peak density, stays in it.
-    A row whose mass still reaches the window's left edge, such as a
-    perturbed density bent away from its Laplace shape, is laid again on
-    (0, s_k / 2] within the same build; so, from the start, is a row whose
-    g'' there is not finite and positive or whose window reaches past 0.
-    As in ``tilted_table``, no grid starts below the first positive float.
-    Where w is below ``_PAIR_POINTS`` float spacings at s_k / 2, no grid of
-    floats resolves the conditional, which is a point mass at s_k / 2 on
-    floats: the row puts every node there and draws s_k / 2 exactly.
+    w = sqrt(1.25 MASS_DROP / g''(s_k / 2)), or (0, s_k / 2] where g''
+    there is not finite and positive or the window reaches past 0; as in
+    ``tilted_table``, no grid starts below the first positive float.  A
+    window row whose first cell lies outside its mass and whose upper half
+    lies inside it is whole: the one ``ell`` pass over all rows is its
+    table.  Any other row keeps its first grid if its mass, padded by a
+    node a side, spans half the grid and, on a window, misses the first
+    node; if not, such as a perturbed density bent away from its Laplace
+    shape, it is laid again on the ``mass_window`` of its half-density.
+    Where w, or that window, is below ``_PAIR_POINTS`` float spacings, no
+    grid of floats resolves the conditional: a Laplace row is then a point
+    mass at s_k / 2, which it draws exactly, and a mass window raises
+    ``NonIntegrable``.
     """
     s = np.asarray(s, dtype=float)
     half = s / 2.0
@@ -298,7 +302,7 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
             x[~point], cdf[~point] = rest.x, rest.cdf
         return GridInverseCdf(x=x, cdf=cdf)
 
-    def ell(us: Array, rows: Array) -> Array:
+    def ell(us: Array, rows: Array | slice) -> Array:
         # u and s - u in one array, so the kernel runs once (np.stack costs
         # more than the subtraction at a matching's few rows).
         both = np.empty((2, *us.shape))
@@ -307,8 +311,36 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
         both = model._log_kernel(both)
         return both[0] + both[1]
 
-    return GridInverseCdf.build(ell, np.full_like(s, FIRST_POSITIVE), half,
-                                points=_PAIR_POINTS, start=start)
+    xs = _linspace_rows(start, half, _PAIR_RAMP)
+    vals = ell(xs, slice(None))
+    windowed = start > FIRST_POSITIVE
+    peak = vals.max(axis=1)
+    edge = peak - MASS_DROP
+    whole = (windowed & (np.maximum(vals[:, 0], vals[:, 1]) <= edge)
+             & (vals[:, _PAIR_POINTS // 2:].min(axis=1) > edge))
+    if not whole.all():
+        # The mass is the nodes above _mass_level, padded by a node a side.
+        scan = np.flatnonzero(~whole)
+        keep = vals[scan] > _mass_level(peak[scan])[:, None]
+        first = np.maximum(keep.argmax(axis=1) - 1, 0)
+        last = np.minimum(_PAIR_POINTS - keep[:, ::-1].argmax(axis=1), _PAIR_POINTS - 1)
+        missed = scan[(windowed[scan] & (first == 0)) | (last - first + 1 < _PAIR_POINTS // 2)]
+        if missed.size:
+            # The half-density is -inf above s / 2, and its window is cut there.
+            top = half[missed]
+
+            def half_ell(us, rows):
+                out = ell(np.minimum(us, top[rows, None]), missed[rows])
+                out[us > top[rows, None]] = -np.inf
+                return out
+
+            lo, hi, _ = mass_window(half_ell, np.full(missed.size, FIRST_POSITIVE), top)
+            hi = np.minimum(hi, top)
+            if np.any(hi - lo < _PAIR_POINTS * np.spacing(hi)):
+                raise NonIntegrable("density mass narrower than float resolution")
+            xs[missed] = _linspace_rows(lo, hi, _PAIR_RAMP)
+            vals[missed] = ell(xs[missed], missed)
+    return GridInverseCdf.build(xs, vals)
 
 
 def _pair_window_start(model: PerturbedDensity, half: Array) -> Array:

@@ -399,8 +399,6 @@ class PiecewiseMinorant:
         x = np.asarray(x, dtype=float)
         return np.where(x < self.knot, self.tangent(x), self.log_adjusted(x))
 
-    __call__ = value
-
 
 def convex_minorant(exponent: ExponentModel, perturbation: Perturbation) -> PiecewiseMinorant:
     """Construct the glued minorant for the perturbation's envelope (M, N, y0).

@@ -236,9 +236,9 @@ class TestLocalize:
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_gibbs_resolves_a_collapsed_pair_table(self, capsys):
         # exp at pair sum 800: log p(u) p(800 - u) is about -1e174, so
-        # peak - MASS_DROP rounds to the peak.  The peak node is kept and
-        # re-gridded until the table sits at 400, where the conditional
-        # (sd about e^-200) puts every draw.
+        # peak - MASS_DROP rounds to the peak, and the conditional's sd
+        # (about e^-200) is far below float resolution: the row is a point
+        # mass at 400, where every draw lands.
         rc, out, _ = run_cli(
             ["localize", "--model", "exp", "--n", "2", "--a", "400", "--eps", "0.01",
              "--method", "FixedSumGibbs", "--trials", "100", "--format", "json"],

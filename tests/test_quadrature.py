@@ -26,8 +26,8 @@ from stretchwalk.density import (
     sin_perturbed_density,
 )
 from stretchwalk.errors import Divergent, NonIntegrable
-from stretchwalk.quadrature import (MASS_DROP, find_peak, log_integral, log_moment_integrals,
-                                   mass_window)
+from stretchwalk.quadrature import (MASS_DROP, GridInverseCdf, find_peak, log_integral,
+                                   log_moment_integrals, mass_window)
 from stretchwalk.ratefn import _tilted_ell, _tilted_stats
 
 DPS = 40
@@ -255,8 +255,8 @@ def test_window_rows_probe_their_own_doublings():
     # Windows searched from lo = 1e-3, 10 and 3e3 start their doublings at
     # hi = 8, 21 and 6001, so their first probes up to 1e12 number 38, 37
     # and 29, and a shorter row repeats its last probe.  The peaks at 40
-    # and 9e4 lie past hi, and those two rows probe again from their own
-    # new hi.  Each row is its scalar call.
+    # and 9e4 lie past hi, and those two rows search their peaks again up
+    # to their own new hi.  Each row is its scalar call.
     centre = np.array([5.0, 40.0, 9e4])
     width = np.array([1.0, 3.0, 1e3])
     lo = np.array([1e-3, 10.0, 3e3])
@@ -268,6 +268,54 @@ def test_window_rows_probe_their_own_doublings():
     for k in range(lo.size):
         alone = mass_window(lambda xs, k=k: -(((xs - centre[k]) / width[k]) ** 2), lo[k], 8.0)
         assert tuple(v[k] for v in window) == alone
+
+
+def test_window_grows_its_upper_edge_once():
+    # The peak at 20 lies past hi = 8.  One call probes the 38 doublings of
+    # 8 up to 1e12; the first MASS_DROP below the peak found on (0, 8], 64,
+    # is the new hi, and the peak is searched for again on [8, 64].  64 lies
+    # MASS_DROP below the first peak, so also below the higher one: no
+    # second round of doublings.  Six calls in all: two levels of the first
+    # peak search, the doublings, one level of the second, and two levels
+    # of the edges.
+    calls = []
+
+    def ell(xs):
+        calls.append(xs.size)
+        return -0.5 * ((xs - 20.0) / 2.0) ** 2
+
+    lo, hi, peak_x = mass_window(ell, FIRST_POSITIVE, 8.0)
+    assert calls == [2048, 65, 38, 2048, 130, 65]
+    assert abs(peak_x - 20.0) < 0.02 and 20.0 + 2.0 * math.sqrt(120.0) <= hi < 64.0
+
+
+def test_mass_level_below_a_peak_it_rounds_to():
+    # At ell about -1e20, peak - MASS_DROP rounds to the peak, so the mass
+    # ends where ell falls below the peak at all: about 1e-8 from the peak,
+    # not the whole searched range.  A window of ordinary ell is the same
+    # as with the plain peak - MASS_DROP level, bit for bit.
+    lo, hi, peak_x = mass_window(lambda x: -1e20 * (1.0 + (x - 5.0) ** 2), 0.001, 8.0)
+    assert 5.0 - 2e-8 < lo < peak_x < 5.0 < hi < 5.0 + 2e-8
+    window = mass_window(lambda x: -0.5 * ((x - 3.0) / 0.1) ** 2, FIRST_POSITIVE, 8.0)
+    assert window == (float.fromhex("0x1.e78p+0"), float.fromhex("0x1.061bdp+2"), 3.0)
+
+
+def test_tables_tabulate_their_grid():
+    # A 1-D build is the matching row of a 2-D build, bit for bit, with the
+    # normalised trapezoid cdf of exp(vals - max); a row with no finite
+    # value raises, with no floating-point warning on the way.
+    xs = np.array([np.linspace(0.0, 1.0, 9), np.linspace(2.0, 5.0, 9)])
+    vals = np.array([-((xs[0] - 0.3) ** 2), -3.0 * xs[1]]) + 700.0
+    table = GridInverseCdf.build(xs, vals)
+    for k in range(2):
+        row = GridInverseCdf.build(xs[k], vals[k])
+        assert np.array_equal(row.x, table.x[k]) and np.array_equal(row.cdf, table.cdf[k])
+        w = np.exp(vals[k] - vals[k].max())
+        cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs[k]) * (w[1:] + w[:-1]) / 2.0)])
+        assert np.allclose(row.cdf, cdf / cdf[-1], rtol=1e-15, atol=0.0)
+    vals[1] = -np.inf
+    with np.errstate(all="raise"), pytest.raises(NonIntegrable, match="not finite"):
+        GridInverseCdf.build(xs, vals)
 
 
 def test_a_failing_quadrature_row_leaves_the_others():

@@ -357,17 +357,11 @@ class TestWilsonInterval:
         assert w_lo < lo and w_hi > hi
 
 
-def _one_regrid_table(ell, lo, hi, points):
-    """The table with at most one re-grid, as GridInverseCdf built it before
-    repeated re-gridding; where that one pass already resolves the mass
-    region the two constructions must agree bit for bit."""
+def _trapezoid_table(ell, lo, hi, points):
+    """``points`` equispaced nodes on [lo, hi] and the normalised trapezoid
+    cumulative of exp(ell - max) on them."""
     xs = np.linspace(lo, hi, points)
     vals = ell(xs)
-    keep = np.flatnonzero(vals > vals.max() - MASS_DROP)
-    lo_i, hi_i = max(keep[0] - 1, 0), min(keep[-1] + 1, points - 1)
-    if hi_i - lo_i + 1 < points // 2:
-        xs = np.linspace(xs[lo_i], xs[hi_i], points)
-        vals = ell(xs)
     cdf = np.concatenate([[0.0], cumulative_trapezoid(np.exp(vals - vals.max()), xs)])
     return xs, cdf / cdf[-1]
 
@@ -396,6 +390,18 @@ def _cubic(kind):
     return pure_density(exponent) if kind == "pure" else sin_perturbed_density(exponent)
 
 
+def _half_table_error(model, s, half):
+    """Largest error of a cubic's half-table cdf against a fine trapezoid
+    cumulative on s/2 - 30 sd .. s/2, with sd = 1 / sqrt(6 s).  Tests bound
+    it by the worst error of the tables laid on (0, s/2] before Laplace
+    windows (1.25e-4, at s = 6 with 312 nodes)."""
+    sd = 1.0 / math.sqrt(6.0 * s)
+    us = np.linspace(max(s / 2 - 30 * sd, 0.0), s / 2, 200_001)
+    log_w = _pair_ell(model, s)(us)
+    ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_w - log_w.max()), us)])
+    return np.max(np.abs(_half_cdf(half, us) - ref / ref[-1]))
+
+
 def _pair_ell(model, s):
     def ell(us):
         return model._log_kernel(us) + model._log_kernel(s - us)
@@ -419,18 +425,10 @@ class TestTableResolution:
     @pytest.mark.parametrize("kind", ["pure", "sin"])
     @pytest.mark.parametrize("s", [6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 199.9, 200.0])
     def test_pair_tables_accurate(self, kind, s):
-        # The half-table's cdf against a fine trapezoid cumulative on
-        # s/2 - 30 sd .. s/2, with sd = 1 / sqrt(6 s) for the cubic.  The
-        # bound is the worst error of the tables laid on (0, s/2] before
-        # Laplace windows (1.25e-4, at s = 6 with 312 nodes).
         model = _cubic(kind)
         half = _half_table(model, s)
         assert half.x.size == 512
-        sd = 1.0 / math.sqrt(6.0 * s)
-        us = np.linspace(max(s / 2 - 30 * sd, 0.0), s / 2, 200_001)
-        log_w = _pair_ell(model, s)(us)
-        ref = np.concatenate([[0.0], cumulative_trapezoid(np.exp(log_w - log_w.max()), us)])
-        assert np.max(np.abs(_half_cdf(half, us) - ref / ref[-1])) <= 1.25e-4
+        assert _half_table_error(model, s, half) <= 1.25e-4
 
     @pytest.mark.parametrize("spec, s", [
         ("power:beta=1", 0.5), ("power:beta=1", 4.0), ("power:beta=1", 40.0),
@@ -492,49 +490,64 @@ class TestTableResolution:
     @pytest.mark.parametrize("kind", ["pure", "sin"])
     @pytest.mark.parametrize("s", [6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 199.9, 200.0])
     def test_resolved_pair_tables_unchanged(self, kind, s, monkeypatch):
-        # A row whose mass reaches the left edge of its Laplace window is
-        # laid again on (0, s/2]: a g'' a hundred times too large makes the
-        # window ten times too narrow.  Where one re-grid resolves the mass,
-        # that row is the construction without Laplace windows or repeated
-        # re-gridding, bit for bit.
+        # A g'' a hundred times too large makes each Laplace window ten times
+        # too narrow, so the row's mass reaches the window's left edge.  The
+        # row is then the trapezoid table on the mass window of its
+        # half-density (-inf above s/2, the window cut there), bit for bit,
+        # and keeps the accuracy of the rows kept on their windows.
         model = _cubic(kind)
         exponent = model.exponent
         monkeypatch.setattr(exponent, "d2g", lambda x: 100.0 * type(exponent).d2g(exponent, x))
-        xs, cdf = _one_regrid_table(_pair_ell(model, s), FIRST_POSITIVE, s / 2, 512)
+        pair = _pair_ell(model, s)
+
+        def half_ell(us):
+            return np.where(us > s / 2, -np.inf, pair(np.minimum(us, s / 2)))
+
+        lo, hi, _ = mass_window(half_ell, FIRST_POSITIVE, s / 2)
+        xs, cdf = _trapezoid_table(pair, lo, min(hi, s / 2), 512)
         half = _half_table(model, s)
+        assert half.x[0] < sampler._pair_window_start(model, np.array([s / 2]))[0]
         assert np.array_equal(half.x, xs)
         assert np.array_equal(half.cdf, cdf)
+        assert _half_table_error(model, s, half) <= 1.25e-4
 
     @pytest.mark.parametrize("kind", ["pure", "sin"])
     def test_batched_rows_match_scalar_builds(self, kind, monkeypatch):
-        # Rows on their Laplace windows and rows that fall back to (0, s/2]
-        # and are then re-gridded (g'' made too large above s/2 = 300),
-        # built together: each row is the scalar build from the same start.
+        # Rows kept whole on their Laplace windows, a row on (0, s/2] from
+        # the start (4.5) and rows laid again on their mass windows (g'' made
+        # too large above s/2 = 300), built together: each row is its
+        # one-row table, bit for bit.
         model = _cubic(kind)
         exponent = model.exponent
         true_d2g = type(exponent).d2g
         too_large = lambda x: np.where(x > 300.0, 100.0, 1.0) * true_d2g(exponent, x)
         monkeypatch.setattr(exponent, "d2g", too_large)
-        sums = np.array([6.0, 2000.0, 50.0, 800.0, 8.0, 199.9])
-        start = sampler._pair_window_start(model, sums / 2)
+        sums = np.array([6.0, 2000.0, 4.5, 50.0, 800.0, 8.0, 199.9])
         table = pair_conditional_table(model, sums)
         assert table.x.shape == table.cdf.shape == (sums.size, 512)
         for k, s in enumerate(sums):
-            first = None if s > 600.0 else start[k]
-            assert 0.0 < start[k] < s / 2
-            ref = GridInverseCdf.build(_pair_ell(model, s), 0.0, s / 2, points=512, start=first)
-            assert np.array_equal(table.x[k], ref.x)
-            assert np.array_equal(table.cdf[k], ref.cdf)
+            alone = pair_conditional_table(model, [s])
+            assert np.array_equal(table.x[k], alone.x[0])
+            assert np.array_equal(table.cdf[k], alone.cdf[0])
+
+    def test_unresolvable_mass_raises(self, monkeypatch):
+        # A kernel spike about 1e-14 wide at 3, under the cubic's Laplace
+        # window [1, 3] at sum 6: the first grid's mass is its last node, so
+        # the row is laid again on its mass window, about 5e-14 wide, which
+        # is under 512 float spacings at 3 (2.3e-13).
+        model = _cubic("pure")
+        monkeypatch.setattr(model, "_log_kernel", lambda x: -(((x - 3.0) / 1e-14) ** 2))
+        with pytest.raises(NonIntegrable, match="float resolution"):
+            pair_conditional_table(model, [6.0])
 
     @pytest.mark.parametrize("kind", ["pure", "sin"])
     def test_every_row_is_a_whole_grid(self, kind, monkeypatch):
         # One layout for every row: Laplace-window rows (sums 6 to 199.9), a
         # row on (0, s/2] from the start whose mass misses the grid's first
         # nodes (4.5: its Laplace window reaches past 0, and p(u) p(s - u)
-        # at u -> 0 is about e^-68 of its peak), and rows laid again
-        # on (0, s/2] and then re-gridded (g'' made too large above
-        # s/2 = 300) each hold 512 strictly increasing nodes with a cdf
-        # rising from 0 to 1.
+        # at u -> 0 is about e^-68 of its peak), and rows laid again on
+        # their mass windows (g'' made too large above s/2 = 300) each hold
+        # 512 strictly increasing nodes with a cdf rising from 0 to 1.
         model = _cubic(kind)
         exponent = model.exponent
         true_d2g = type(exponent).d2g
@@ -551,8 +564,8 @@ class TestTableResolution:
         laplace[2] = False
         assert np.all(table.x[laplace, 0] == start[laplace])
         assert start[2] == FIRST_POSITIVE == table.x[2, 0]
-        # A window too narrow is laid again on (0, s/2] and re-gridded on the
-        # mass, which starts below the window.
+        # A window too narrow is laid again on the mass window, which starts
+        # below it.
         regridded = sums > 600.0
         assert np.all(FIRST_POSITIVE < table.x[regridded, 0])
         assert np.all(table.x[regridded, 0] < start[regridded])
@@ -601,19 +614,10 @@ class TestTableResolution:
             return t * xs + model.log_c + model._log_kernel(xs)
 
         lo, hi, _ = mass_window(ell, FIRST_POSITIVE, 8.0)
-        xs, cdf = _one_regrid_table(ell, lo, hi, 4097)
+        xs, cdf = _trapezoid_table(ell, lo, hi, 4097)
         assert law.table.x.size == 4097
         assert np.array_equal(law.table.x, xs)
         assert np.array_equal(law.table.cdf, cdf)
-
-    def test_unresolvable_mass_raises(self):
-        # Mass on a single node of every grid never widens to half the table;
-        # re-gridding stops at float resolution instead of looping.
-        def spike(xs):
-            return np.where(xs == xs[len(xs) // 2], 0.0, -np.inf)
-
-        with pytest.raises(NonIntegrable):
-            GridInverseCdf.build(spike, 0.0, 1.0, points=9)
 
 
 _TAB_X = np.linspace(0.05, 12.0, 12)
@@ -723,8 +727,7 @@ class TestGibbsFixedSum:
         # on (0, s/2]: its cdf matches a fine trapezoid cumulative of that
         # product.  For the square exponent the product is a normal density
         # with sd 1/2 about s/2, so (s/2 - 12, s/2] holds all of its half;
-        # at s = 2000 that is under a cell of the first grid, so the table
-        # is re-gridded.
+        # at s = 2000 that is under a cell of a 512-point grid on (0, s/2].
         half = _half_table(power2, s_total)
         fine = np.linspace(max(0.0, s_total / 2 - 12.0), s_total / 2, 200_001)
         log_ref = power2._log_kernel(fine) + power2._log_kernel(s_total - fine)
