@@ -127,9 +127,14 @@ class ExponentModel:
         X = self.increase_threshold
         lo = max(X, 1e-6)
         grid = np.linspace(lo + 1e-9, X + 50.0, 4001)
-        if np.any(self.d2g(grid) < -1e-9):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2, d1 = self.d2g(grid), self.dg(grid[1:])
+        if not (np.all(np.isfinite(d2)) and np.all(np.isfinite(d1))):
+            raise InvalidModel(f"{self.kind} exponent overflows its validation probes "
+                               f"on ({lo:g}, {X + 50.0:g}]")
+        if np.any(d2 < -1e-9):
             raise InvalidModel(f"{self.kind} exponent fails the convexity probe")
-        if np.any(self.dg(grid[1:]) <= 0.0):
+        if np.any(d1 <= 0.0):
             raise InvalidModel(
                 f"{self.kind} exponent is not increasing beyond its threshold"
             )

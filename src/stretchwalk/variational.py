@@ -28,7 +28,7 @@ import numpy as np
 from .density import ExponentModel, PerturbedDensity, Perturbation
 from .errors import (DomainError, EnvelopeViolated, NoConvergence, ThresholdNotFound,
                      require_counts)
-from .quadrature import find_peak
+from .quadrature import _BLOCK_POINTS, find_peak
 
 Array = np.ndarray
 
@@ -142,8 +142,9 @@ def exit_profile(exponent: ExponentModel, ev: BandEvent, k: int) -> float:
 # -- brute-force oracle ------------------------------------------------------
 
 _BASE_AXIS = {2: 257, 3: 81, 4: 33, 5: 17, 6: 11, 7: 9, 8: 7}
-# At most this many points (about 81 bytes each) on the grid of n - 1
-# coordinates.  Levels 0 and 1 always run, which leaves n <= 6.
+# At most this many points on the grid of n - 1 coordinates.  The grid is
+# walked a block at a time, so its memory is bounded per block and the cap
+# bounds time.  Levels 0 and 1 always run, which leaves n <= 6.
 _GRID_CAP = 2**24
 
 
@@ -181,59 +182,83 @@ def _smallest(total: Array, m: int) -> Array:
     return near[np.argsort(total[near], kind="stable")][:m]
 
 
-def _coarse_candidates(w, ev: BandEvent, region: str, axis: Array, sum_w: Array,
-                       sum_x: Array, keep: int) -> list[np.ndarray]:
+def _coarse_candidates(w, ev: BandEvent, regions: tuple[str, ...], axis: Array,
+                       keep: int) -> list[list[np.ndarray]]:
     """Complete each point of the free grid (``axis`` in each of the n-1 free
-    coordinates; sum_w, sum_x its flat sums) optimally in the last coordinate
-    over its feasible interval in ``region``; return the best few points."""
+    coordinates) optimally in the last coordinate over its feasible interval
+    in each region; return each region's best few points.
+
+    The grid is walked once, a block of whole leading-axis slabs at a time
+    (about _BLOCK_POINTS points), and each block's sums serve every region.
+    A block keeps its keep * 4 smallest totals in stable order, and blocks
+    go in flat-index order; every winner of the whole grid is a winner
+    within its block, so picking from the merged pool is the full grid's
+    stable sort."""
     n, a, eps = ev.n, ev.a, ev.eps
     floor = n * a
     lo, hi = axis[0], axis[-1]
+    pool = keep * 4
+    w_axis = np.asarray(w(axis), dtype=float)
 
-    # Completion grid for the last coordinate, with running minima from the
+    # Completion grids for the last coordinate, with running minima from the
     # right so "min over u >= threshold" is a table lookup.
-    if region == "BcapC":
-        u_hi = a - eps
-        ugrid = np.linspace(lo, u_hi, 4097)
-    else:
-        u_hi = hi
-        ugrid = np.linspace(lo, hi, 8193)
-    suffix_min, suffix_arg = _suffix_min(np.asarray(w(ugrid), dtype=float))
-
-    d_lo = floor - sum_x
-    np.clip(d_lo, lo, None, out=d_lo)
-    if region == "AcapC":
-        np.clip(d_lo, a + eps, None, out=d_lo)
-    feasible = d_lo <= u_hi
-    d_lo = d_lo[feasible]
-    sum_w = sum_w[feasible]
-
-    idx = np.searchsorted(ugrid, d_lo, side="left")
-    np.clip(idx, 0, ugrid.size - 1, out=idx)
-    grid_min = suffix_min[idx]
-    exact_lo = np.asarray(w(d_lo), dtype=float)
-    completion = np.minimum(grid_min, exact_lo)
-    total = sum_w + completion
-
-    order = _smallest(total, keep * 4)
-    free = np.flatnonzero(feasible)[order]
-    free_idx = np.array(np.unravel_index(free, (axis.size,) * (n - 1))).T
-    out = []
-    seen = set()
-    for row, flat in zip(free_idx, order):
-        point = np.empty(ev.n)
-        point[: ev.n - 1] = axis[row]
-        if exact_lo[flat] <= grid_min[flat]:
-            point[-1] = d_lo[flat]
+    ugrids = []
+    for region in regions:
+        if region == "BcapC":
+            u_hi = a - eps
+            ugrid = np.linspace(lo, u_hi, 4097)
         else:
-            point[-1] = ugrid[suffix_arg[idx[flat]]]
-        key = tuple(np.round(np.sort(point[: ev.n - 1]), 6)) + (round(float(point[-1]), 6),)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(point)
-        if len(out) >= keep:
-            break
+            u_hi = hi
+            ugrid = np.linspace(lo, hi, 8193)
+        ugrids.append((u_hi, ugrid, *_suffix_min(np.asarray(w(ugrid), dtype=float))))
+
+    slab = axis.size ** (n - 2)
+    rows = max(1, _BLOCK_POINTS // slab)
+    # Per region, per block: total, flat index, d_lo, exact_lo, grid_min, idx.
+    found = [[] for _ in regions]
+    for s in range(0, axis.size, rows):
+        sum_w = functools.reduce(np.add.outer, [w_axis[s:s + rows]] + [w_axis] * (n - 2)).ravel()
+        sum_x = functools.reduce(np.add.outer, [axis[s:s + rows]] + [axis] * (n - 2)).ravel()
+        for region, (u_hi, ugrid, suffix_min, _), blocks in zip(regions, ugrids, found):
+            d_lo = floor - sum_x
+            np.clip(d_lo, lo, None, out=d_lo)
+            if region == "AcapC":
+                np.clip(d_lo, a + eps, None, out=d_lo)
+            feasible = np.flatnonzero(d_lo <= u_hi)
+            if not feasible.size:
+                continue
+            d_lo = d_lo[feasible]
+            idx = np.searchsorted(ugrid, d_lo, side="left")
+            np.clip(idx, 0, ugrid.size - 1, out=idx)
+            grid_min = suffix_min[idx]
+            exact_lo = np.asarray(w(d_lo), dtype=float)
+            total = sum_w[feasible] + np.minimum(grid_min, exact_lo)
+            best = _smallest(total, pool)
+            blocks.append((total[best], feasible[best] + s * slab, d_lo[best],
+                           exact_lo[best], grid_min[best], idx[best]))
+
+    out = []
+    for (_, ugrid, _, suffix_arg), blocks in zip(ugrids, found):
+        total, flat, d_lo, exact_lo, grid_min, idx = map(np.concatenate, zip(*blocks))
+        order = _smallest(total, pool)
+        free_idx = np.array(np.unravel_index(flat[order], (axis.size,) * (n - 1))).T
+        points = []
+        seen = set()
+        for row, k in zip(free_idx, order):
+            point = np.empty(n)
+            point[: n - 1] = axis[row]
+            if exact_lo[k] <= grid_min[k]:
+                point[-1] = d_lo[k]
+            else:
+                point[-1] = ugrid[suffix_arg[idx[k]]]
+            key = tuple(np.round(np.sort(point[: n - 1]), 6)) + (round(float(point[-1]), 6),)
+            if key in seen:
+                continue
+            seen.add(key)
+            points.append(point)
+            if len(points) >= keep:
+                break
+        out.append(points)
     return out
 
 
@@ -318,12 +343,9 @@ def _search(model: PerturbedDensity, ev: BandEvent, regions: tuple[str, ...],
     axis = np.linspace(lo, hi, _axis_points(n, level))
     if axis.size ** (n - 1) > _GRID_CAP:
         raise NoConvergence(f"{'/'.join(regions)} did not stabilise in {_GRID_CAP} grid points")
-    sum_w = functools.reduce(np.add.outer, [w(axis)] * (n - 1)).ravel()
-    sum_x = functools.reduce(np.add.outer, [axis] * (n - 1)).ravel()
 
     starts, last = [], []
-    for region in regions:
-        found = _coarse_candidates(w, ev, region, axis, sum_w, sum_x, keep=6)
+    for region, found in zip(regions, _coarse_candidates(w, ev, regions, axis, keep=6)):
         if region == "C":
             found.append(np.full(n, a))
         starts += found

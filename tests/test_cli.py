@@ -444,9 +444,8 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy loads only where it is used: tabulated models, smalln and
-    # verify's acceptance layer.  numpy.ma, which np.unique imports, does
-    # not load at all.
+    # scipy loads only for tabulated models.  numpy.ma, which np.unique
+    # imports, does not load at all.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import stretchwalk.cli, sys; "

@@ -185,6 +185,20 @@ def test_invalid_exponent_parameters():
         WeibullExponent(2.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [lambda: PowerExponent(200.0), lambda: WeibullExponent(200.0)])
+def test_exponent_overflowing_its_probes_is_invalid(make):
+    # The probes run to X + 50, where x**200 and its derivatives overflow:
+    # the model is refused by name, not by a bare RuntimeWarning.
+    with pytest.raises(InvalidModel, match="overflows its validation probes"):
+        make()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_100_keeps_finite_probes():
+    assert PowerExponent(100.0).beta == 100.0
+
+
 def test_envelope_violation_detected():
     exponent = PowerExponent(2.0)
 

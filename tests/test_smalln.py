@@ -6,6 +6,9 @@ the gamma-sum closed form evaluated inline.
 """
 
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -23,8 +26,10 @@ from stretchwalk.errors import DomainError, NonIntegrable
 from stretchwalk.smalln import (
     _BLOCK_PANELS,
     _ROW_BLOCK,
+    _LogSurvival,
     _LogTable,
     _log_quad,
+    _pchip_coefficients,
     exact_localization,
     exact_log_prob_band,
     exact_log_prob_escape,
@@ -316,10 +321,7 @@ def test_row_wise_log_quad_batches_stay_within_the_panel_budget():
 
 
 def test_log_table_matches_pchip():
-    # A survival-like grid: uniform, with node 0 moved right of the origin.
-    nodes = np.linspace(0.0, 10.0, 2001)
-    nodes[0] = 10.0 * 1e-12
-    values = -nodes**1.5 - 0.1 * np.log1p(nodes)
+    nodes, values = _survival_like_grid(2001)
     ref = PchipInterpolator(nodes, values)
     rng = np.random.default_rng(3)
     inside = np.concatenate([
@@ -343,3 +345,71 @@ def test_log_table_matches_pchip():
     below = np.array([nodes[0], 0.5 * nodes[0], 0.0, -3.0])
     assert np.all(clamped(below) == 0.0)
     assert close(plain(below), ref(np.full(below.size, nodes[0])))
+
+
+def _survival_like_grid(size):
+    """Uniform nodes on [0, 10] with node 0 moved right of the origin, and
+    smooth falling log-values."""
+    nodes = np.linspace(0.0, 10.0, size)
+    nodes[0] = 10.0 * 1e-12
+    return nodes, -nodes**1.5 - 0.1 * np.log1p(nodes)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 1.0, 3.0],      # the end slope as estimated
+    [0.0, 1.0, 6.0],      # estimate of the wrong sign: 0
+    [0.0, 1.0, -4.0],     # the end segments turn and the estimate overshoots: 3 m0
+    [0.0, 1.0, -1.5],     # they turn, but the estimate stays within 3 m0
+    [0.0, 0.0, 2.0],      # a flat end segment
+    [1.0, 1.0, 1.0, 1.0],
+    [0.0, 2.0, 1.0, 5.0],
+    [0.0, 1.0, 6.0, 7.0],
+    [3.0, 2.0, -4.0, -4.5],
+    [0.0, 1.0],
+])
+def test_pchip_coefficients_equal_scipy_on_short_grids(values):
+    y = np.array(values)
+    for x in (np.arange(y.size, dtype=float), np.cumsum([0.3, 1.0, 0.25, 2.0][:y.size])):
+        assert np.array_equal(_pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+
+
+@pytest.mark.parametrize("size", [3, 4, 5, 17, 8192, 8193, 8194, 8195, 16_386, 20_000])
+def test_pchip_coefficients_equal_scipy_bit_for_bit(size):
+    # Random spacings, steps with both signs and flat runs, and sizes around
+    # the block boundaries: the blocked build repeats scipy's arithmetic.
+    rng = np.random.default_rng(size)
+    x = np.cumsum(rng.uniform(0.01, 1.0, size))
+    steps = rng.normal(size=size) * (rng.uniform(size=size) < 0.7)
+    y = np.cumsum(steps)
+    assert np.array_equal(_pchip_coefficients(x, y), PchipInterpolator(x, y).c)
+    nodes, values = _survival_like_grid(size)
+    assert np.array_equal(_pchip_coefficients(nodes, values),
+                          PchipInterpolator(nodes, values).c)
+
+
+def test_survival_table_is_built_in_bounded_memory():
+    # The table keeps its nodes (2 MB) and coefficients (8 MB); the build
+    # adds its tail array and a block of temporaries, not a dozen full-size
+    # arrays.
+    model = pure_density(WeibullExponent(3.0))
+    tracemalloc.start()
+    try:
+        table = _LogSurvival(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table._x.size == smalln._SURVIVAL_POINTS - 1
+    assert peak < 16 * 2**20
+
+
+def test_exact_probabilities_leave_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stretchwalk import acceptance, smalln; "
+         "from stretchwalk.density import parse_model; "
+         "value = smalln.exact_log_prob_escape(parse_model('weibull:k=3'), 3, 1.6, 0.35); "
+         "print(value < 0.0, sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True []"

@@ -8,6 +8,7 @@ comparisons are live searches so the closed forms are checked, not assumed.
 import dataclasses
 import functools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -206,21 +207,40 @@ def test_brute_force_refinement_stops_at_the_grid_cap(monkeypatch):
 @pytest.mark.parametrize("region", ["C", "AcapC", "BcapC"])
 def test_coarse_candidates_match_full_stable_sort(monkeypatch, region):
     # g = x^2 at n = 4 is symmetric in the three gridded coordinates, so
-    # equal totals come in groups of up to six; the partial selection must
-    # keep the stable order of a full argsort through every tie.
+    # equal totals come in groups of up to six, and a group's points lie in
+    # different leading-axis slabs: ties straddle the block boundaries.  The
+    # blocked walk, at one slab a block, two, or seven with a short last
+    # block, must pick what a stable argsort of the whole grid picks.
     g = PowerExponent(2.0).g
     ev = BandEvent(4, 2.0, 0.5)
     axis = np.linspace(1e-3, 2.0 + 4 * 0.5 + 5.0, 65)
-    sum_w = functools.reduce(np.add.outer, [g(axis)] * 3).ravel()
-    sum_x = functools.reduce(np.add.outer, [axis] * 3).ravel()
-    args = (g, ev, region, axis, sum_w, sum_x, 6)
-    got = variational._coarse_candidates(*args)
+    args = (g, ev, (region,), axis, 6)
+    got = []
+    for block_points in (variational._BLOCK_POINTS, 2 * 65**2, 7 * 65**2):
+        monkeypatch.setattr(variational, "_BLOCK_POINTS", block_points)
+        got.append(variational._coarse_candidates(*args)[0])
+    monkeypatch.setattr(variational, "_BLOCK_POINTS", axis.size ** 3)
     monkeypatch.setattr(variational, "_smallest",
                         lambda total, m: np.argsort(total, kind="stable")[:m])
-    want = variational._coarse_candidates(*args)
-    assert len(got) == len(want) == 6
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    want = variational._coarse_candidates(*args)[0]
+    assert len(want) == 6
+    for points in got:
+        assert len(points) == 6
+        for a, b in zip(points, want):
+            assert np.array_equal(a, b)
+
+
+def test_escape_search_runs_in_bounded_memory():
+    # Levels 0 to 2 grid 33^3, 65^3 and 129^3 points; a block of slabs at a
+    # time, no level holds more than a few slabs of temporaries.
+    model = pure_density(PowerExponent(2.0))
+    tracemalloc.start()
+    try:
+        brute_force_infimum(model, BandEvent(4, 2.0, 0.5), "IccC")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_refinement_ladder_runs_each_level_once(monkeypatch):
@@ -237,10 +257,13 @@ def test_refinement_ladder_runs_each_level_once(monkeypatch):
 
 
 def test_escape_search_is_one_search_per_level(monkeypatch):
-    # Both exit regions share one free grid (two outer-sum reductions: w
-    # and x) and one descent per level, with no recursion into the regions.
-    reduces, descents = [], []
-    descend = variational._descend
+    # Both exit regions share one walk of the free grid (two outer-sum
+    # reductions, w and x, per block of slabs) and one descent per level,
+    # with no recursion into the regions.
+    walks, reduces, descents = [], [], []
+    coarse, descend = variational._coarse_candidates, variational._descend
+    monkeypatch.setattr(variational, "_coarse_candidates",
+                        lambda *args, **kw: walks.append((args[2], args[3].size)) or coarse(*args, **kw))
     monkeypatch.setattr(variational, "functools", types.SimpleNamespace(
         reduce=lambda *args: reduces.append(1) or functools.reduce(*args)))
     monkeypatch.setattr(variational, "_descend",
@@ -248,7 +271,10 @@ def test_escape_search_is_one_search_per_level(monkeypatch):
     monkeypatch.setattr(variational, "_REFINE_TOL", -1.0)
     with pytest.raises(NoConvergence):
         brute_force_infimum(pure_density(PowerExponent(2.0)), BandEvent(3, 2.0, 0.5), "IccC")
-    assert len(reduces) == 2 * 4 and len(descents) == 4
+    sizes = [81, 161, 321, 641]
+    assert walks == [(("AcapC", "BcapC"), size) for size in sizes] and len(descents) == 4
+    rows = [max(1, variational._BLOCK_POINTS // size) for size in sizes]
+    assert len(reduces) == 2 * sum(-(-size // r) for size, r in zip(sizes, rows))
     # Each descent polishes the candidates of both regions together.
     assert all(count > 6 for count in descents)
 
@@ -259,6 +285,9 @@ def test_escape_search_is_one_search_per_level(monkeypatch):
     ("exp", BandEvent(3, 2.5, 0.4)),
     ("power:beta=2/sin", BandEvent(3, 3.0, 0.5)),
     ("power:beta=3/sin", BandEvent(4, 2.0, 0.5)),
+    # Far out, the first slabs of the finer grids hold no point low enough
+    # for the low exit: blocks with no feasible point are skipped.
+    ("exp", BandEvent(3, 40.0, 0.5)),
 ])
 def test_escape_search_is_min_of_exit_regions_bit_for_bit(spec, ev):
     model = parse_model(spec)
