@@ -51,6 +51,10 @@ class ExponentModel:
     """
 
     kind: str = "abstract"
+    # Whether g is convex on all of (0, inf) and ``symmetric_gap`` is
+    # implemented: then every pair law p(u) p(s - u) of the pure model is
+    # log-concave, and ``sampler.gibbs_fixed_sum`` draws it exactly.
+    log_concave_pairs: bool = False
 
     @property
     def increase_threshold(self) -> float:
@@ -80,6 +84,14 @@ class ExponentModel:
 
     def gap(self, x: float, delta: float) -> float:
         """g(x + delta) - g(x), stable for |delta| << x."""
+        raise NotImplementedError
+
+    def symmetric_gap(self, x: Array, d: Array) -> Array:
+        """g(x + d) + g(x - d) - 2 g(x) for 0 <= d < x, elementwise on
+        broadcast float arrays: the pair exponent about its midpoint, which
+        vanishes to second order in d, in a form that does not cancel.  It
+        overflows to inf where it is that large; callers that reach d = x
+        or such values silence numpy's warnings."""
         raise NotImplementedError
 
     def _gap_series_scale(self, x: float, delta: float) -> float:
@@ -134,10 +146,57 @@ class ExponentModel:
                                f"on ({lo:g}, {X + 50.0:g}]")
         if np.any(d2 < -1e-9):
             raise InvalidModel(f"{self.kind} exponent fails the convexity probe")
-        if np.any(d1 <= 0.0):
+        # Growth is probed where g' is a normal float: near 0 a steep power's
+        # g' = beta x^(beta - 1) underflows to 0 although g increases.
+        d1 = d1[np.abs(d1) >= np.finfo(float).tiny]
+        if d1.size == 0 or np.any(d1 < 0.0):
             raise InvalidModel(
                 f"{self.kind} exponent is not increasing beyond its threshold"
             )
+
+
+def _even_binomials(beta: float) -> tuple[float, ...] | None:
+    """2 C(beta, j) for the even j from 2 to beta, highest j first, when beta
+    is an integer up to ``_SERIES_TERMS``: then (1 + r)^beta + (1 - r)^beta - 2
+    is exactly their polynomial in r^2, times r^2.  None for any other beta."""
+    if not (beta.is_integer() and beta <= _SERIES_TERMS):
+        return None
+    # beta = 1 gives the zero polynomial: a linear g has no gap.
+    return tuple(2.0 * math.comb(int(beta), j) for j in range(int(beta) // 2 * 2, 1, -2)) or (0.0,)
+
+
+def _power_symmetric_gap(beta: float, coefs: tuple[float, ...] | None, x: Array,
+                         d: Array) -> Array:
+    """(x + d)^beta + (x - d)^beta - 2 x^beta for 0 <= d < x.
+
+    This is x^beta times (1 + r)^beta + (1 - r)^beta - 2 with r = d / x.
+    For an integer beta up to ``_SERIES_TERMS`` that bracket is the even
+    polynomial ``coefs`` in r, whose terms are all positive.  For any other
+    beta, with P = (beta/2) log1p(-r^2) and Q = (beta/2) atanh(r), it is
+    2 (e^P cosh 2Q - 1) = 4 e^P sinh(Q)^2 + 2 expm1(P): P and Q are exact to
+    rounding at every r, and the two terms, about beta^2 r^2 and -beta r^2
+    at small r, cancel by at most a factor beta / (beta - 1).  Neither form
+    needs a switch.
+    """
+    r = d / x
+    if coefs is not None:
+        r *= r
+        q = coefs[0] * r
+        for c in coefs[1:]:
+            q += c
+            q *= r
+    else:
+        p = r * r
+        np.negative(p, out=p)
+        np.log1p(p, out=p)
+        p *= 0.5 * beta
+        q = np.sinh(np.arctanh(r) * (0.5 * beta))
+        q *= q
+        q *= np.exp(p)
+        q += 0.5 * np.expm1(p)
+        q *= 4.0
+    q *= x**beta
+    return q
 
 
 class PowerExponent(ExponentModel):
@@ -149,11 +208,13 @@ class PowerExponent(ExponentModel):
     """
 
     kind = "power"
+    log_concave_pairs = True
 
     def __init__(self, beta: float):
         if not (math.isfinite(beta) and beta >= 1.0):
             raise InvalidModel(f"power exponent requires finite beta >= 1, got {beta!r}")
         self.beta = float(beta)
+        self._even_coefs = _even_binomials(self.beta)
         self.validate()
 
     @property
@@ -181,6 +242,9 @@ class PowerExponent(ExponentModel):
             raise OutOfSupport("gap endpoint left the support")
         return x**self.beta * math.expm1(self.beta * math.log1p(delta / x))
 
+    def symmetric_gap(self, x: Array, d: Array) -> Array:
+        return _power_symmetric_gap(self.beta, self._even_coefs, x, d)
+
     def __repr__(self) -> str:
         return f"PowerExponent(beta={self.beta})"
 
@@ -189,6 +253,7 @@ class ExpExponent(ExponentModel):
     """g(x) = exp(x)."""
 
     kind = "exp"
+    log_concave_pairs = True
 
     def __init__(self):
         self.validate()
@@ -215,6 +280,14 @@ class ExpExponent(ExponentModel):
     def gap(self, x: float, delta: float) -> float:
         return math.exp(x) * math.expm1(delta)
 
+    def symmetric_gap(self, x: Array, d: Array) -> Array:
+        # e^x (e^d + e^-d - 2) = e^x (2 sinh(d/2))^2: no cancellation at
+        # any d, so no series is needed.
+        q = np.sinh(0.5 * d)
+        q *= q
+        q *= 4.0 * np.exp(x)
+        return q
+
     def __repr__(self) -> str:
         return "ExpExponent()"
 
@@ -227,11 +300,13 @@ class WeibullExponent(ExponentModel):
     """
 
     kind = "weibull"
+    log_concave_pairs = True
 
     def __init__(self, k: float):
         if not (math.isfinite(k) and k > 2.0):
             raise InvalidModel(f"weibull exponent requires finite k > 2, got {k!r}")
         self.k = float(k)
+        self._even_coefs = _even_binomials(self.k)
         self.validate()
 
     @property
@@ -268,6 +343,13 @@ class WeibullExponent(ExponentModel):
             raise OutOfSupport("gap endpoint left the support")
         lr = math.log1p(delta / x)
         return x**self.k * math.expm1(self.k * lr) - (self.k - 1.0) * lr
+
+    def symmetric_gap(self, x: Array, d: Array) -> Array:
+        # The log terms give -(k - 1) log1p(-r^2) with r = d / x, which is
+        # positive and does not cancel.
+        r = d / x
+        return (_power_symmetric_gap(self.k, self._even_coefs, x, d)
+                - (self.k - 1.0) * np.log1p(-r * r))
 
     def __repr__(self) -> str:
         return f"WeibullExponent(k={self.k})"

@@ -29,6 +29,17 @@ _WILSON_Z = 1.96
 _PAIR_POINTS = 512
 _PAIR_RAMP = np.arange(_PAIR_POINTS, dtype=float)
 _BURN_IN = 100
+# Envelope nodes of an exact pair draw and their spacing in Laplace sds of
+# the offset (see ``_log_concave_pair_draws``): nodes out to 4 sds keep the
+# chord envelope within 1.5% of a Gaussian's mass.  w / _LAPLACE_SDS is
+# that sd; _FLAT is the slope that stands for 0 in the envelope; rounds
+# beyond _MAX_ROUNDS mean the envelope is not working.
+_ENVELOPE_NODES = 20
+_NODE_SPACING = 0.2
+_NODE_RAMP = np.arange(1.0, _ENVELOPE_NODES + 1.0)
+_LAPLACE_SDS = math.sqrt(2.5 * MASS_DROP)
+_FLAT = 1e-200
+_MAX_ROUNDS = 64
 # Step values drawn, inverted and reduced at a time by the TiltedIS and
 # conditioned-path loops, in whole n-vectors: 256 KB a float array, so a
 # block's uniforms, draws and ppf temporaries stay in cache, while blocks
@@ -266,6 +277,10 @@ def _log_sum_exp(a: Array) -> float:
 def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
     """Half-tables of the pair conditionals, one row per pair sum in s.
 
+    ``gibbs_fixed_sum`` uses them for perturbed and tabulated models only,
+    whose pair conditionals need not be log-concave; pure analytic models
+    draw their pairs exactly (``_log_concave_pair_draws``).
+
     Row k tabulates the density proportional to p(u) p(s_k - u) on
     (0, s_k / 2].  That density is symmetric about s_k / 2, so its cdf there
     is exactly 1/2, and reflecting a half-table draw u to s_k - u with
@@ -343,18 +358,125 @@ def pair_conditional_table(model: PerturbedDensity, s: Array) -> GridInverseCdf:
     return GridInverseCdf.build(xs, vals)
 
 
+def _laplace_half_width(model: PerturbedDensity, half: Array) -> Array:
+    """w = sqrt(1.25 MASS_DROP / g''(half)), the half-width of each pair
+    conditional's Laplace window (see ``pair_conditional_table``): inf
+    where g'' is 0, and NaN where it is not finite and positive (0 / 0
+    where it is inf).  Callers silence the divisions' warnings."""
+    curvature = model.exponent.d2g(half)
+    return np.sqrt(1.25 * MASS_DROP / curvature) / (curvature < np.inf)
+
+
 def _pair_window_start(model: PerturbedDensity, half: Array) -> Array:
     """Left edge of each pair half-table's first grid on (0, half]: the
     Laplace window's half - w (see ``pair_conditional_table``), the first
     positive float where g''(half) is not finite and positive or the
     window reaches past it, and half where w is below float resolution."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        curvature = model.exponent.d2g(half)
-        # w is inf or NaN where g'' is not finite and positive (0 / 0 where it
-        # is inf), so fmax starts those rows at the first positive float,
-        # none a point mass.
-        w = np.sqrt(1.25 * MASS_DROP / curvature) / (curvature < np.inf)
+        w = _laplace_half_width(model, half)
+    # fmax starts the rows where w is inf or NaN at the first positive
+    # float, none a point mass.
     return np.where(w < _PAIR_POINTS * np.spacing(half), half, np.fmax(half - w, FIRST_POSITIVE))
+
+
+def _log_concave_pair_draws(model: PerturbedDensity, s: Array,
+                            rng: np.random.Generator) -> Array:
+    """The larger coordinate u = m + d of each pair, m = s_k / 2, drawn
+    exactly from the pair conditional p(u) p(s_k - u) on (0, s_k) of a pure
+    model whose pair laws are log-concave
+    (``ExponentModel.log_concave_pairs``); reflected to s_k - u with
+    probability 1/2, it is a draw of that conditional.  s_k - u is exact by
+    Sterbenz's lemma, so u and s_k - u sum to s_k exactly.
+
+    The offset d has log-density H(d) = -(g(m + d) + g(m - d) - 2 g(m)) on
+    [0, m), from ``symmetric_gap``: relative to the peak, so it keeps its
+    resolution where g(m) is 1e17 or more.  H is concave with its maximum
+    0 at d = 0, so an envelope built from its values alone bounds it
+    (Devroye 1986, *Non-Uniform Random Variate Generation*, ch. VII;
+    Gilks & Wild 1992, *Appl. Statist.* 41).  Its nodes are k delta for
+    k = 1..``_ENVELOPE_NODES``, where delta is ``_NODE_SPACING`` Laplace
+    sds 1/sqrt(2 g''(m)) of d, or m / (``_ENVELOPE_NODES`` + 1) where that
+    is smaller.  The envelope is flat at 0 up to the first node; from each
+    node on it follows the chord through that node and the one before
+    it, extended.  No difference of g' is taken.  Each round draws one
+    offset a pair from the piecewise-exponential envelope and keeps it
+    with probability exp(H - envelope); the pairs rejected go to the next
+    round.  A proposal whose H lies above the envelope by more than
+    rounding raises ``NoConvergence``: H is not concave there.  Rows whose
+    Laplace window is under ``_PAIR_POINTS`` float spacings are the point
+    mass at m, as in ``pair_conditional_table``; where g''(m) is not
+    finite the pair law has no scale, and ``NonIntegrable`` is raised.
+    """
+    half = 0.5 * s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = _laplace_half_width(model, half)
+        drawn = w >= _PAIR_POINTS * np.spacing(half)
+        if not drawn.all():
+            if np.isnan(w).any():
+                raise NonIntegrable("pair log-density has no finite curvature at s/2")
+            out = half.copy()
+            if drawn.any():
+                out[drawn] = _log_concave_pair_draws(model, s[drawn], rng)
+            return out
+        nodes = _ENVELOPE_NODES
+        delta = np.minimum(w * (_NODE_SPACING / _LAPLACE_SDS), half * (1.0 / (nodes + 1)))
+        # In units of delta, piece k of the envelope runs from node k (node
+        # 0 is d = 0) to node k + 1, or to m from the last node, with log
+        # height -gap[k] at its start and slope b[k]: the chord from node
+        # k - 1, with piece 0 flat as if there were a node -1 at height 0.
+        padded = np.zeros((s.size, nodes + 2))
+        padded[:, 2:] = model.exponent.symmetric_gap(half[:, None], delta[:, None] * _NODE_RAMP)
+        gap = padded[:, 1:]
+        # fmin keeps each slope below 0, and turns the NaN of two inf gaps
+        # into a piece of no mass.
+        b = np.fmin(padded[:, :-1] - gap, -_FLAT)
+        height = np.exp(-gap)
+        rise = b.copy()
+        rise[:, -1] *= half / delta - nodes
+        mass = np.expm1(rise)
+        mass *= height
+        mass /= b
+        ends = np.add.accumulate(mass, axis=1)
+        total = ends[:, -1].copy()
+        below = ends - mass
+        # The last piece also takes whatever level rounding puts past the end.
+        ends[:, -1] = np.inf
+        # A level l in piece k lies x = log1p((l - below[k]) slant[k]) / b[k]
+        # past its start, with slant = b / height.
+        slant = np.divide(b, height, out=height)
+        starts = np.arange(0, s.size * (nodes + 1), nodes + 1)
+        top = np.nextafter(s, 0.0)
+        out, pos = None, None
+        for _ in range(_MAX_ROUNDS):
+            level, keep = rng.random((2, s.size))
+            level *= total
+            piece = (ends > level[:, None]).argmax(axis=1)
+            flat = starts + piece
+            b_k = b.ravel()[flat]
+            x = np.log1p((level - below.ravel()[flat]) * slant.ravel()[flat])
+            x /= b_k
+            d = (piece + x) * delta
+            # The envelope's depth below the peak, and H above the envelope.
+            depth = gap.ravel()[flat] - b_k * x
+            excess = depth - model.exponent.symmetric_gap(half, d)
+            if excess.max() > 1e-9 * (1.0 + depth.max()):
+                raise NoConvergence("pair log-density rose above its concave envelope")
+            ok = keep < np.exp(excess)
+            u = np.minimum(half + d, top)
+            if out is None:
+                if ok.all():
+                    return u
+                out, pos = u, np.arange(s.size)
+            else:
+                out[pos[ok]] = u[ok]
+            rest = ~ok
+            if not rest.any():
+                return out
+            pos, s, half, top, delta = pos[rest], s[rest], half[rest], top[rest], delta[rest]
+            gap, b, slant, ends, below, total = (gap[rest], b[rest], slant[rest], ends[rest],
+                                                 below[rest], total[rest])
+            starts = starts[:pos.size]
+    raise NoConvergence(f"no exact pair draw accepted in {_MAX_ROUNDS} rounds")
 
 
 def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
@@ -364,13 +486,21 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
     Each sweep applies two uniformly random matchings, the first
     2 floor(n/2) entries of a random permutation taken in pairs.  Every pair
     of a matching redistributes its sum s by drawing one coordinate from
-    the conditional p(u) p(s-u) on (0, s), all pairs at once from one
-    batch of half-tables; disjoint pair updates commute, so the matching
-    keeps the fixed-sum law.  A matching is one ``pair_conditional_table``
-    build, one ``ell`` pass where every pair lies on its Laplace window,
-    and one batched ``ppf`` with one uniform per pair.  The total is
-    invariant by construction; states are recorded once per sweep after
+    the conditional p(u) p(s-u) on (0, s), all pairs at once; disjoint pair
+    updates commute, so the matching keeps the fixed-sum law.  The total
+    is invariant by construction; states are recorded once per sweep after
     the first 100.
+
+    The pair draw follows what the model guarantees.  A pure model with an
+    analytic exponent (power, Weibull, ``exp``: ``log_concave_pairs``) has
+    a convex g, so every pair conditional is log-concave, and its pairs are
+    drawn exactly by ``_log_concave_pair_draws``, with no table; the pair
+    sums stay exact.  A perturbed or tabulated model has no log-concavity
+    guarantee, and its matchings keep the table path: one
+    ``pair_conditional_table`` build, one ``ell`` pass where every pair lies
+    on its Laplace window, and one batched ``ppf`` with one uniform per
+    pair.  The two paths draw from the stream differently, so a chain's
+    states depend on its path as well as its seed.
     """
     require_counts(n=n, sweeps=sweeps)
     if n < 2:
@@ -383,20 +513,27 @@ def gibbs_fixed_sum(model: PerturbedDensity, n: int, s_total: float,
     x = np.full(n, s_total / n)
     constraint = EndValueEquals(s_total)
     pairs = n // 2
+    exact = model.is_pure and model.exponent.log_concave_pairs
     out: list[ConditionedSample] = []
     for sweep in range(_BURN_IN + sweeps):
         for _ in range(2):
             i, j = rng.permutation(n)[: 2 * pairs].reshape(pairs, 2).T
             s = x[i] + x[j]
-            # One uniform per pair: 2v below 1 inverts the lower half-table,
-            # above 1 the reflected upper half, so the map is the whole
-            # conditional's inverse cdf.
-            v = 2.0 * rng.random(pairs)
-            upper = v > 1.0
-            u = pair_conditional_table(model, s).ppf(np.where(upper, 2.0 - v, v))
-            rest = s - u
-            x[i] = np.where(upper, rest, u)
-            x[j] = np.where(upper, u, rest)
+            if exact:
+                # The permutation orders each pair at random, so giving the
+                # larger coordinate to i reflects it with probability 1/2.
+                x[i] = _log_concave_pair_draws(model, s, rng)
+                x[j] = s - x[i]
+            else:
+                # One uniform per pair: 2v below 1 inverts the lower
+                # half-table, above 1 the reflected upper half, so the map
+                # is the whole conditional's inverse cdf.
+                v = 2.0 * rng.random(pairs)
+                upper = v > 1.0
+                u = pair_conditional_table(model, s).ppf(np.where(upper, 2.0 - v, v))
+                rest = s - u
+                x[i] = np.where(upper, rest, u)
+                x[j] = np.where(upper, u, rest)
         if sweep >= _BURN_IN:
             out.append(ConditionedSample(values=x.copy(), constraint=constraint))
     return out

@@ -6,6 +6,7 @@ mpmath at 50 significant digits and are frozen here as literals.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -186,7 +187,8 @@ def test_invalid_exponent_parameters():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("make", [lambda: PowerExponent(200.0), lambda: WeibullExponent(200.0)])
+@pytest.mark.parametrize("make", [lambda: PowerExponent(200.0), lambda: WeibullExponent(200.0),
+                                  lambda: WeibullExponent(180.0)])
 def test_exponent_overflowing_its_probes_is_invalid(make):
     # The probes run to X + 50, where x**200 and its derivatives overflow:
     # the model is refused by name, not by a bare RuntimeWarning.
@@ -197,6 +199,62 @@ def test_exponent_overflowing_its_probes_is_invalid(make):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_power_100_keeps_finite_probes():
     assert PowerExponent(100.0).beta == 100.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [171.0, 172.0, 176.0, 180.0])
+def test_steep_powers_pass_the_growth_probe(beta):
+    # g' = beta x^(beta - 1) underflows to 0 at the second probe node,
+    # 0.0125, from beta = 172 on; growth is probed where g' is a normal
+    # float, so these increasing powers build.
+    assert PowerExponent(beta).beta == beta
+
+
+def test_growth_probe_still_refuses_a_decreasing_exponent():
+    class Falling(PowerExponent):
+        def derivative(self, order, x):
+            return -super().derivative(order, x) if order == 1 else super().derivative(order, x)
+
+    with pytest.raises(InvalidModel, match="not increasing"):
+        Falling(3.0)
+
+
+def _symmetric_gap_mp(kind, p, x, d):
+    """g(x + d) + g(x - d) - 2 g(x) in mpmath at 50 digits."""
+    with mp.workdps(50):
+        x, d = mp.mpf(x), mp.mpf(d)
+        if kind == "power":
+            g = lambda v: v**p  # noqa: E731
+        elif kind == "weibull":
+            g = lambda v: v**p - (p - 1) * mp.log(v)  # noqa: E731
+        else:
+            g = mp.exp
+        return g(x + d) + g(x - d) - 2 * g(x)
+
+
+@pytest.mark.parametrize("kind, p, make", [
+    ("power", 1.5, lambda: PowerExponent(1.5)),
+    ("power", 2.0, lambda: PowerExponent(2.0)),
+    ("power", 3.0, lambda: PowerExponent(3.0)),
+    ("power", 7.5, lambda: PowerExponent(7.5)),
+    ("power", 20.0, lambda: PowerExponent(20.0)),
+    ("weibull", 2.5, lambda: WeibullExponent(2.5)),
+    ("weibull", 3.0, lambda: WeibullExponent(3.0)),
+    ("exp", None, ExpExponent),
+])
+def test_symmetric_gap_matches_mpmath(kind, p, make):
+    # Both sides of the series switch (d / x = 0.01), deep below it where
+    # the gap is 1e-16 of g(x), and out to d / x = 0.95.
+    exponent = make()
+    ratios = np.array([1e-8, 1e-4, 0.0099, 0.0101, 0.05, 0.3, 0.7, 0.95])
+    for x in (0.3, 2.0, 25.0, 300.0):
+        d = ratios * x
+        got = exponent.symmetric_gap(np.array([x]), d)
+        for di, gi in zip(d, got):
+            ref = _symmetric_gap_mp(kind, p, x, di)
+            if ref > 1e300:
+                continue
+            assert gi == pytest.approx(float(ref), rel=5e-13), (x, di)
 
 
 def test_envelope_violation_detected():

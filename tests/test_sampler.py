@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -12,6 +13,7 @@ from scipy.stats import binomtest, chi2_contingency, kstwo, norm
 
 from stretchwalk.density import (
     FIRST_POSITIVE,
+    PerturbedDensity,
     PowerExponent,
     TabulatedExponent,
     WeibullExponent,
@@ -739,8 +741,12 @@ class TestGibbsFixedSum:
 
     def test_exchangeable_coordinates(self, power2):
         # Coordinates share one exchangeable law, so per-coordinate histograms
-        # should agree; a contingency chi-square should not reject.
-        states = gibbs_fixed_sum(power2, 5, 15.0, sweeps=800, seed=3)
+        # should agree; a contingency chi-square should not reject.  The
+        # chi-square takes its 800 states as independent, so they are every
+        # second sweep: consecutive sweeps correlate at lag 1 by 0.25 (an
+        # integrated autocorrelation time of 1.66), which made 8-9% of seeds
+        # reject at the 1% level, every second sweep 1-4%.
+        states = gibbs_fixed_sum(power2, 5, 15.0, sweeps=1600, seed=3)[::2]
         vals = np.array([s.values for s in states])
         edges = np.quantile(vals, [0.0, 0.25, 0.5, 0.75, 1.0])
         edges[0] -= 1.0
@@ -771,6 +777,154 @@ class TestGibbsFixedSum:
             gibbs_fixed_sum(weibull3, 4, -1.0, sweeps=10, seed=0)
         with pytest.raises(DomainError):
             gibbs_fixed_sum(weibull3, 4, 8.0, sweeps=0, seed=0)
+
+
+def _offset_cdf_mp(spec, s, hi, nodes=4001):
+    """cdf of the pair offset d = u - s/2 on [0, hi], from a trapezoid rule
+    on ``nodes`` points of exp(H(d)), H(d) = -(g(m + d) + g(m - d) - 2 g(m))
+    taken in mpmath at 40 digits, so it holds where g(m) is 1e21 or more."""
+    kind, _, rest = spec.partition(":")
+    p = float(rest.split("=")[1]) if rest else None
+    g = {"power": lambda v: v**p, "weibull": lambda v: v**p - (p - 1) * mp.log(v),
+         "exp": mp.exp}[kind]
+    grid = np.linspace(0.0, hi, nodes)
+    with mp.workdps(40):
+        m = mp.mpf(s) / 2
+        gm = g(m)
+        ell = np.array([float(-(g(m + mp.mpf(d)) + g(m - mp.mpf(d)) - 2 * gm)) for d in grid])
+    cdf = np.concatenate([[0.0], cumulative_trapezoid(np.exp(ell), grid)])
+    return grid, cdf / cdf[-1]
+
+
+def _pair_draws(spec, s, draws, seed):
+    """(model, larger coordinates u) of ``draws`` exact pair draws at sum s."""
+    model = parse_model(spec)
+    u = sampler._log_concave_pair_draws(model, np.full(draws, s), np.random.default_rng(seed))
+    return model, u
+
+
+class TestLogConcavePairDraws:
+    """The exact pair draws of pure analytic models against fine quadrature.
+
+    Each case takes 100,000 draws of the larger coordinate u = s/2 + d at
+    one pair sum s and compares the law of d with the trapezoid cdf of
+    exp(H) (``_offset_cdf_mp``) on [0, 14 sd], sd = 1 / sqrt(2 g''(s/2)), or
+    on [0, s/2] where that is shorter.  u is a float, so d lies on the grid
+    of spacings h at s/2: each draw's cdf is read at d + h/2 above it and at
+    d - h/2 below it, which is the continuous KS statistic where h is
+    negligible and the exact one for the rounded law.  With fixed seeds the
+    KS p-value must exceed 1e-3.  A proposal above the envelope would
+    raise, so these cases also show that the envelope check does not trip.
+    """
+
+    _DRAWS = 100_000
+
+    @pytest.mark.parametrize("spec, s", [
+        # Laplace-width rows.
+        ("power:beta=2", 50.0), ("power:beta=3", 50.0), ("weibull:k=3", 40.0), ("exp", 20.0),
+        # Rows whose law reaches the origin.
+        ("power:beta=2", 0.5), ("power:beta=3", 0.3), ("weibull:k=3", 0.5), ("exp", 0.5),
+        # Linear g: the uniform law on (0, s).
+        ("power:beta=1", 3.0),
+        # g(s/2) = 5e21, where a 512-node table raised NonIntegrable.
+        ("exp", 100.0),
+        # A Laplace window of 1,400 float spacings, just wider than a point
+        # mass: d takes about 850 distinct values.
+        ("exp", 110.0),
+    ])
+    def test_offsets_match_quadrature(self, spec, s):
+        self._check(spec, s)
+
+    @pytest.mark.parametrize("spec, s", [("power:beta=3", 50.0), ("weibull:k=3", 0.5)])
+    def test_a_coarse_envelope_draws_the_same_law(self, spec, s, monkeypatch):
+        # Exactness does not rest on a tight envelope: with 3 nodes 1.5 sd
+        # apart 30% and 11% of the proposals are rejected (1.4% with the
+        # default nodes, too few for a KS test to see the rejection step).
+        monkeypatch.setattr(sampler, "_ENVELOPE_NODES", 3)
+        monkeypatch.setattr(sampler, "_NODE_SPACING", 1.5)
+        monkeypatch.setattr(sampler, "_NODE_RAMP", np.arange(1.0, 4.0))
+        self._check(spec, s)
+
+    def _check(self, spec, s):
+        model, u = _pair_draws(spec, s, self._DRAWS, seed=17)
+        half = s / 2
+        # Both coordinates are positive and sum to s exactly.
+        assert np.all(u >= half) and np.all(s - u > 0.0)
+        assert np.all(u + (s - u) == s)
+        d = np.sort(u - half)
+        curvature = float(model.exponent.d2g(np.array([half]))[0])
+        hi = half if curvature == 0.0 else min(14.0 / math.sqrt(2.0 * curvature), half)
+        grid, cdf = _offset_cdf_mp(spec, s, hi)
+        h = np.spacing(half)
+        m = d.size
+        above = np.interp(d + h / 2, grid, cdf)
+        below = np.interp(d - h / 2, grid, cdf)
+        ks = max(np.max(np.arange(1, m + 1) / m - above), np.max(below - np.arange(m) / m))
+        assert kstwo.sf(ks, m) > 1e-3, (spec, s, ks)
+
+    def test_point_mass_rows_draw_the_midpoint(self):
+        # At s = 120 the Laplace window of exp is under 512 float spacings.
+        _, u = _pair_draws("exp", 120.0, 1000, seed=1)
+        assert np.all(u == 60.0)
+
+    def test_curvature_overflow_is_numeric_failure(self):
+        with pytest.raises(NonIntegrable):
+            _pair_draws("exp", 1600.0, 10, seed=1)
+
+    def test_a_log_density_above_its_envelope_raises(self, monkeypatch):
+        # A gap that dips below 0 between the nodes (which sit at multiples
+        # of 0.1, a fifth of the sd 1/2 at s = 50) is no concave H: the
+        # proposals there lie above the chord envelope.
+        model = parse_model("power:beta=2")
+        monkeypatch.setattr(model.exponent, "symmetric_gap",
+                            lambda x, d: 2.0 * d * d - 1.5 * np.sin(np.pi * d / 0.1) ** 2)
+        with pytest.raises(NoConvergence, match="envelope"):
+            sampler._log_concave_pair_draws(model, np.full(100, 50.0), np.random.default_rng(0))
+
+
+class TestGibbsPathSelection:
+    """Which pair update a chain takes: pure analytic models draw exactly,
+    perturbed and tabulated models keep their pair tables unchanged."""
+
+    _X = np.linspace(0.05, 12.0, 64)
+    # The last state of 3 recorded sweeps, before exact pair draws existed.
+    _TABLE_CHAINS = {
+        ("sin", 5, 3.0, 1): ["0x1.a4e1310b14adcp+1", "0x1.455af592a6b4ap+1",
+                             "0x1.9391db1960bdbp+1", "0x1.9920c15ca4f74p+1",
+                             "0x1.69113cec3ee86p+1"],
+        ("sin", 4, 2.0, 2): ["0x1.008389a736b2ap+1", "0x1.d21c5185ce2b7p+0",
+                             "0x1.12d13facd2208p+1", "0x1.039d0de910170p+1"],
+        ("tabulated", 5, 3.0, 1): ["0x1.a4d2fe05658edp+1", "0x1.459173344d575p+1",
+                                   "0x1.938d05fef75bfp+1", "0x1.9909a7ce5d687p+1",
+                                   "0x1.6904e0f8f854bp+1"],
+        ("tabulated", 4, 2.0, 2): ["0x1.007e19d81da00p+1", "0x1.d31afdc5cddefp+0",
+                                   "0x1.1275e90b3dc63p+1", "0x1.037e7e39bdabbp+1"],
+    }
+
+    @pytest.mark.parametrize("key", list(_TABLE_CHAINS))
+    def test_table_chains_are_unchanged(self, key):
+        kind, n, a, seed = key
+        model = (parse_model("power:beta=3/sin") if kind == "sin"
+                 else PerturbedDensity(exponent=TabulatedExponent(self._X, self._X**3)))
+        last = gibbs_fixed_sum(model, n, n * a, sweeps=3, seed=seed)[-1].values
+        assert [v.hex() for v in last] == self._TABLE_CHAINS[key]
+
+    def test_pure_chain_builds_no_pair_table(self, power3, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pair table built for a pure analytic model")
+
+        monkeypatch.setattr(sampler, "pair_conditional_table", refuse)
+        states = gibbs_fixed_sum(power3, 5, 15.0, sweeps=5, seed=0)
+        assert len(states) == 5
+
+    def test_exp_chains_past_the_table_limit_do_not_fail(self):
+        # The grid on which 512-node tables ended chains in NonIntegrable:
+        # pair sums of 70-140, where g(s/2) reaches 1e30.
+        model = parse_model("exp")
+        for n, a in [(2, 50.0), (3, 35.0), (3, 40.0), (3, 50.0), (3, 60.0), (4, 50.0)]:
+            for seed in range(5):
+                states = gibbs_fixed_sum(model, n, n * a, sweeps=200, seed=seed)
+                assert len(states) == 200, (n, a, seed)
 
 
 def _gauss_legendre(lo, hi, panels=64):
