@@ -25,7 +25,8 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .errors import InvalidModel, NonIntegrable, OutOfSupport
-from .quadrature import first_reach, log_integral, log_moment_integrals, mass_window
+from .quadrature import (_BLOCK_POINTS, first_reach, log_integral, log_moment_integrals,
+                         mass_window)
 
 Array = np.ndarray
 
@@ -355,10 +356,89 @@ class WeibullExponent(ExponentModel):
         return f"WeibullExponent(k={self.k})"
 
 
+def _pchip_edge(h0, h1, m0, m1):
+    """scipy's one-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: Array, y: Array) -> Array:
+    """``PchipInterpolator(x, y).c`` through at least two finite nodes, built
+    _BLOCK_POINTS intervals at a time: scipy 1.17's ``_find_derivatives``,
+    ``_edge_case`` and ``CubicHermiteSpline`` arithmetic, operation for
+    operation, so the coefficients are scipy's bit for bit."""
+    size = x.size
+    if size < 2:
+        raise ValueError("PCHIP needs at least two nodes")
+    c = np.empty((4, size - 1))
+    for s in range(0, size - 1, _BLOCK_POINTS):
+        # Intervals s..e-1 read the node slopes s..e, and an inner node's
+        # slope reads the segments on both sides of it.
+        e = min(s + _BLOCK_POINTS, size - 1)
+        lo, hi = max(s - 1, 0), min(e + 2, size)
+        hk = x[lo + 1:hi] - x[lo:hi - 1]
+        mk = (y[lo + 1:hi] - y[lo:hi - 1]) / hk
+        dk = np.zeros(hi - lo)
+        if size == 2:
+            dk[:] = mk[0]
+        else:
+            smk = np.sign(mk)
+            flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+            w1 = 2 * hk[1:] + hk[:-1]
+            w2 = hk[1:] + 2 * hk[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+            np.divide(1.0, whmean, out=dk[1:-1], where=~flat)
+            if lo == 0:
+                dk[0] = _pchip_edge(hk[0], hk[1], mk[0], mk[1])
+            if hi == size:
+                dk[-1] = _pchip_edge(hk[-1], hk[-2], mk[-1], mk[-2])
+        dx, slope = hk[s - lo:e - lo], mk[s - lo:e - lo]
+        d0, d1 = dk[s - lo:e - lo], dk[s - lo + 1:e - lo + 1]
+        t = (d0 + d1 - 2 * slope) / dx
+        c[0, s:e] = t / dx
+        c[1, s:e] = (slope - d0) / dx - t
+        c[2, s:e] = d0
+        c[3, s:e] = y[s:e]
+    return c
+
+
+class Pchip:
+    """Monotone piecewise-cubic interpolant (Fritsch & Carlson 1980) through
+    (x, y): scipy's ``PchipInterpolator(x, y)`` bit for bit, with its layout
+    of ``x`` and ``c`` (4 rows, highest power first).  Past the nodes the
+    end cubics extrapolate; NaN reads NaN."""
+
+    def __init__(self, x: Array, y: Array):
+        self.x = x
+        self.c = _pchip_coefficients(x, y)
+
+    def __call__(self, t) -> Array:
+        t = np.asarray(t, dtype=float)
+        # scipy's piece: x[i] <= t < x[i + 1], the end pieces past the nodes.
+        i = np.clip(np.searchsorted(self.x, t, "right") - 1, 0, self.x.size - 2)
+        # Far out an end cubic overflows to inf, or NaN, silently as scipy's.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._sum(i, t)
+
+    def _sum(self, i: Array, t: Array) -> Array:
+        """Piece i's polynomial at t, in scipy's term order."""
+        s = t - self.x.take(i)
+        c0, c1, c2, c3 = (c.take(i) for c in self.c)
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
 class TabulatedExponent(ExponentModel):
     """Exponent given on a user grid; derivatives by central differences.
 
-    Values between nodes come from monotone cubic interpolation.  The series
+    Values between nodes come from monotone cubic interpolation (``Pchip``),
+    and so do g' from the differenced node slopes.  Past either end node, g
+    and g' follow the end interval's cubic, which may turn down: nothing
+    holds them to the convexity checked on the grid.  The series
     machinery only has second-order information here, so extreme small-gap
     regimes are outside this kind's remit; the validation probes still hold
     it to the same convexity standard.
@@ -375,14 +455,12 @@ class TabulatedExponent(ExponentModel):
             raise InvalidModel("tabulated grid and values must be finite")
         if np.any(x <= 0.0):
             raise InvalidModel("tabulated grid must lie in (0, inf)")
-        from scipy.interpolate import PchipInterpolator
-
         self.x_grid = x
         self.g_grid = gvals
-        self._interp = PchipInterpolator(x, gvals, extrapolate=True)
+        self._interp = Pchip(x, gvals)
         dg = np.gradient(gvals, x)
         self._d2_grid = np.gradient(dg, x)
-        self._dinterp = PchipInterpolator(x, dg, extrapolate=True)
+        self._dinterp = Pchip(x, dg)
         # Steps above this go to direct differences of g, which are fine down
         # to the grid spacing; smaller ones to the two-term series.
         self._direct_delta = 1e-3 * float(np.min(np.diff(x)))
@@ -404,10 +482,10 @@ class TabulatedExponent(ExponentModel):
         return self._X
 
     def g(self, x: Array) -> Array:
-        return np.asarray(self._interp(np.asarray(x, dtype=float)), dtype=float)
+        return self._interp(x)
 
     def dg(self, x: Array) -> Array:
-        return np.asarray(self._dinterp(np.asarray(x, dtype=float)), dtype=float)
+        return self._dinterp(x)
 
     def d2g(self, x: Array) -> Array:
         return np.asarray(np.interp(np.asarray(x, dtype=float), self.x_grid, self._d2_grid),
@@ -505,15 +583,12 @@ def sin_perturbation(exponent: ExponentModel) -> Perturbation:
 
 
 def _tabulated_perturbation(exponent: ExponentModel, x: Array, qvals: Array) -> Perturbation:
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(x, qvals, extrapolate=False)
+    interp = Pchip(x, qvals)
     bound = float(np.max(np.abs(qvals))) + 1e-12
 
     def q(xs: Array) -> Array:
         xs = np.asarray(xs, dtype=float)
-        out = np.asarray(interp(xs), dtype=float)
-        return np.where(np.isnan(out), 0.0, out)
+        return np.where((xs >= x[0]) & (xs <= x[-1]), interp(xs), 0.0)
 
     def M(xs: Array) -> Array:
         return np.full_like(np.asarray(xs, dtype=float), bound)
@@ -602,14 +677,22 @@ class PerturbedDensity:
             raise InvalidModel("envelope scale N must be positive")
         X = self.exponent.increase_threshold
         probes = np.linspace(max(1e-6, X / 10.0), X + 50.0, 4001)
+        # M <= N log g needs g > 0 beyond y0, checked before q and M may
+        # take log g: past its grid a tabulated g may turn negative.
+        beyond = probes >= p.y0
+        with np.errstate(invalid="ignore"):
+            log_g = self.exponent.log_g(probes[beyond])
+        if not np.all(log_g > -np.inf):
+            x_bad = probes[beyond][np.argmin(log_g > -np.inf)]
+            raise EnvelopeViolated(f"g is not positive at x = {x_bad:.6g}, beyond y0 = "
+                                   f"{p.y0:.6g}, where M <= N log g needs log g")
         qv = np.asarray(p.q(probes), dtype=float)
         Mv = np.asarray(p.M(probes), dtype=float)
         if np.any(np.abs(qv) > Mv + 1e-9):
             raise EnvelopeViolated("|q| exceeds its envelope M on the probe grid")
         if np.any(Mv < -1e-12):
             raise EnvelopeViolated("envelope M must be nonnegative")
-        beyond = probes >= p.y0
-        cap = p.N * self.exponent.log_g(probes[beyond])
+        cap = p.N * log_g
         if np.any(Mv[beyond] > cap + 1e-9):
             raise EnvelopeViolated("M exceeds N log g beyond y0")
 
@@ -689,6 +772,8 @@ def load_tabulated_csv(path: str) -> tuple[TabulatedExponent, Perturbation | Non
         raise InvalidModel("tabulated CSV needs at least columns x,g")
     exponent = TabulatedExponent(data[:, 0], data[:, 1])
     pert = None
+    if data.shape[1] >= 3 and not np.all(np.isfinite(data[:, 2])):
+        raise InvalidModel("tabulated q column must be finite")
     if data.shape[1] >= 3 and np.any(data[:, 2] != 0.0):
         pert = _tabulated_perturbation(exponent, data[:, 0], data[:, 2])
     return exponent, pert

@@ -30,11 +30,12 @@ nests adaptive quadrature.
 An n = 3 probability reads a 513-node table of the two-step probability,
 laid on the levels the third step reads, [max(2 lo, 3a - hi), min(2 hi,
 3a - lo)], and built row-wise: one quadrature row per node, in a few
-batched integrand calls.  Every log table is PCHIP on a uniform grid,
-read by direct index.  Tables are built _BLOCK_POINTS nodes at a time, so
-a build holds its nodes, its values and its coefficients but only a block
-of temporaries; the PCHIP coefficients repeat scipy's arithmetic, bit for
-bit, without importing scipy.
+batched integrand calls.  Every log table is the package's one PCHIP,
+``density.Pchip``, on a uniform grid: it differs from the tabulated models'
+interpolants only in reading its interval by direct index, with no search.
+Its coefficients are built _BLOCK_POINTS nodes at a time, so a table build
+holds its nodes, its values and its coefficients but only a block of
+temporaries.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 
 import numpy as np
 
-from .density import FIRST_POSITIVE, PerturbedDensity
+from .density import FIRST_POSITIVE, Pchip, PerturbedDensity
 from .errors import DomainError, NonIntegrable, require_counts
 from .quadrature import _BLOCK_POINTS, gauss_legendre
 
@@ -110,80 +111,27 @@ def _log_pdf(model: PerturbedDensity, x: Array) -> Array:
     return model.log_c + model._log_kernel(np.asarray(x, dtype=float))
 
 
-def _pchip_edge(h0, h1, m0, m1):
-    """scipy's one-sided three-point end slope, kept shape-preserving."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_coefficients(x: Array, y: Array) -> Array:
-    """``PchipInterpolator(x, y).c`` through at least two finite nodes, built
-    _BLOCK_POINTS intervals at a time: scipy 1.17's ``_find_derivatives``,
-    ``_edge_case`` and ``CubicHermiteSpline`` arithmetic, operation for
-    operation, so the coefficients are scipy's bit for bit."""
-    size = x.size
-    if size < 2:
-        raise ValueError("PCHIP needs at least two nodes")
-    c = np.empty((4, size - 1))
-    for s in range(0, size - 1, _BLOCK_POINTS):
-        # Intervals s..e-1 read the node slopes s..e, and an inner node's
-        # slope reads the segments on both sides of it.
-        e = min(s + _BLOCK_POINTS, size - 1)
-        lo, hi = max(s - 1, 0), min(e + 2, size)
-        hk = x[lo + 1:hi] - x[lo:hi - 1]
-        mk = (y[lo + 1:hi] - y[lo:hi - 1]) / hk
-        dk = np.zeros(hi - lo)
-        if size == 2:
-            dk[:] = mk[0]
-        else:
-            smk = np.sign(mk)
-            flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-            w1 = 2 * hk[1:] + hk[:-1]
-            w2 = hk[1:] + 2 * hk[:-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-            np.divide(1.0, whmean, out=dk[1:-1], where=~flat)
-            if lo == 0:
-                dk[0] = _pchip_edge(hk[0], hk[1], mk[0], mk[1])
-            if hi == size:
-                dk[-1] = _pchip_edge(hk[-1], hk[-2], mk[-1], mk[-2])
-        dx, slope = hk[s - lo:e - lo], mk[s - lo:e - lo]
-        d0, d1 = dk[s - lo:e - lo], dk[s - lo + 1:e - lo + 1]
-        t = (d0 + d1 - 2 * slope) / dx
-        c[0, s:e] = t / dx
-        c[1, s:e] = (slope - d0) / dx - t
-        c[2, s:e] = d0
-        c[3, s:e] = y[s:e]
-    return c
-
-
-class _LogTable:
+class _LogTable(Pchip):
     """Vectorised log-values by PCHIP through nodes on a uniform grid, clipped
     to them: 0 (probability one) at or below ``left_edge`` and -inf past the
     last node.  Node 0 may sit right of the grid's origin (the survival
     table's does).  A read finds its interval from the node spacing, with no
-    search, and sums scipy's PCHIP polynomial in scipy's term order, so it
-    returns what ``PchipInterpolator`` would, to within rounding."""
+    search, so it returns what ``PchipInterpolator`` would, to within
+    rounding."""
 
     def __init__(self, nodes: Array, log_values: Array, left_edge: float = -math.inf):
-        self._x, self._left_edge = nodes, left_edge
+        super().__init__(nodes, log_values)
+        self._left_edge = left_edge
         self._step = (nodes[-1] - nodes[0]) / (nodes.size - 1)
-        self._c = _pchip_coefficients(nodes, log_values)
 
     def __call__(self, t) -> Array:
         t = np.asarray(t, dtype=float)
-        x = self._x
+        x = self.x
         tc = np.clip(t, x[0], x[-1])
         # Within rounding of a node this may pick the neighbouring interval,
         # whose polynomial also passes through that node.
         i = np.minimum(((tc - x[0]) / self._step).astype(np.intp), x.size - 2)
-        s = tc - x.take(i)
-        c0, c1, c2, c3 = (c.take(i) for c in self._c)
-        out = np.where(t <= self._left_edge, 0.0, c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s))
+        out = np.where(t <= self._left_edge, 0.0, self._sum(i, tc))
         return np.where(t > x[-1], -np.inf, out)
 
 

@@ -444,8 +444,8 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy loads only for tabulated models.  numpy.ma, which np.unique
-    # imports, does not load at all.
+    # The package runs on numpy alone, so no command loads scipy.  numpy.ma,
+    # which np.unique imports, does not load at all.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import stretchwalk.cli, sys; "
@@ -472,6 +472,27 @@ def test_rate_command_leaves_scipy_unloaded():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "0 []", argv
+
+
+def test_tabulated_commands_run_with_scipy_unimportable(tmp_path):
+    # A tabulated g and q are read by the package's own PCHIP, so a model
+    # with a q column builds, solves its rate and runs fixed-sum chains
+    # where scipy cannot be imported.
+    x = np.linspace(0.05, 60.0, 400)
+    path = tmp_path / "cubic_q.csv"
+    np.savetxt(path, np.column_stack([x, x**3, 0.3 * np.sin(x)]), delimiter=",")
+    model = f"tabulated:path={path}"
+    for argv in (["rate", "--model", model, "--a", "6"],
+                 ["localize", "--model", model, "--n", "5", "--a", "3", "--eps", "0.5",
+                  "--method", "FixedSumGibbs", "--trials", "100"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             "import sys; sys.modules['scipy'] = None; from stretchwalk import cli; "
+             f"sys.exit(cli.main({argv!r}))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("# seed=0\n"), argv
 
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

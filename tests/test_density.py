@@ -5,19 +5,23 @@ mpmath at 50 significant digits and are frozen here as literals.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.interpolate import PchipInterpolator
 
 from stretchwalk.density import (
     ExpExponent,
+    Pchip,
     Perturbation,
     PerturbedDensity,
     PowerExponent,
     TabulatedExponent,
     WeibullExponent,
+    _tabulated_perturbation,
     load_tabulated_csv,
     parse_model,
     pure_density,
@@ -360,6 +364,93 @@ def test_tabulated_roundtrip(tmp_path):
     mid = np.linspace(1.0, 5.0, 17)
     np.testing.assert_allclose(exponent.g(mid), mid**2.5, rtol=1e-6)
     np.testing.assert_allclose(exponent.dg(mid), 2.5 * mid**1.5, rtol=1e-3)
+
+
+def _bitwise_equal(got, want):
+    """Same shape, NaN where want is NaN, and the same bits elsewhere."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    num = ~np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), ~num)
+            and np.array_equal(got[num].view(np.int64), want[num].view(np.int64)))
+
+
+def _random_tabulated(rng):
+    """8-300 random nodes in (0, inf) and a convex, increasing g on them, a
+    random sequence with flat runs, and reads at the nodes, between them,
+    past both ends and at NaN."""
+    m = int(rng.integers(8, 300))
+    x = np.cumsum(rng.uniform(0.01, 1.0, m)) + rng.uniform(1e-3, 1.0)
+    g = np.cumsum(np.cumsum(rng.uniform(0.0, 2.0, m)) * np.diff(x, prepend=0.0))
+    y = np.cumsum(rng.normal(size=m) * (rng.uniform(size=m) < 0.7))
+    t = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), rng.uniform(x[0], x[-1], 400),
+                        x[0] - rng.exponential(2.0, 40), x[-1] + rng.exponential(2.0, 40),
+                        [np.nan, np.nextafter(x[-1], np.inf), np.nextafter(x[0], -np.inf)]])
+    return x, g, y, t
+
+
+def test_tabulated_interpolants_equal_scipy_bit_for_bit():
+    # g and g' extrapolate with the end cubics, as does a PCHIP through data
+    # of both signs with flat runs; q is 0 off its grid and at NaN.  A 2-D
+    # read, as the quadrature makes, gives the same values.
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        x, g, y, t = _random_tabulated(rng)
+        exponent = TabulatedExponent(x, g)
+        qvals = 0.3 * y / np.max(np.abs(y))
+        q = _tabulated_perturbation(exponent, x, qvals).q
+        refs = ((exponent.g, PchipInterpolator(x, g)),
+                (exponent.dg, PchipInterpolator(x, np.gradient(g, x))),
+                (Pchip(x, y), PchipInterpolator(x, y)),
+                (q, lambda v: np.nan_to_num(PchipInterpolator(x, qvals, extrapolate=False)(v),
+                                            nan=0.0)))
+        for ours, ref in refs:
+            assert _bitwise_equal(ours(t), ref(t))
+            grid = t[: t.size // 5 * 5].reshape(5, -1)
+            assert _bitwise_equal(ours(grid), ref(grid))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tabulated_q_column_must_be_finite(bad, tmp_path):
+    x = np.linspace(0.05, 12.0, 40)
+    q = 0.3 * np.sin(x)
+    q[7] = bad
+    path = tmp_path / "steps.csv"
+    np.savetxt(path, np.column_stack([x, x**3, q]), delimiter=",")
+    with pytest.raises(InvalidModel, match="q column"):
+        load_tabulated_csv(str(path))
+
+
+def _cubic_csv(tmp_path, nodes, end, with_q):
+    x = np.linspace(0.05, end, nodes)
+    cols = [x, x**3] + ([0.3 * np.sin(x)] if with_q else [])
+    path = tmp_path / f"cubic_{nodes}_{with_q}.csv"
+    np.savetxt(path, np.column_stack(cols), delimiter=",")
+    return path
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("suffix, with_q", [("", True), ("/sin", False)])
+def test_envelope_probe_refuses_a_non_positive_g(warn, suffix, with_q, tmp_path):
+    # Past x = 12 the 40-node cubic follows its end cubic, which falls
+    # below 0 near x = 32; the probes reach 50, where M <= N log g cannot
+    # hold.  Without the check log g read NaN there and the comparison
+    # passed, or warnings-as-errors ended the build in a bare warning.
+    path = _cubic_csv(tmp_path, 40, 12.0, with_q)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        with pytest.raises(EnvelopeViolated, match=r"g is not positive at x = 32\.02"):
+            parse_model(f"tabulated:path={path}{suffix}")
+    # The exponent alone reads no log g past the grid and builds.
+    assert pure_density(load_tabulated_csv(str(path))[0]).is_pure
+
+
+@pytest.mark.parametrize("suffix, with_q", [("", True), ("/sin", False)])
+def test_envelope_probe_passes_a_grid_past_the_probes(suffix, with_q, tmp_path):
+    # A 400-node cubic to x = 60 is positive on every probe, out to 50.05.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = parse_model(f"tabulated:path={_cubic_csv(tmp_path, 400, 60.0, with_q)}{suffix}")
+    assert not model.is_pure
 
 
 def test_tabulated_nonconvex_rejected():

@@ -18,6 +18,7 @@ from scipy.interpolate import PchipInterpolator
 from stretchwalk.density import (
     PowerExponent,
     WeibullExponent,
+    _pchip_coefficients,
     pure_density,
     sin_perturbed_density,
 )
@@ -29,7 +30,6 @@ from stretchwalk.smalln import (
     _LogSurvival,
     _LogTable,
     _log_quad,
-    _pchip_coefficients,
     exact_localization,
     exact_log_prob_band,
     exact_log_prob_escape,
@@ -398,7 +398,7 @@ def test_survival_table_is_built_in_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table._x.size == smalln._SURVIVAL_POINTS - 1
+    assert table.x.size == smalln._SURVIVAL_POINTS - 1
     assert peak < 16 * 2**20
 
 
