@@ -7,17 +7,25 @@ one computation, the probability that all steps lie in (lo, hi] and sum
 to at least n a: the support ends at ``support_cap``, so the exceedance
 is the band (0, support_cap].  These
 numbers anchor the certified bounds and the samplers at desk scale, where
-nothing asymptotic can hide.  Their accuracy is that of the survival
-table's trapezoid rule: on a grid step h, a log survival value is off by
-about h^2 / 12 times the mean of (g')^2 over the integrated range.  For
-unit-exponential steps that is 1.2e-8, and every log probability is high
-by about that much against the Irwin-Hall closed form.  Nothing here
-estimates that error yet (ROADMAP.md, item 5).
+nothing asymptotic can hide.  Their accuracy at n = 2 is that of the
+survival table.  Its panels are Simpson's rule, off by about h^4 / 2880
+times the fourth derivative of p: against 30-digit references, log S is
+within 3e-14 for unit-exponential steps, 7e-14 for ``exp``, 2e-12 for
+power beta = 2, Weibull k = 3 and the sin perturbations of power beta = 2,
+3 and Weibull k = 3, 3e-12 for power beta = 8 and 6e-10 for power beta =
+20 at 2.5 EX.  Unit-exponential n = 2 values match the gamma closed form
+to 3e-14; at n = 3 the 513-node two-step table sets the error, about
+1e-9.  Nothing here estimates these errors at run time, as a second
+panel count would (ROADMAP.md, item 5).
 
 The survival function is tabulated once per model by a right-to-left
-cumulative trapezoid over a quarter-million-point grid (positive panels
-summed smallest-first, so deep-tail values keep relative accuracy), and
-every integral is a fixed composite Gauss-Legendre sum, 16 panels to a
+cumulative Simpson sum over 32,768 panels (positive panels summed
+smallest-first, so deep-tail values keep relative accuracy): the density
+is evaluated at the nodes and the panel midpoints, and a panel that holds
+a perturbation's kink is two Simpson pieces split there.  A read near a
+kink, where the PCHIP slopes straddle the bend, integrates p from the
+node on its left instead.  Every integral
+is a fixed composite Gauss-Legendre sum, 16 panels to a
 piece, over the interpolated integrand.  The pieces end where the integrand
 is not smooth: at the band's edges, at a perturbation's kinks k (where
 p(x) bends) and at t - k (where S(t - x) does), and in the third step
@@ -51,7 +59,7 @@ from .quadrature import _BLOCK_POINTS, gauss_legendre
 Array = np.ndarray
 
 _SMALL_N = (2, 3)
-_SURVIVAL_POINTS = 262_145
+_SURVIVAL_POINTS = 32_769
 _PANELS = 16
 # Rows per batch of a row-wise _log_quad, and panels per batch: at most 32
 # rows of 96 panels (about 0.4 MB per temporary), so rows with more pieces go
@@ -137,26 +145,75 @@ class _LogTable(Pchip):
 
 class _LogSurvival(_LogTable):
     """Vectorised log P(X >= t) from one cumulative pass over the density,
-    built _BLOCK_POINTS nodes at a time into one tail array."""
+    built _BLOCK_POINTS nodes at a time into one tail array.
+
+    Where p bends, at a kink k, log S has a jump in its second derivative,
+    which the PCHIP slopes at the nodes either side of k average across:
+    a read in the three intervals around k would be off by about h^2 times
+    that jump (8.7e-9 for power beta = 2/sin).  Those reads instead take
+    S(t) from the node left of t, less the Simpson integral of p up to t,
+    split at k."""
 
     def __init__(self, model: PerturbedDensity):
         cap = model.support_cap
         xs = np.linspace(0.0, cap, _SURVIVAL_POINTS)
         xs[0] = FIRST_POSITIVE
-        # tail[i] holds trapezoid panel i, then, summed in place from the
-        # right (smallest first), P(X >= xs[i]); the last node's is 0.
+        # tail[i] holds Simpson panel i, then, summed in place from the right
+        # (smallest first), P(X >= xs[i]); the last node's is 0.
         tail = np.empty(xs.size)
         tail[-1] = 0.0
         for s in range(0, xs.size - 1, _BLOCK_POINTS):
             x = xs[s:s + _BLOCK_POINTS + 1]
-            pdf = np.exp(_log_pdf(model, x))
-            tail[s:s + x.size - 1] = 0.5 * (pdf[1:] + pdf[:-1]) * (x[1:] - x[:-1])
+            tail[s:s + x.size - 1] = _simpson(model, x)
+        kinks = np.asarray(model.kinks, dtype=float)
+        kinks = kinks[(kinks > xs[0]) & (kinks < xs[-1])]
+        # A panel that holds kinks is Simpson pieces split at them.
+        bent = np.unique(np.searchsorted(xs, kinks) - 1)
+        tail[bent] = _split_simpson(model, xs[bent], xs[bent + 1], kinks)
         panels = tail[-2::-1]
         np.cumsum(panels, out=panels)
         # The tail falls in i, so its positive values are a prefix.
         m = np.count_nonzero(tail > 0.0)
         log_tail = np.log(tail[:m], out=tail[:m])
         super().__init__(xs[:m], log_tail, float(xs[0]))
+        self._model, self._kinks, self._near_kink = model, kinks, None
+        if kinks.size:
+            self._near_kink = np.zeros(m - 1, dtype=bool)
+            self._near_kink[np.clip(bent[:, None] + np.arange(-1, 2), 0, m - 2)] = True
+
+    def _sum(self, i: Array, t: Array) -> Array:
+        """Piece i's polynomial at t, or near a kink the node's value less
+        the integral from the node."""
+        out = super()._sum(i, t)
+        if self._near_kink is None:
+            return out
+        near = self._near_kink.take(i)
+        if not np.any(near):
+            return out
+        out = np.array(out)
+        i, t = i[near], t[near]
+        left = self.c[3].take(i)
+        share = _split_simpson(self._model, self.x.take(i), t, self._kinks, left[:, None])
+        out[near] = left + np.log1p(-share)
+        return out
+
+
+def _simpson(model: PerturbedDensity, ends: Array, shift: float | Array = 0.0) -> Array:
+    """Simpson's rule for exp(-shift) p on each panel [ends[..., j], ends[...,
+    j + 1]], from one density call on the ends and midpoints, interleaved."""
+    x = np.empty(ends.shape[:-1] + (2 * ends.shape[-1] - 1,))
+    x[..., 0::2] = ends
+    x[..., 1::2] = 0.5 * (ends[..., 1:] + ends[..., :-1])
+    pdf = np.exp(_log_pdf(model, x) - shift)
+    return np.diff(ends) / 6.0 * (pdf[..., :-2:2] + 4.0 * pdf[..., 1::2] + pdf[..., 2::2])
+
+
+def _split_simpson(model: PerturbedDensity, lo: Array, hi: Array, kinks: Array,
+                   shift: float | Array = 0.0) -> Array:
+    """Simpson's rule for exp(-shift) p on each [lo[r], hi[r]], in pieces
+    that end at the kinks (ascending) inside it."""
+    ends = np.column_stack([lo, *(np.clip(k, lo, hi) for k in kinks), hi])
+    return _simpson(model, ends, shift).sum(axis=1)
 
 
 def _survival(model: PerturbedDensity) -> _LogSurvival:
