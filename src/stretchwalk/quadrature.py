@@ -73,10 +73,6 @@ _START_PANELS = 4
 _RTOL = 1e-13
 _NOISE = 64.0 * np.finfo(float).eps
 _PANEL_CAP = 4096
-# A refined node this far above its row's coarse-pass shift ends the row:
-# exp(ell - shift) up to e^500 leaves the moment sums, with x^3 up to
-# _HI_LIMIT^3 (e^83), room below float overflow (e^709).
-_RISE_MAX = 500.0
 # A batched ppf divides by a cdf step no smaller than this (a flat interval).
 _TINY = np.finfo(float).tiny
 
@@ -437,18 +433,14 @@ def log_moment_integrals(
     floor = _NOISE * (1.0 + np.abs(shift))
     shift_c, peak_c, floor_c = shift[:, None], peak[:, None], floor[:, None]
 
-    risen = set()
-
     def weigh(x, w, vals, own):
-        # _moments of exp(ell - shift) on panels of the rows ``own``.  A row
-        # with a node more than _RISE_MAX above its shift, where the coarse
-        # pass missed its mass, goes into ``risen`` and its panels weigh 0.
-        rel = vals - (shift_c if single else shift_c[own])
-        if np.max(rel, initial=-np.inf) > _RISE_MAX:
-            over = rel.max(axis=1) > _RISE_MAX
-            risen.update(own[over].tolist())
-            rel[over] = -np.inf
-        return _moments(x, w, np.exp(rel), peak_c if single else peak_c[own])
+        # _moments of exp(ell - shift) on panels of the rows ``own``.  A
+        # refined node far above its row's coarse-pass shift, where the
+        # coarse pass missed the mass, overflows to inf or NaN here, quietly:
+        # the round's check ends the row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _moments(x, w, np.exp(vals - (shift_c if single else shift_c[own])),
+                            peak_c if single else peak_c[own])
 
     coarse = _in_blocks(lambda s: weigh(x[s], w[s], vals[s, :-1], owner[s]), a.size, per)
     total, total_abs = np.zeros((rows, 5)), np.zeros((rows, 5))
@@ -473,14 +465,16 @@ def log_moment_integrals(
             return weigh(x, w, call(x, both[s]), both[s])
 
         fine = _in_blocks(halves, 2 * n, per)
-        if risen:
-            for k in risen:
-                errors[k] = NonIntegrable(
-                    f"integrand rises more than {_RISE_MAX:g} nats above its coarse-pass "
-                    "maximum: the first panels missed its mass")
+        finite = np.isfinite(fine)
+        if not finite.all():
+            # One reduction a round; only a row whose sums overflowed fails.
+            over = ~finite.all(axis=1)
             gone = np.zeros(rows, dtype=bool)
-            gone[list(risen)] = True
-            risen.clear()
+            gone[np.concatenate([owner, owner])[over]] = True
+            for k in np.flatnonzero(gone):
+                errors[int(k)] = NonIntegrable(
+                    "moment sums overflow on refined panels: the integrand rises far "
+                    "above its coarse-pass maximum, or is NaN")
             keep = ~gone[owner]
             a, b, mid, owner, coarse = a[keep], b[keep], mid[keep], owner[keep], coarse[keep]
             fine = fine[np.concatenate([keep, keep])]

@@ -13,18 +13,21 @@ times the fourth derivative of p: against 30-digit references, log S is
 within 3e-14 for unit-exponential steps, 7e-14 for ``exp``, 2e-12 for
 power beta = 2, Weibull k = 3 and the sin perturbations of power beta = 2,
 3 and Weibull k = 3, 3e-12 for power beta = 8 and 6e-10 for power beta =
-20 at 2.5 EX.  Unit-exponential n = 2 values match the gamma closed form
-to 3e-14; at n = 3 the 513-node two-step table sets the error, about
-1e-9.  Nothing here estimates these errors at run time, as a second
-panel count would (ROADMAP.md, item 5).
+20 at 2.5 EX.  Next to a kink of p the PCHIP read, not the panels, sets
+the error: log S bends there, and reads in the three intervals about it
+are off by up to 1e-8 for the sin perturbations and 2e-7 next to the jump
+of a tabulated q at its grid's first node.  Reading them exactly would
+move no n = 2, 3 value of those models by more than 1.1e-12 (a = 1.6 to
+3).  Unit-exponential n = 2 values match
+the gamma closed form to 3e-14; at n = 3 the 513-node two-step table sets
+the error, about 1e-9.  Nothing here estimates these errors at run time,
+as a second panel count would (ROADMAP.md, item 5).
 
 The survival function is tabulated once per model by a right-to-left
 cumulative Simpson sum over 32,768 panels (positive panels summed
 smallest-first, so deep-tail values keep relative accuracy): the density
 is evaluated at the nodes and the panel midpoints, and a panel that holds
-a perturbation's kink is two Simpson pieces split there.  A read near a
-kink, where the PCHIP slopes straddle the bend, integrates p from the
-node on its left instead.  Every integral
+a perturbation's kink is two Simpson pieces split there.  Every integral
 is a fixed composite Gauss-Legendre sum, 16 panels to a
 piece, over the interpolated integrand.  The pieces end where the integrand
 is not smooth: at the band's edges, at a perturbation's kinks k (where
@@ -145,14 +148,7 @@ class _LogTable(Pchip):
 
 class _LogSurvival(_LogTable):
     """Vectorised log P(X >= t) from one cumulative pass over the density,
-    built _BLOCK_POINTS nodes at a time into one tail array.
-
-    Where p bends, at a kink k, log S has a jump in its second derivative,
-    which the PCHIP slopes at the nodes either side of k average across:
-    a read in the three intervals around k would be off by about h^2 times
-    that jump (8.7e-9 for power beta = 2/sin).  Those reads instead take
-    S(t) from the node left of t, less the Simpson integral of p up to t,
-    split at k."""
+    built _BLOCK_POINTS nodes at a time into one tail array."""
 
     def __init__(self, model: PerturbedDensity):
         cap = model.support_cap
@@ -176,44 +172,28 @@ class _LogSurvival(_LogTable):
         m = np.count_nonzero(tail > 0.0)
         log_tail = np.log(tail[:m], out=tail[:m])
         super().__init__(xs[:m], log_tail, float(xs[0]))
-        self._model, self._kinks, self._near_kink = model, kinks, None
-        if kinks.size:
-            self._near_kink = np.zeros(m - 1, dtype=bool)
-            self._near_kink[np.clip(bent[:, None] + np.arange(-1, 2), 0, m - 2)] = True
-
-    def _sum(self, i: Array, t: Array) -> Array:
-        """Piece i's polynomial at t, or near a kink the node's value less
-        the integral from the node."""
-        out = super()._sum(i, t)
-        if self._near_kink is None:
-            return out
-        near = self._near_kink.take(i)
-        if not np.any(near):
-            return out
-        out = np.array(out)
-        i, t = i[near], t[near]
-        left = self.c[3].take(i)
-        share = _split_simpson(self._model, self.x.take(i), t, self._kinks, left[:, None])
-        out[near] = left + np.log1p(-share)
-        return out
 
 
-def _simpson(model: PerturbedDensity, ends: Array, shift: float | Array = 0.0) -> Array:
-    """Simpson's rule for exp(-shift) p on each panel [ends[..., j], ends[...,
-    j + 1]], from one density call on the ends and midpoints, interleaved."""
-    x = np.empty(ends.shape[:-1] + (2 * ends.shape[-1] - 1,))
-    x[..., 0::2] = ends
-    x[..., 1::2] = 0.5 * (ends[..., 1:] + ends[..., :-1])
-    pdf = np.exp(_log_pdf(model, x) - shift)
-    return np.diff(ends) / 6.0 * (pdf[..., :-2:2] + 4.0 * pdf[..., 1::2] + pdf[..., 2::2])
+def _simpson(model: PerturbedDensity, ends: Array) -> Array:
+    """Simpson's rule for p on each panel [ends[j], ends[j + 1]], from one
+    density call on the ends and midpoints, interleaved."""
+    x = np.empty(2 * ends.size - 1)
+    x[0::2] = ends
+    x[1::2] = 0.5 * (ends[1:] + ends[:-1])
+    pdf = np.exp(_log_pdf(model, x))
+    return np.diff(ends) / 6.0 * (pdf[:-2:2] + 4.0 * pdf[1::2] + pdf[2::2])
 
 
-def _split_simpson(model: PerturbedDensity, lo: Array, hi: Array, kinks: Array,
-                   shift: float | Array = 0.0) -> Array:
-    """Simpson's rule for exp(-shift) p on each [lo[r], hi[r]], in pieces
-    that end at the kinks (ascending) inside it."""
+def _split_simpson(model: PerturbedDensity, lo: Array, hi: Array, kinks: Array) -> Array:
+    """Simpson's rule for p on each [lo[r], hi[r]], in pieces that end at
+    the kinks (ascending) inside it.  Each piece reads p one ulp inside its
+    ends, so where q jumps (at a tabulated q's grid ends) a piece takes its
+    own side's value."""
     ends = np.column_stack([lo, *(np.clip(k, lo, hi) for k in kinks), hi])
-    return _simpson(model, ends, shift).sum(axis=1)
+    a, b = ends[:, :-1], ends[:, 1:]
+    x = np.stack([np.nextafter(a, np.inf), 0.5 * (a + b), np.nextafter(b, -np.inf)])
+    pdf = np.exp(_log_pdf(model, x))
+    return ((b - a) / 6.0 * (pdf[0] + 4.0 * pdf[1] + pdf[2])).sum(axis=1)
 
 
 def _survival(model: PerturbedDensity) -> _LogSurvival:

@@ -385,25 +385,31 @@ def test_window_of_a_peak_at_the_support_start():
 
 def test_mass_the_coarse_pass_misses_fails_its_row_by_name():
     # A spike 800 nats high on a node of the first refined panel, between the
-    # coarse nodes: exp(ell - shift) would overflow.  The row fails with
-    # NonIntegrable, with no floating-point warning, and the other row is its
-    # scalar call bit for bit.
+    # coarse nodes: exp(ell - shift) overflows.  The row fails with
+    # NonIntegrable, with no floating-point warning, and the other rows are
+    # their scalar calls bit for bit.  A 600-nat spike does not overflow: its
+    # row still integrates, to the spike's log mass 600 + log(2e-3 / 600).
     gl = np.polynomial.legendre.leggauss(16)[0]
     spike = 0.25 + 0.25 * gl[0]  # node 0 of the refined panel [0, 0.5]
 
     def ell(xs, height=800.0):
         return height * np.maximum(0.0, 1.0 - np.abs(xs - spike) / 1e-3) - xs
 
-    def rows_ell(xs, rows):
-        return ell(xs, np.where(rows == 1, 800.0, 0.0)[:, None])
+    heights = np.array([0.0, 800.0, 600.0])
 
-    lo, hi, peak = np.zeros(2), np.full(2, 8.0), np.full(2, 4.0)
+    def rows_ell(xs, rows):
+        return ell(xs, heights[rows][:, None])
+
+    lo, hi, peak = np.zeros(3), np.full(3, 8.0), np.full(3, 4.0)
     failed = {}
     with np.errstate(all="raise"):
         got = log_moment_integrals(rows_ell, lo, hi, peak, failed=failed)
         alone = log_moment_integrals(lambda xs: ell(xs, 0.0), 0.0, 8.0, 4.0)
+        risen = log_moment_integrals(lambda xs: ell(xs, 600.0), 0.0, 8.0, 4.0)
         with pytest.raises(NonIntegrable, match="coarse-pass maximum"):
             log_moment_integrals(ell, 0.0, 8.0, 4.0)
     assert list(failed) == [1] and isinstance(failed[1], NonIntegrable)
     assert all(np.isnan(v[1]) for v in got)
     assert tuple(v[0] for v in got) == alone
+    assert tuple(v[2] for v in got) == risen
+    assert risen[0] == pytest.approx(600.0 + math.log(2e-3 / 600.0) - spike, abs=1e-3)

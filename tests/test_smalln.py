@@ -20,11 +20,13 @@ from stretchwalk.density import (
     PowerExponent,
     WeibullExponent,
     _pchip_coefficients,
+    parse_model,
     pure_density,
     sin_perturbed_density,
 )
 from stretchwalk import smalln
 from stretchwalk.errors import DomainError, NonIntegrable
+from stretchwalk.quadrature import gauss_legendre
 from stretchwalk.smalln import (
     _BLOCK_PANELS,
     _ROW_BLOCK,
@@ -472,26 +474,65 @@ def _mp_log_sin_tails(g, cap, kinks, ts):
         return [float(mpmath.log(tails[ends.index(mpmath.mpf(t))] / tails[0])) for t in ts]
 
 
+def _kink_probes(table, kinks):
+    """Probes about each kink k in the table's interval [x[j], x[j + 1]]:
+    ``clean``, the nodes x[j], x[j + 1] and the middles of the intervals
+    next but one to k; ``near``, reads either side of k in its interval and
+    the middles of the two intervals next to it.  The PCHIP slopes at x[j]
+    and x[j + 1] straddle the bend, so ``near`` reads carry the PCHIP's
+    error there, not the table's."""
+    x, h = table.x, table._step
+    clean, near = [], []
+    for k in kinks:
+        j = int(np.searchsorted(x, k)) - 1
+        clean += [x[j], x[j + 1], x[j - 1] - 0.5 * h, x[j + 2] + 0.5 * h]
+        near += [k - 0.3 * (k - x[j]), k + 0.3 * (x[j + 1] - k), x[j] - 0.5 * h,
+                 x[j + 1] + 0.5 * h]
+    return np.array(clean), np.array(near)
+
+
 @pytest.mark.parametrize("spec", sorted(_SIN_TAILS))
 def test_survival_table_across_kinks_matches_mpmath(spec):
-    # p bends at each kink k: the panel holding k is two Simpson pieces, and
-    # a read in the three intervals about k integrates p from the node on its
-    # left.  Probes: the nodes either side of k, reads either side of k in
-    # its interval, and the middles of the two neighbouring intervals.
+    # p bends at each kink k, and the panel holding k is two Simpson pieces:
+    # node values and reads clear of k keep the Simpson accuracy.  Reads
+    # next to k carry the PCHIP's error across the jump in (log S)'', about
+    # h^2 times that jump: 9.5e-9 for power beta = 2/sin.
     exponent, g = _SIN_TAILS[spec]
     model = sin_perturbed_density(exponent)
     table = _LogSurvival(model)
-    x, h = table.x, table._step
-    ts = [1.37 * model.mean]
-    for k in model.kinks:
-        j = int(np.searchsorted(x, k)) - 1
-        ts += [x[j], x[j + 1], k - 0.3 * (k - x[j]), k + 0.3 * (x[j + 1] - k),
-               x[j] - 0.5 * h, x[j + 1] + 0.5 * h]
-    ts = np.array(ts)
-    got = table(ts)
-    want = np.array(_mp_log_sin_tails(g, model.support_cap, model.kinks, ts))
-    assert np.max(np.abs(got - want)) <= 2e-12
-    assert table(float(ts[3])) == got[3]  # a scalar read takes the same path
+    clean, near = _kink_probes(table, model.kinks)
+    clean = np.append(clean, 1.37 * model.mean)
+    want = _mp_log_sin_tails(g, model.support_cap, model.kinks, np.concatenate([clean, near]))
+    assert np.max(np.abs(table(clean) - want[:clean.size])) <= 2e-12
+    assert np.max(np.abs(table(near) - want[clean.size:])) <= 1e-8
+
+
+def test_survival_table_across_a_jump_of_tabulated_q(tmp_path):
+    # A tabulated q is 0 below its grid, so p jumps at the grid's first node
+    # x0 = 0.05 (q(x0) = 0.3 sin 0.05): each Simpson piece of the panel
+    # holding x0 reads p on its own side.  Node values and reads clear of x0
+    # keep the Simpson accuracy; log S has a kink at x0, so reads next to it
+    # carry the PCHIP's first-order error there, about h times the jump in
+    # p / S: 2.0e-7.  The reference sums p, which is smooth between grid
+    # nodes, by 16-point Gauss-Legendre on 64 panels per grid interval.
+    grid = np.linspace(0.05, 60.0, 400)
+    path = tmp_path / "cubic_q.csv"
+    np.savetxt(path, np.column_stack([grid, grid**3, 0.3 * np.sin(grid)]), delimiter=",")
+    model = parse_model(f"tabulated:path={path}")
+    table = _LogSurvival(model)
+    clean, near = _kink_probes(table, [grid[0]])
+    clean = np.append(clean, model.mean * np.array([0.5, 1.37]))
+    ts = np.concatenate([clean, near])
+    cap = model.support_cap
+    ends = np.unique(np.concatenate([[0.0, cap], grid[grid < cap], ts]))
+    sub = np.linspace(ends[:-1], ends[1:], 65, axis=1)
+    nodes, weights = gauss_legendre(sub[:, :-1].ravel(), sub[:, 1:].ravel())
+    mass = (weights * np.exp(smalln._log_pdf(model, nodes))).sum(axis=1)
+    pieces = mass.reshape(ends.size - 1, 64).sum(axis=1)
+    want = np.array([math.log(math.fsum(pieces[np.searchsorted(ends, t):]) / math.fsum(pieces))
+                     for t in ts])
+    assert np.max(np.abs(table(clean) - want[:clean.size])) <= 2e-12
+    assert np.max(np.abs(table(near) - want[clean.size:])) <= 2.5e-7
 
 
 def test_exact_probabilities_leave_scipy_unloaded():
