@@ -16,12 +16,13 @@ power beta = 2, Weibull k = 3 and the sin perturbations of power beta = 2,
 20 at 2.5 EX.  Next to a kink of p the PCHIP read, not the panels, sets
 the error: log S bends there, and reads in the three intervals about it
 are off by up to 1e-8 for the sin perturbations and 2e-7 next to the jump
-of a tabulated q at its grid's first node.  Reading them exactly would
-move no n = 2, 3 value of those models by more than 1.1e-12 (a = 1.6 to
-3).  Unit-exponential n = 2 values match
-the gamma closed form to 3e-14; at n = 3 the 513-node two-step table sets
-the error, about 1e-9.  Nothing here estimates these errors at run time,
-as a second panel count would (ROADMAP.md, item 5).
+of a tabulated q at its grid's first node.  A two-step row's flat piece
+reads S at t - lo, so a row with t - lo next to a kink carries that read's
+error (1.2e-9 on one power beta = 3/sin row); n = 3 values of the sin
+models stay within 1e-11 of summing p there.  Unit-exponential n = 2
+values match the gamma closed form to 3e-14; at n = 3 the 513-node
+two-step table sets the error, about 1e-9.  Nothing here estimates these
+errors at run time, as a second panel count would (ROADMAP.md, item 5).
 
 The survival function is tabulated once per model by a right-to-left
 cumulative Simpson sum over 32,768 panels (positive panels summed
@@ -33,10 +34,16 @@ piece, over the interpolated integrand.  The pieces end where the integrand
 is not smooth: at the band's edges, at a perturbation's kinks k (where
 p(x) bends) and at t - k (where S(t - x) does), and in the third step
 where 3a - x crosses 2 lo, 2 hi or lo + hi, where the two-step table
-bends.  On smooth pieces the rule has converged: doubling the panels
-moves no value of power beta = 1, 2, 3, Weibull k = 3 or the sin
-perturbations of the last three by more than 1e-8 in log P (measured at
-n = 2, 3 and a = 1.6 to 3; tests/test_smalln.py gates it).  Nothing here
+bends.  A two-step row at level t integrates only over x in (max(t - hi,
+lo), min(t - lo, hi)), where the second step's band tail at t - x varies:
+below it the tail is 0, and above it the band mass, so that piece is read
+from the survival table.  The pieces do not end at a tabulated model's grid
+nodes, where g and q are only C1: its n = 2 values sit up to about 1.3e-7
+off a reference split at every node.  On smooth pieces the rule has
+converged: doubling the panels moves no value of power beta = 1, 2, 3,
+Weibull k = 3 or the sin perturbations of the last three by more than
+1e-8 in log P (measured at n = 2, 3 and a = 1.6 to 3; tests/test_smalln.py
+gates it).  Nothing here
 nests adaptive quadrature.
 An n = 3 probability reads a 513-node table of the two-step probability,
 laid on the levels the third step reads, [max(2 lo, 3a - hi), min(2 hi,
@@ -246,11 +253,16 @@ def _log_prob_steps_in(model: PerturbedDensity, n: int, a: float, lo: float, hi:
 
     def two_step(t: Array) -> Array:
         """log P(X_1, X_2 in (lo, hi] and X_1 + X_2 >= t), one quadrature row
-        per level, split where p(y) bends (y = kink) and where the step tail
-        at t - y does (y = t - lo, t - hi and t - kink)."""
-        return _log_quad(lambda ys, rows: _log_pdf(model, ys) + step_tail(t[rows, None] - ys),
-                         np.full_like(t, lo), np.full_like(t, hi),
-                         breakpoints=(t - lo, t - hi, *kinks, *(t - k for k in kinks)))
+        per level.  The step tail at t - y is 0 for y below t - hi and the
+        band mass P(X in (lo, hi]) above t - lo, so a row integrates only
+        over y in (max(t - hi, lo), min(t - lo, hi)), split where p(y) bends
+        (y = kink) and where the step tail does (y = t - kink), and the flat
+        piece adds P(X in (lo, hi]) P(X in (t - lo, hi]) from the survival
+        table."""
+        varying = _log_quad(lambda ys, rows: _log_pdf(model, ys) + step_tail(t[rows, None] - ys),
+                            np.maximum(t - hi, lo), np.minimum(t - lo, hi),
+                            breakpoints=(*kinks, *(t - k for k in kinks)))
+        return np.logaddexp(varying, step_tail(lo) + step_tail(t - lo))
 
     target = float(n) * a
     if n == 2:

@@ -182,14 +182,14 @@ def test_three_step_table_lies_on_the_levels_read(monkeypatch, a, eps):
     # [max(2 lo, 3a - hi), min(2 hi, 3a - lo)], for the band and for the
     # exceedance, whose steps lie in (0, support_cap].
     levels = []
+    third_step = smalln._third_step
 
-    def recorded(ell, lo, hi, breakpoints=()):
-        if np.ndim(lo) > 0:
-            levels.append(breakpoints[0] + lo)  # the first breakpoint is t - lo
-        return _log_quad(ell, lo, hi, breakpoints)
+    def recorded(model, t_grid, *args):
+        levels.append(t_grid)
+        return third_step(model, t_grid, *args)
 
     model = pure_density(WeibullExponent(3.0))
-    monkeypatch.setattr(smalln, "_log_quad", recorded)
+    monkeypatch.setattr(smalln, "_third_step", recorded)
     for lo, hi in ((a - eps, a + eps), (0.0, model.support_cap)):
         levels.clear()
         if lo > 0.0:
@@ -201,6 +201,129 @@ def test_three_step_table_lies_on_the_levels_read(monkeypatch, a, eps):
         assert t[0] == pytest.approx(max(2.0 * lo, 3.0 * a - hi), abs=1e-12)
         assert t[-1] == pytest.approx(min(2.0 * hi, 3.0 * a - lo), abs=1e-12)
         assert np.ptp(np.diff(t)) <= 1e-12
+
+
+def _all_piece_two_step(model, t, lo, hi):
+    """log P(X_1, X_2 in (lo, hi] and X_1 + X_2 >= t) for each level t, by
+    one quadrature row over all of (lo, hi], split at t - lo and t - hi,
+    where the step tail at t - y starts to vary and stops, and at the kinks
+    and t - kinks: the piece where the tail is 0 and the flat piece are
+    integrated like the rest."""
+    tail = smalln._survival(model)
+    log_tail_hi = float(tail(hi))
+
+    def step_tail(s):
+        s_eff = np.maximum(s, lo)
+        upper = tail(s_eff)
+        diff = upper if log_tail_hi == -math.inf else upper + smalln._log1mexp(log_tail_hi - upper)
+        return np.where(s_eff >= hi, -np.inf, diff)
+
+    kinks = model.kinks
+    return _log_quad(lambda ys, rows: smalln._log_pdf(model, ys) + step_tail(t[rows, None] - ys),
+                     np.full_like(t, lo), np.full_like(t, hi),
+                     breakpoints=(t - lo, t - hi, *kinks, *(t - k for k in kinks)))
+
+
+def _tabulated_cubic(path):
+    grid = np.linspace(0.05, 60.0, 400)
+    np.savetxt(path, np.column_stack([grid, grid**3, 0.3 * np.sin(grid)]), delimiter=",")
+    return parse_model(f"tabulated:path={path}")
+
+
+# Largest moves from the all-piece rule in log P, of values at n = 2, 3 and
+# of the n = 3 tables' rows, per model.  On the pure models both rules have
+# converged and differ by rounding (1.4e-12 measured).  A sin model's rows
+# whose t - lo falls next to a kink take the flat piece from the survival
+# table's PCHIP read there, off by up to 1.2e-9, where the all-piece rule
+# sums p; that is one table row in a few hundred, so values move by 3e-12.
+# A tabulated model's g and q are only C1 at its grid nodes, which neither
+# rule splits at: its flat pieces from the survival table are up to 1.4e-6
+# closer to a reference split at every node than 16 panels summing p over
+# them, and its values move by up to 9e-8.
+_TWO_STEP_MODELS = {
+    "power2": (lambda tmp: pure_density(PowerExponent(2.0)), 1e-11, 1e-11),
+    "weibull3": (lambda tmp: pure_density(WeibullExponent(3.0)), 1e-11, 1e-11),
+    "power3/sin": (lambda tmp: sin_perturbed_density(PowerExponent(3.0)), 1e-11, 2e-9),
+    "tabulated-q": (lambda tmp: _tabulated_cubic(tmp / "cubic_q.csv"), 1e-7, 2e-6),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_TWO_STEP_MODELS))
+def test_two_step_rows_integrate_only_where_the_step_tail_varies(monkeypatch, tmp_path, spec):
+    # Each two-step row is integrated over (max(t - hi, lo), min(t - lo, hi))
+    # only: below it the step tail at t - y is 0, above it the band mass, a
+    # flat piece read from the survival table.  Values at n = 2 and 3 match
+    # the all-piece rule, and so do the n = 3 tables row by row, edge rows
+    # included: exceedance tables whose first level is 0 = 2 lo have no
+    # varying piece there, and band tables end past lo + hi, with no flat piece.
+    build, bound, row_bound = _TWO_STEP_MODELS[spec]
+    model = build(tmp_path)
+    rows, tables, edges = [], [], set()
+    third_step = smalln._third_step
+
+    def recorded_quad(ell, lo, hi, breakpoints=()):
+        if np.ndim(lo) > 0:
+            rows.append((np.array(lo), np.array(hi)))
+        return _log_quad(ell, lo, hi, breakpoints)
+
+    def recorded_third_step(model, t_grid, two_step, target, lo, hi):
+        tables.append((t_grid, two_step))
+        return third_step(model, t_grid, two_step, target, lo, hi)
+
+    monkeypatch.setattr(smalln, "_log_quad", recorded_quad)
+    monkeypatch.setattr(smalln, "_third_step", recorded_third_step)
+    mean = model.mean
+    for n in (2, 3):
+        for a, eps in ((1.2 * mean, 0.5 * mean), (2.0 * mean, 0.35 * mean),
+                       (3.0 * mean, 0.2 * mean)):
+            for lo, hi in ((0.0, model.support_cap), (a - eps, min(a + eps, model.support_cap))):
+                rows.clear()
+                tables.clear()
+                got = (exact_log_prob_exceed(model, n, a) if lo == 0.0
+                       else exact_log_prob_band(model, n, a, eps))
+                if n == 2:
+                    t = np.array([2.0 * a])
+                    want = float(_all_piece_two_step(model, t, lo, hi)[0])
+                else:
+                    ((t, two_step),) = tables
+                    want_table = _all_piece_two_step(model, t, lo, hi)
+                    assert np.max(np.abs(two_step - want_table), initial=0.0,
+                                  where=np.isfinite(want_table)) <= row_bound
+                    assert np.array_equal(np.isfinite(two_step), np.isfinite(want_table))
+                    want = third_step(model, t, want_table, 3.0 * a, lo, hi)
+                    edges.update({"no varying piece"} if t[0] <= 2.0 * lo else ())
+                    edges.update({"no flat piece"} if t[-1] - lo >= hi else ())
+                assert got == pytest.approx(want, abs=bound, rel=0.0)
+                ((row_lo, row_hi),) = rows
+                assert np.all(row_lo >= np.maximum(t - hi, lo))
+                assert np.all(row_hi <= np.minimum(t - lo, hi))
+    assert edges == {"no varying piece", "no flat piece"}
+
+
+@pytest.mark.parametrize("a, eps, side", [(1.6, 0.45, -1), (1.6, 0.35, 0), (1.85, 0.3, 1)])
+def test_two_step_band_where_t_minus_lo_rounds_about_hi(a, eps, side):
+    # At n = 2 the level t - lo = 2a - (a - eps) is hi = a + eps up to
+    # rounding, on either side of it: the flat piece is then a sliver or
+    # empty, and the value matches the all-piece rule.
+    model = pure_density(PowerExponent(2.0))
+    lo, hi = a - eps, a + eps
+    assert np.sign(2.0 * a - lo - hi) == side
+    want = float(_all_piece_two_step(model, np.array([2.0 * a]), lo, hi)[0])
+    assert exact_log_prob_band(model, 2, a, eps) == pytest.approx(want, abs=1e-11, rel=0.0)
+
+
+@pytest.mark.parametrize("a", [0.4, 0.5])
+def test_two_steps_below_twice_the_band_floor_are_the_squared_band_mass(a):
+    # At t = 2a <= 2 lo both steps in the band always reach t: no varying
+    # piece is left, and P2 = P(X in (lo, hi])^2 from the survival table.
+    model = sin_perturbed_density(PowerExponent(2.0))
+    lo, hi = 0.5, 1.1
+    tail = smalln._survival(model)
+    band = math.log(math.exp(float(tail(lo))) - math.exp(float(tail(hi))))
+    got = smalln._log_prob_steps_in(model, 2, a, lo, hi)
+    assert got == pytest.approx(2.0 * band, abs=1e-14, rel=0.0)
+    want = float(_all_piece_two_step(model, np.array([2.0 * a]), lo, hi)[0])
+    assert got == pytest.approx(want, abs=1e-11, rel=0.0)
 
 
 def test_band_requires_positive_width():
