@@ -6,8 +6,9 @@ names a JSON object whose keys become ``--key=value`` arguments after the
 command line, so config values are parsed and checked exactly like flags
 and override them: an array is a comma list and a boolean sets or clears
 ``--oracle``.  Primary outputs are byte-identical across
-reruns with the same configuration; timestamps live only in the
-``<name>.meta.json`` sidecar written next to file outputs.
+reruns with the same configuration; timestamps, and ``verify``'s
+per-criterion ``runtime_s``, live only in the ``<name>.meta.json`` sidecar
+written next to file outputs.
 
 Exit codes: 0 success, 1 usage, 2 numeric failure (the originating error
 class name goes to stderr), 3 acceptance failure from ``verify``.
@@ -148,7 +149,11 @@ def _render_json(payload: dict) -> str:
     return json.dumps(scrub(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _write_output(ns: argparse.Namespace, name: str, text: str, extension: str) -> None:
+def _write_output(ns: argparse.Namespace, name: str, text: str, extension: str,
+                  meta_extra: dict | None = None) -> None:
+    """Write the primary output to stdout, or to ``<name>.<extension>`` under
+    ``--out`` with a ``<name>.meta.json`` sidecar holding the config, the
+    time written and ``meta_extra``'s keys."""
     if ns.out is None:
         sys.stdout.write(text)
         return
@@ -162,6 +167,7 @@ def _write_output(ns: argparse.Namespace, name: str, text: str, extension: str) 
             if k != "command" and v is not None
         },
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        **(meta_extra or {}),
     }
     (out_dir / f"{name}.meta.json").write_text(_render_json(meta), encoding="utf-8")
 
@@ -322,7 +328,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             for r in results
         ],
     }
-    _write_output(ns, "verify", _render_json(payload), "json")
+    # Runtimes vary from run to run, so they go to the sidecar only.
+    runtimes = [{"index": r.index, "runtime_s": r.runtime_s} for r in results]
+    _write_output(ns, "verify", _render_json(payload), "json", {"criteria": runtimes})
     if ns.out is not None:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

@@ -11,10 +11,13 @@ For convex exponents these closed forms are the exact constrained infima;
 ``brute_force_infimum`` re-derives them by direct search so the closed
 forms can be checked rather than trusted.  It polishes all its starts at
 once: one row-wise nested-grid search per round-robin matching of the
-coordinates, then one per single coordinate.  The module also builds the
-piecewise-linear-then-convex minorant used to push the lower probability
-bound through a bounded perturbation, and evaluates both certified
-probability bounds.
+coordinates, then one per single coordinate.  A line search stops zooming
+once its answer is decided: its best node is an end of its interval on two
+consecutive grids (the end is then compared exactly), or its bracket is
+flat to rounding; otherwise it zooms to _ZOOM_STOP of its interval.  The
+module also builds the piecewise-linear-then-convex minorant used to push
+the lower probability bound through a bounded perturbation, and evaluates
+both certified probability bounds.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .density import ExponentModel, PerturbedDensity, Perturbation
 from .errors import (DomainError, EnvelopeViolated, NoConvergence, ThresholdNotFound,
                      require_counts)
-from .quadrature import _BLOCK_POINTS, find_peak
+from .quadrature import _BLOCK_POINTS, _around_max, _zoom
 
 Array = np.ndarray
 
@@ -38,6 +41,8 @@ REGIONS = ("C", "AcapC", "BcapC", "IccC")
 # relative, and raises if none have by level _FINEST_LEVEL.
 _REFINE_TOL = 1e-5
 _FINEST_LEVEL = 3
+# A descent raises if any start still gains after this many sweeps.
+_MAX_SWEEPS = 200
 
 # convex_minorant searches its thresholds on a geometric grid up to here.
 _MINORANT_HI = 1e6
@@ -142,6 +147,9 @@ def exit_profile(exponent: ExponentModel, ev: BandEvent, k: int) -> float:
 # -- brute-force oracle ------------------------------------------------------
 
 _BASE_AXIS = {2: 257, 3: 81, 4: 33, 5: 17, 6: 11, 7: 9, 8: 7}
+# A line-search bracket whose ends lie within this share of its best value
+# is flat to rounding.
+_FLAT = 4.0 * np.finfo(float).eps
 # At most this many points on the grid of n - 1 coordinates.  The grid is
 # walked a block at a time, so its memory is bounded per block and the cap
 # bounds time.  Levels 0 and 1 always run, which leaves n <= 6.
@@ -156,9 +164,37 @@ def _min1d(fn, lo: Array, hi: Array, coarse: int) -> tuple[Array, Array]:
     """Row-wise minimum of a smooth function on [lo[k], hi[k]], where
     ``fn(xs, rows)`` maps a (len(rows), m) grid to values: dense grid,
     nested-grid polish around each row's best node, and that node checked
-    against the row's two endpoints."""
+    against the row's two endpoints.
+
+    A row stops zooming once its answer is decided:
+
+    - its best node is its own lo or hi, exactly, on two consecutive grids.
+      That end is one of the three candidates, so its value is exact.  A
+      minimum inside the first cell of the coarse grid (spacing h) but
+      within h/128 of the end is then reported at the end, which costs at
+      most f'' (h/128)^2 / 2;
+    - its best node is inside its bracket, and both bracket ends lie within
+      4 eps |best| of the best value: the bracket is flat to rounding, and
+      no finer grid can tell its nodes apart.  (A best node at an end of
+      the bracket bounds nothing: the end and its one neighbour can tie
+      about a lower minimum between them.)
+
+    Any other row zooms on to _ZOOM_STOP of its interval."""
     rows = np.arange(lo.size)
-    cand = np.stack([find_peak(lambda xs, k: -fn(xs, k), lo, hi, coarse)[0], lo, hi], axis=1)
+    at_end = np.zeros(lo.size, dtype=bool)
+
+    def decided(xs, vals, i, j, pick, live):
+        r = np.arange(pick.size)
+        best = xs[r, pick]
+        end = (best == lo[live]) | (best == hi[live])
+        twice = end & at_end[live]
+        at_end[live] = end
+        top = vals[r, pick]
+        flat = np.minimum(vals[r, i], vals[r, j]) >= top - _FLAT * np.abs(top)
+        return twice | (flat & (i < pick) & (pick < j))
+
+    found = _zoom(lambda xs, k: -fn(xs, k), lo, hi, coarse, _around_max, decided)[0]
+    cand = np.stack([found, lo, hi], axis=1)
     vals = fn(cand, rows)
     j = vals.argmin(axis=1)
     return cand[rows, j], vals[rows, j]
@@ -182,11 +218,31 @@ def _smallest(total: Array, m: int) -> Array:
     return near[np.argsort(total[near], kind="stable")][:m]
 
 
+def _completion_tables(w, ev: BandEvent, regions: tuple[str, ...], lo: float,
+                       hi: float) -> list[tuple]:
+    """Per region, the completion grid of the last coordinate on [lo, u_hi]
+    and its running minima from the right, so that "min over u >= threshold"
+    is a table lookup: (u_hi, ugrid, suffix_min, suffix_arg).  They depend on
+    no grid level, so a search builds them once for all its levels."""
+    a, eps = ev.a, ev.eps
+    tables = []
+    for region in regions:
+        if region == "BcapC":
+            u_hi = a - eps
+            ugrid = np.linspace(lo, u_hi, 4097)
+        else:
+            u_hi = hi
+            ugrid = np.linspace(lo, hi, 8193)
+        tables.append((u_hi, ugrid, *_suffix_min(np.asarray(w(ugrid), dtype=float))))
+    return tables
+
+
 def _coarse_candidates(w, ev: BandEvent, regions: tuple[str, ...], axis: Array,
-                       keep: int) -> list[list[np.ndarray]]:
+                       keep: int, tables: list[tuple]) -> list[list[np.ndarray]]:
     """Complete each point of the free grid (``axis`` in each of the n-1 free
     coordinates) optimally in the last coordinate over its feasible interval
-    in each region; return each region's best few points.
+    in each region, read from the region's ``_completion_tables`` entry on
+    [axis[0], axis[-1]]; return each region's best few points.
 
     The grid is walked once, a block of whole leading-axis slabs at a time
     (about _BLOCK_POINTS points), and each block's sums serve every region.
@@ -196,22 +252,9 @@ def _coarse_candidates(w, ev: BandEvent, regions: tuple[str, ...], axis: Array,
     stable sort."""
     n, a, eps = ev.n, ev.a, ev.eps
     floor = n * a
-    lo, hi = axis[0], axis[-1]
+    lo = axis[0]
     pool = keep * 4
     w_axis = np.asarray(w(axis), dtype=float)
-
-    # Completion grids for the last coordinate, with running minima from the
-    # right so "min over u >= threshold" is a table lookup.
-    ugrids = []
-    for region in regions:
-        if region == "BcapC":
-            u_hi = a - eps
-            ugrid = np.linspace(lo, u_hi, 4097)
-        else:
-            u_hi = hi
-            ugrid = np.linspace(lo, hi, 8193)
-        ugrids.append((u_hi, ugrid, *_suffix_min(np.asarray(w(ugrid), dtype=float))))
-
     slab = axis.size ** (n - 2)
     rows = max(1, _BLOCK_POINTS // slab)
     # Per region, per block: total, flat index, d_lo, exact_lo, grid_min, idx.
@@ -219,7 +262,7 @@ def _coarse_candidates(w, ev: BandEvent, regions: tuple[str, ...], axis: Array,
     for s in range(0, axis.size, rows):
         sum_w = functools.reduce(np.add.outer, [w_axis[s:s + rows]] + [w_axis] * (n - 2)).ravel()
         sum_x = functools.reduce(np.add.outer, [axis[s:s + rows]] + [axis] * (n - 2)).ravel()
-        for region, (u_hi, ugrid, suffix_min, _), blocks in zip(regions, ugrids, found):
+        for region, (u_hi, ugrid, suffix_min, _), blocks in zip(regions, tables, found):
             d_lo = floor - sum_x
             np.clip(d_lo, lo, None, out=d_lo)
             if region == "AcapC":
@@ -238,7 +281,7 @@ def _coarse_candidates(w, ev: BandEvent, regions: tuple[str, ...], axis: Array,
                            exact_lo[best], grid_min[best], idx[best]))
 
     out = []
-    for (_, ugrid, _, suffix_arg), blocks in zip(ugrids, found):
+    for (_, ugrid, _, suffix_arg), blocks in zip(tables, found):
         total, flat, d_lo, exact_lo, grid_min, idx = map(np.concatenate, zip(*blocks))
         order = _smallest(total, pool)
         free_idx = np.array(np.unravel_index(flat[order], (axis.size,) * (n - 1))).T
@@ -281,7 +324,8 @@ def _descend(w, ev: BandEvent, starts: Array, lb: Array, ub: Array, coarse: int)
     separable, so the pairs of a round-robin matching move independently,
     each round one row-wise search over (start, pair); single moves couple
     through the sum floor and go one coordinate at a time.  Each start moves
-    as it would alone, and retires once a sweep gains at most 1e-12 (1 + |f|)."""
+    as it would alone, and retires once a sweep gains at most 1e-12 (1 + |f|);
+    a start still gaining after _MAX_SWEEPS sweeps raises NoConvergence."""
     n = ev.n
     floor = n * ev.a
     x = np.clip(starts, lb, ub)
@@ -298,7 +342,7 @@ def _descend(w, ev: BandEvent, starts: Array, lb: Array, ub: Array, coarse: int)
     f = w(x).sum(axis=1)
     live = np.arange(len(x))
     rounds = _round_robin(n)
-    for _ in range(200):
+    for _ in range(_MAX_SWEEPS):
         f_start = f[live]
         for pi, pj in rounds:
             rows = np.repeat(live, pi.size)
@@ -325,27 +369,34 @@ def _descend(w, ev: BandEvent, starts: Array, lb: Array, ub: Array, coarse: int)
         f[live] = w(x[live]).sum(axis=1)
         live = live[f_start - f[live] > 1e-12 * (1.0 + np.abs(f[live]))]
         if not live.size:
-            break
-    return float(f.min())
+            return float(f.min())
+    raise NoConvergence(f"{live.size} starts still gained after {_MAX_SWEEPS} descent sweeps")
+
+
+def _box(ev: BandEvent) -> tuple[float, float]:
+    """The search box [lo, hi] of every coordinate."""
+    n, a, eps = ev.n, ev.a, ev.eps
+    lo = min(1e-3, 0.5 * (a - eps)) if eps > 0.0 else min(1e-3, 0.5 * a)
+    return lo, a + n * eps + 5.0
 
 
 def _search(model: PerturbedDensity, ev: BandEvent, regions: tuple[str, ...],
-            level: int) -> float:
+            tables: list[tuple], level: int) -> float:
     """Best value over the regions at one grid resolution.  The n-1 free
     coordinates are gridded once; each region completes that grid in the
-    last coordinate for its candidates (none is ever empty: hi leaves room),
-    and one descent polishes them all, each start's last coordinate bounded
-    by its own region."""
+    last coordinate for its candidates from its ``tables`` entry (none is
+    ever empty: hi leaves room), and one descent polishes them all, each
+    start's last coordinate bounded by its own region."""
     n, a, eps = ev.n, ev.a, ev.eps
     w = model.exponent_value
-    lo = min(1e-3, 0.5 * (a - eps)) if eps > 0.0 else min(1e-3, 0.5 * a)
-    hi = a + n * eps + 5.0
+    lo, hi = _box(ev)
     axis = np.linspace(lo, hi, _axis_points(n, level))
     if axis.size ** (n - 1) > _GRID_CAP:
         raise NoConvergence(f"{'/'.join(regions)} did not stabilise in {_GRID_CAP} grid points")
 
     starts, last = [], []
-    for region, found in zip(regions, _coarse_candidates(w, ev, regions, axis, keep=6)):
+    for region, found in zip(regions, _coarse_candidates(w, ev, regions, axis, keep=6,
+                                                         tables=tables)):
         if region == "C":
             found.append(np.full(n, a))
         starts += found
@@ -377,9 +428,10 @@ def brute_force_infimum(model: PerturbedDensity, ev: BandEvent, region: str) -> 
         raise DomainError(f"brute-force search is limited to n <= 6, got n={ev.n}")
     _check_compensation(ev)
     regions = ("AcapC", "BcapC") if region == "IccC" else (region,)
-    prev = _search(model, ev, regions, 0)
+    tables = _completion_tables(model.exponent_value, ev, regions, *_box(ev))
+    prev = _search(model, ev, regions, tables, 0)
     for level in range(1, _FINEST_LEVEL + 1):
-        cur = _search(model, ev, regions, level)
+        cur = _search(model, ev, regions, tables, level)
         if abs(cur - prev) <= _REFINE_TOL * max(abs(cur), 1e-12):
             return min(cur, prev)
         prev = min(cur, prev)

@@ -428,6 +428,22 @@ class TestVerifySubcommand:
         assert data["criteria"][0]["index"] == 9
         assert data["criteria"][0]["passed"] is True
 
+    def test_runtimes_go_to_the_sidecar_only(self, tmp_path, capsys):
+        # Each criterion run leaves its runtime_s in verify.meta.json; the
+        # primary JSON is the one printed to stdout, byte for byte.
+        argv = ["verify", "--criteria", "9,2"]
+        rc, printed, _ = run_cli(argv, capsys)
+        assert rc == 0
+        rc, out, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert rc == 0 and out == ""
+        assert (tmp_path / "verify.json").read_text(encoding="utf-8") == printed
+        assert "runtime_s" not in printed
+        meta = json.loads((tmp_path / "verify.meta.json").read_text(encoding="utf-8"))
+        assert [c["index"] for c in meta["criteria"]] == [2, 9]
+        assert all(isinstance(c["runtime_s"], float) and c["runtime_s"] > 0.0
+                   for c in meta["criteria"])
+        assert err.count("criterion") == 2
+
     def test_bad_criteria_range(self, capsys):
         rc, _, err = run_cli(["verify", "--criteria", "0,12"], capsys)
         assert rc == 1

@@ -24,7 +24,7 @@ from stretchwalk.density import (
     pure_density,
     sin_perturbed_density,
 )
-from stretchwalk import variational
+from stretchwalk import quadrature, variational
 from stretchwalk.errors import DomainError, NoConvergence, ThresholdNotFound
 from stretchwalk.smalln import exact_log_prob_escape, exact_log_prob_exceed
 from stretchwalk.variational import (
@@ -214,7 +214,8 @@ def test_coarse_candidates_match_full_stable_sort(monkeypatch, region):
     g = PowerExponent(2.0).g
     ev = BandEvent(4, 2.0, 0.5)
     axis = np.linspace(1e-3, 2.0 + 4 * 0.5 + 5.0, 65)
-    args = (g, ev, (region,), axis, 6)
+    tables = variational._completion_tables(g, ev, (region,), axis[0], axis[-1])
+    args = (g, ev, (region,), axis, 6, tables)
     got = []
     for block_points in (variational._BLOCK_POINTS, 2 * 65**2, 7 * 65**2):
         monkeypatch.setattr(variational, "_BLOCK_POINTS", block_points)
@@ -259,11 +260,16 @@ def test_refinement_ladder_runs_each_level_once(monkeypatch):
 def test_escape_search_is_one_search_per_level(monkeypatch):
     # Both exit regions share one walk of the free grid (two outer-sum
     # reductions, w and x, per block of slabs) and one descent per level,
-    # with no recursion into the regions.
-    walks, reduces, descents = [], [], []
+    # with no recursion into the regions.  Every level reads the same
+    # completion tables, built once.
+    walks, reduces, descents, tables = [], [], [], []
     coarse, descend = variational._coarse_candidates, variational._descend
+    build = variational._completion_tables
+    monkeypatch.setattr(variational, "_completion_tables",
+                        lambda *args: tables.append(build(*args)) or tables[-1])
     monkeypatch.setattr(variational, "_coarse_candidates",
-                        lambda *args, **kw: walks.append((args[2], args[3].size)) or coarse(*args, **kw))
+                        lambda *args, **kw: walks.append((args[2], args[3].size, kw["tables"]))
+                        or coarse(*args, **kw))
     monkeypatch.setattr(variational, "functools", types.SimpleNamespace(
         reduce=lambda *args: reduces.append(1) or functools.reduce(*args)))
     monkeypatch.setattr(variational, "_descend",
@@ -272,11 +278,78 @@ def test_escape_search_is_one_search_per_level(monkeypatch):
     with pytest.raises(NoConvergence):
         brute_force_infimum(pure_density(PowerExponent(2.0)), BandEvent(3, 2.0, 0.5), "IccC")
     sizes = [81, 161, 321, 641]
-    assert walks == [(("AcapC", "BcapC"), size) for size in sizes] and len(descents) == 4
+    assert [walk[:2] for walk in walks] == [(("AcapC", "BcapC"), size) for size in sizes]
+    assert len(descents) == 4
+    assert len(tables) == 1 and all(walk[2] is tables[0] for walk in walks)
     rows = [max(1, variational._BLOCK_POINTS // size) for size in sizes]
     assert len(reduces) == 2 * sum(-(-size // r) for size, r in zip(sizes, rows))
     # Each descent polishes the candidates of both regions together.
     assert all(count > 6 for count in descents)
+
+
+def test_completion_tables_are_the_same_at_every_level():
+    # The tables depend on the box, not on the level's axis: rebuilding them
+    # from any level's axis ends gives them bit for bit.
+    w = parse_model("weibull:k=3").exponent_value
+    ev = BandEvent(3, 3.0, 0.5)
+    regions = ("AcapC", "BcapC")
+    once = variational._completion_tables(w, ev, regions, *variational._box(ev))
+    for level in range(variational._FINEST_LEVEL + 1):
+        axis = np.linspace(*variational._box(ev), variational._axis_points(3, level))
+        again = variational._completion_tables(w, ev, regions, axis[0], axis[-1])
+        for want, got in zip(once, again):
+            assert want[0] == got[0]
+            assert all(np.array_equal(x, y) for x, y in zip(want[1:], got[1:]))
+
+
+def test_descent_raises_at_its_sweep_cap(monkeypatch):
+    # One sweep leaves starts that still gain: the descent raises instead
+    # of returning an unfinished minimum.
+    monkeypatch.setattr(variational, "_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match="1 descent sweeps"):
+        brute_force_infimum(parse_model("weibull:k=3"), BandEvent(3, 3.0, 0.5), "IccC")
+
+
+@pytest.mark.parametrize("spec, a, eps", [
+    ("weibull:k=3", 3.0, 0.5), ("power:beta=2", 2.0, 0.6), ("exp", 2.5, 0.5),
+    ("power:beta=3/sin", 3.0, 0.5),
+])
+def test_two_step_line_searches_run_at_most_two_grids(monkeypatch, spec, a, eps):
+    # At n = 2 the exit coordinate sits at its band edge and the other at
+    # the sum floor: every line search ends at an end of its interval, so
+    # each row is decided on its second grid.
+    grids = []
+
+    def counted_zoom(ell, lo, hi, *args):
+        count = np.zeros(np.size(lo), dtype=int)
+        grids.append(count)
+
+        def objective(xs, rows):
+            count[rows] += 1
+            return ell(xs, rows)
+
+        return quadrature._zoom(objective, lo, hi, *args)
+
+    monkeypatch.setattr(variational, "_zoom", counted_zoom)
+    brute_force_infimum(parse_model(spec), BandEvent(2, a, eps), "IccC")
+    assert grids and all(count.min() >= 1 and count.max() <= 2 for count in grids)
+
+
+def test_end_stop_worst_case_is_a_128th_of_the_coarse_spacing():
+    # f(u) = (u - u*)^2 on [0, 1], coarse grid spacing h = 1/64.  A minimum
+    # within h/128 of an end is reported at that end, off by at most
+    # f'' (h/128)^2 / 2; one past h/128 is found to rounding.
+    h = 1.0 / 64
+    cell = h / 128
+    near = np.array([0.0, 0.25, 0.5, 0.99]) * cell
+    far = np.array([1.01, 2.0, 10.0, 64.0, 100.0]) * cell
+    ustar = np.concatenate([near, 1.0 - near, far, 1.0 - far, [0.3, 0.5]])
+    lo, hi = np.zeros(ustar.size), np.ones(ustar.size)
+    x, f = variational._min1d(lambda xs, k: (xs - ustar[k, None]) ** 2, lo, hi, 65)
+    m = near.size
+    assert np.all(x[:m] == 0.0) and np.all(x[m:2 * m] == 1.0)
+    assert np.all(f[:2 * m] <= cell ** 2)
+    assert np.all(np.abs(x[2 * m:] - ustar[2 * m:]) <= 1e-12)
 
 
 @pytest.mark.parametrize("spec, ev", [
